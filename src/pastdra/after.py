@@ -2,10 +2,16 @@
 
 ``af_loc(f, sigma, C)`` is the local after-function: it consumes one letter
 ``sigma`` under the assumption that exactly the past subformulas in ``C``
-currently hold in the weak sense.  ``af`` removes the assumption by guessing
-every subset of the past subformulas and taking the disjunction, then
-canonicalizing; it therefore maps propositional classes to classes and is the
-transition function of the formula-state automata built later.
+currently hold in the weak sense.  For a fixed ``C`` it distributes over
+``&`` and ``|``, and it reads only the past subformulas of its argument.
+
+``af_class(b, sigma)`` is the transition function of the formula-state
+automata built later.  It works on canonical functions (``proplogic``
+diagrams) and removes the assumption by guessing: for every subset ``C`` of
+the past subformulas of ``b``'s atoms, each atom is derived under ``C`` and
+the results are composed on the diagram (``proplogic.map_atoms``); the
+disjunction over all guesses is the derivative.  No formula representative
+of ``b`` is built on the way.
 """
 
 from __future__ import annotations
@@ -89,41 +95,41 @@ def af_loc_ext(f, word, past_sets):
     return f
 
 
-_afbool_memo: dict = {}
+_afclass_memo: dict = {}
+_compose_memo: dict = {}
+_psf_memo: dict = {}
 
 
-def af_bool(f, sigma):
-    """Canonical one-letter derivative of ``f``, all past sets guessed."""
+def af_class(b, sigma):
+    """Canonical one-letter derivative of ``b``, all past sets guessed.
+
+    Under each guess ``C`` every atom is derived under the part of ``C``
+    among its own past subformulas, which is all ``af_loc`` reads; guesses
+    that agree there share the atom's memo entry.
+    """
     sigma = frozenset(sigma)
-    key = (f, sigma)
-    out = _afbool_memo.get(key)
+    key = (b.uid, sigma)
+    out = _afclass_memo.get(key)
     if out is None:
-        ps = F.sorted_set(F.psf(f))
+        ps = _psf_memo.get(b.uid)
+        if ps is None:
+            ps = F.sorted_set(frozenset().union(*map(F.psf, P.atoms(b))))
+            _psf_memo[b.uid] = ps
         out = P.FALSE_B
         for mask in range(1 << len(ps)):
             C = frozenset(p for i, p in enumerate(ps) if mask >> i & 1)
-            out = P.disj(out, P.canonicalize(_af_loc(f, sigma, C)))
-        _afbool_memo[key] = out
+            memo = _compose_memo.get((sigma, C))
+            if memo is None:
+                memo = _compose_memo[sigma, C] = {}
+            out = P.disj(out, P.map_atoms(
+                b, lambda a: _af_loc(a, sigma, C & F.psf(a)), memo))
+        _afclass_memo[key] = out
     return out
 
 
 def af(f, sigma):
     """Representative formula of the canonical derivative."""
-    return P.to_formula(af_bool(f, sigma))
-
-
-_afclass_memo: dict = {}
-
-
-def af_class(b, sigma):
-    """The derivative lifted to canonical Boolean functions."""
-    sigma = frozenset(sigma)
-    key = (b.uid, sigma)
-    out = _afclass_memo.get(key)
-    if out is None:
-        out = af_bool(P.to_formula(b), sigma)
-        _afclass_memo[key] = out
-    return out
+    return P.to_formula(af_class(P.canonicalize(f), sigma))
 
 
 def af_ext(f, word):

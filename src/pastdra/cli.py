@@ -1,6 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 malformed formula or word, 2 state-cap exceeded.
+Exit codes: 0 success; 1 malformed formula or word, negative position, or a
+formula nested too deeply; 2 state cap exceeded; 3 automaton/semantics
+disagreement (``check``) or a failed suite (``selftest``).
 """
 
 from __future__ import annotations
@@ -181,6 +183,9 @@ def main(argv=None):
         return args.fn(args)
     except (F.ParseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_PARSE
     except StateLimitExceeded as exc:
         print("error: state cap %s exceeded" % exc, file=sys.stderr)

@@ -300,8 +300,14 @@ def eval_seq(f, w):
     return PeriodicBitSeq(threshold, period, full)
 
 
+def _check_position(t):
+    if t < 0:
+        raise ValueError("position must be non-negative, got %d" % t)
+
+
 def holds(f, w, t=0):
-    """Whether ``(w, t)`` satisfies ``f``."""
+    """Whether ``(w, t)`` satisfies ``f``; ``t < 0`` raises ValueError."""
+    _check_position(t)
     return eval_seq(f, w).value(t)
 
 
@@ -316,7 +322,11 @@ def _horizon(f, w):
 
 
 def naive_holds(f, w, t=0):
-    """Defining-quantifier evaluation of ``f`` at ``(w, t)``; oracle only."""
+    """Defining-quantifier evaluation of ``f`` at ``(w, t)``; oracle only.
+
+    ``t < 0`` raises ValueError.
+    """
+    _check_position(t)
     horizon = _horizon(f, w)
     period = len(w.period)
     memo = {}

@@ -10,6 +10,12 @@ propositionally equivalent iff ``canonicalize`` returns the same object.  All
 combinations built here are positive (no complement operation is exposed), so
 every reachable function is monotone and a representative formula can be read
 off the true-paths of the diagram using only the positively decided atoms.
+
+Monotonicity also means the high branch of a node implies its low branch, so
+the node on atom ``a`` is the monotone if-then-else ``(a & hi) | lo``.
+``map_atoms`` substitutes formulas for atoms along that decomposition,
+node by node, under a caller-owned ``memo``, without building a
+representative formula.
 """
 
 from __future__ import annotations
@@ -189,12 +195,23 @@ def to_formula(b):
     return b._rep
 
 
-def map_atoms(b, fn):
-    """Replace every atom ``a`` by the formula ``fn(a)`` and re-canonicalize."""
-    def subst(f):
-        if f.kind in (F.AND, F.OR):
-            return F.make(f.kind, subst(f.left), subst(f.right))
-        if f.kind in (F.TRUE, F.FALSE):
-            return f
-        return fn(f)
-    return canonicalize(subst(to_formula(b)))
+def map_atoms(b, fn, memo):
+    """Compose: replace every atom ``a`` by the formula ``fn(a)``.
+
+    Works on the diagram.  ``b`` is monotone, so a node on atom ``a`` is
+    ``(a & hi) | lo`` and maps to ``(fn(a) & map(hi)) | map(lo)``: the same
+    function, hence the same node, as canonicalizing the substitution into
+    ``to_formula(b)``.  ``fn(a)`` is called before ``hi`` and ``lo`` are
+    mapped, which visits the atoms in the order of that representative.
+    ``memo`` maps node uids to results; share it between calls only while
+    ``fn`` stays the same.
+    """
+    if b.var is None:
+        return b
+    out = memo.get(b.uid)
+    if out is None:
+        atom = canonicalize(fn(b.var))
+        hi = map_atoms(b.hi, fn, memo)
+        out = disj(conj(atom, hi), map_atoms(b.lo, fn, memo))
+        memo[b.uid] = out
+    return out

@@ -51,7 +51,20 @@ class TranslationContext:
         self.mu = F.sorted_set(F.mu_subformulas(phi))
         self.nu = F.sorted_set(F.nu_subformulas(phi))
         self._rc_memo = {}
+        self._derive_memo = {}
         self._bed = None
+
+    def _derive(self, b, sigma, c):
+        """``b`` derived by ``sigma`` under ``c``, atom by atom on the diagram.
+
+        ``af_loc`` distributes over ``&``/``|`` for a fixed past set and
+        reads only the past subformulas of its argument, so each atom is
+        derived under its own part of ``c``.
+        """
+        memo = self._derive_memo.get((sigma, c))
+        if memo is None:
+            memo = self._derive_memo[sigma, c] = {}
+        return P.map_atoms(b, lambda a: af_loc(a, sigma, c & F.psf(a)), memo)
 
     def rc(self, state, sigma):
         """Bed transition: component i re-derives from every refining j."""
@@ -65,8 +78,7 @@ class TranslationContext:
             acc = P.FALSE_B
             for j in self.refining[i]:
                 cij = self._ij_sets[i, j]
-                term = P.canonicalize(
-                    af_loc(P.to_formula(state[j]), sigma, cij))
+                term = self._derive(state[j], sigma, cij)
                 for owed in self._ij_wcs[i, j]:
                     if term is P.FALSE_B:
                         break
@@ -99,16 +111,13 @@ def build_wc_automaton(ctx):
 
 
 def _limit_cache(rewriter, rw_sets):
-    """Memoized b -> [S rewritten under C_i]-limit of b's representative."""
-    cache = {}
+    """Memoized (b, i) -> b with every atom rewritten by its limit under
+    ``rw_sets[i]``."""
+    fns = [lambda a, s=s: rewriter(a, s) for s in rw_sets]
+    memos = [{} for _ in rw_sets]
 
     def apply(b, i):
-        key = (b.uid, i)
-        out = cache.get(key)
-        if out is None:
-            out = P.canonicalize(rewriter(P.to_formula(b), rw_sets[i]))
-            cache[key] = out
-        return out
+        return P.map_atoms(b, fns[i], memos[i])
     return apply
 
 

@@ -5,7 +5,7 @@ import pytest
 from pastdra import formula as F
 from pastdra import lasso as L
 from pastdra import proplogic as P
-from pastdra.after import af, af_bool, af_ext, af_loc, af_loc_ext, pu_loc
+from pastdra.after import af, af_class, af_ext, af_loc, af_loc_ext, pu_loc
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.stability import entailed_seq
 
@@ -63,11 +63,53 @@ def test_pu_loc_charges_weakening_conditions():
 
 def test_af_canonical_example():
     f = parse("X(p S X q)")
-    b = af_bool(f, frozenset({"p"}))
+    b = af_class(P.canonicalize(f), frozenset({"p"}))
     assert b is P.canonicalize(parse("(p S X q) | ((p wS X q) & q)"))
     # the printed representative is propositionally, maybe not literally,
     # that formula
     assert P.canonicalize(af(f, {"p"})) is b
+
+
+def _subsets(items):
+    for mask in range(1 << len(items)):
+        yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+
+
+def _af_class_reference(b, sigma):
+    """The derivative by re-deriving the representative under every guess."""
+    f = P.to_formula(b)
+    out = P.FALSE_B
+    for C in _subsets(F.sorted_set(F.psf(f))):
+        out = P.disj(out, P.canonicalize(af_loc(f, sigma, C)))
+    return out
+
+
+def _random_classes(seed, count):
+    # single formulas and Boolean combinations of two, so that the
+    # diagrams share atoms and past subformulas across branches
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
+        g = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
+        yield P.canonicalize(rng.choice((f, F.conj(f, g), F.disj(f, g))))
+
+
+def test_af_class_matches_formula_reference():
+    letters = [frozenset(), frozenset({"p"}), frozenset({"q"}),
+               frozenset({"p", "q"})]
+    for b in _random_classes(21, 150):
+        for sigma in letters:
+            assert af_class(b, sigma) is _af_class_reference(b, sigma)
+
+
+def test_af_class_iterates_like_the_reference():
+    rng = random.Random(22)
+    for b in _random_classes(23, 60):
+        ref = b
+        for _ in range(3):
+            sigma = frozenset(x for x in ("p", "q") if rng.random() < 0.5)
+            b, ref = af_class(b, sigma), _af_class_reference(ref, sigma)
+            assert b is ref
 
 
 def test_af_loc_ext_length_check():

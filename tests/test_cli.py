@@ -19,6 +19,18 @@ def test_eval_position(capsys):
     assert code == 0 and out.strip() == "true"
 
 
+def test_eval_negative_position(capsys):
+    code, out, err = run(capsys, "eval", "Y p", "{p} ; {}", "-1")
+    assert code == 1 and not out and "position" in err
+
+
+def test_deep_formula_exit_code(capsys):
+    deep = " & ".join(["p"] * 1200)
+    code, out, err = run(capsys, "eval", deep, "; {p}")
+    assert code == 1 and not out
+    assert err.strip() == "error: formula nested too deeply"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "p U", "; {}")
     assert code == 1 and err

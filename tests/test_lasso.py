@@ -95,6 +95,14 @@ def test_holds_frozen(text, word, t, expect):
     assert holds(parse(text), parse_word(word), t) is expect
 
 
+def test_negative_position_rejected():
+    f, w = parse("Y p"), parse_word("{p} ; {}")
+    with pytest.raises(ValueError):
+        holds(f, w, -1)
+    with pytest.raises(ValueError):
+        naive_holds(f, w, -1)
+
+
 def test_suffix_shift():
     rng = random.Random(7)
     for _ in range(150):

@@ -48,10 +48,54 @@ def test_map_atoms():
     def swap(atom):
         return {F.prop("p"): F.parse("X q"), F.parse("X q"): F.prop("p")}[atom]
 
-    assert P.map_atoms(b, swap) is b  # conjunction is symmetric
+    assert P.map_atoms(b, swap, {}) is b  # conjunction is symmetric
     b2 = P.canonicalize(F.parse("p | X q"))
-    assert P.map_atoms(b2, lambda a: F.true()) is P.TRUE_B
-    assert P.map_atoms(P.TRUE_B, lambda a: F.false()) is P.TRUE_B
+    assert P.map_atoms(b2, lambda a: F.true(), {}) is P.TRUE_B
+    assert P.map_atoms(P.TRUE_B, lambda a: F.false(), {}) is P.TRUE_B
+
+
+def _subst(f, fn):
+    if f.kind in (F.AND, F.OR):
+        return F.make(f.kind, _subst(f.left, fn), _subst(f.right, fn))
+    if f.kind in (F.TRUE, F.FALSE):
+        return f
+    return fn(f)
+
+
+def test_map_atoms_matches_substitution_into_representative():
+    rng = random.Random(3)
+    for _ in range(300):
+        b = P.canonicalize(random_formula(rng, ("p", "q", "r"), depth=4))
+        table = {a: random_formula(rng, ("p", "q"), depth=2)
+                 for a in F.sorted_set(P.atoms(b))}
+        memo = {}
+        want = P.canonicalize(_subst(P.to_formula(b), table.__getitem__))
+        assert P.map_atoms(b, table.__getitem__, memo) is want
+        # a warm memo gives the same node
+        assert P.map_atoms(b, table.__getitem__, memo) is want
+
+
+def test_map_atoms_derives_atoms_in_representative_order():
+    # fn sees the atoms in the order of their first occurrence in
+    # to_formula(b), so formulas built by fn are interned in that order
+    b = P.canonicalize(F.parse("(X p & X q) | (X r & X q) | X s"))
+    seen = []
+
+    def record(atom):
+        if atom not in seen:
+            seen.append(atom)
+        return atom
+
+    P.map_atoms(b, record, {})
+    rep = []
+    stack = [P.to_formula(b)]
+    while stack:
+        f = stack.pop()
+        if f.kind in (F.AND, F.OR):
+            stack += [f.right, f.left]
+        elif f not in rep:
+            rep.append(f)
+    assert seen == rep
 
 
 def test_conj_disj_operate_on_classes():
