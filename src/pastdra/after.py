@@ -127,11 +127,6 @@ def af_class(b, sigma):
     return out
 
 
-def af(f, sigma):
-    """Representative formula of the canonical derivative."""
-    return P.to_formula(af_class(P.canonicalize(f), sigma))
-
-
 def af_ext(f, word):
     """Fold the canonical derivative over a finite word; empty word is f."""
     b = P.canonicalize(f)

@@ -8,12 +8,15 @@ iff bit ``j`` of ``i`` is set.  Acceptance is one of
 * ``("cobuchi", S)``  -- accept iff Inf avoids S,
 * ``("rabin", pairs)``-- accept iff some pair (A, B) has Inf avoiding A and
   intersecting B.
+
+Translation builds Rabin automata only, with one product engine: component
+runners combined by :func:`conjunction` and :func:`union`, cascaded onto a
+bed by :func:`cascade`.  The other two kinds come from HOA input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass
 
 
 def letters_for(ap):
@@ -67,26 +70,80 @@ class BedAutomaton:
     labels: list
     state_objs: list          # opaque payload per state, passed to runners
 
-    def letter_index(self, sigma):
-        return sum(1 << j for j, p in enumerate(self.ap) if p in sigma)
-
 
 class Runner:
     """A deterministic transition system that also observes the bed state.
 
     ``step(q, bed_obj, sigma)`` sees the bed state *reached* on the current
-    letter.  ``acc_kind`` is "buchi"/"cobuchi" with ``accepting(q)``, or
-    "rabin" with ``pairs`` a list of (avoid_pred, meet_pred) on states.
+    letter, and ``label(q)`` names a state.  A component runner marks the
+    states of its Büchi or co-Büchi set with ``accepting(q)``; the product
+    runners built by :func:`conjunction` and :func:`union` instead carry
+    Rabin ``pairs`` of (avoid, meet) predicates on their states.
     """
 
-    def __init__(self, init, step, acc_kind, accepting=None, pairs=None,
-                 label=str):
+    def __init__(self, init, step, accepting=None, pairs=None, label=str):
         self.init = init
         self.step = step
-        self.acc_kind = acc_kind
         self.accepting = accepting
         self.pairs = pairs
         self.label = label
+
+
+def _lockstep(runners):
+    def step(qs, bed_obj, sigma):
+        return tuple(r.step(q, bed_obj, sigma) for r, q in zip(runners, qs))
+    return step
+
+
+def conjunction(cobuchis, buchis, name):
+    """Intersection of co-Büchi and Büchi runners as a one-pair runner.
+
+    The components run in lockstep.  A round-robin watcher waits for each
+    Büchi component in turn to visit its set and ticks whenever it has seen
+    all of them once more; without Büchi components every state ticks.
+    The pair avoids the states where some co-Büchi component is in its set
+    and meets the ticks.  States are ``(component states, watched index,
+    tick)``, labelled ``name{label; label; ...}``.
+    """
+    runners = list(cobuchis) + list(buchis)
+    nc, nb = len(cobuchis), len(buchis)
+    inner = _lockstep(runners)
+
+    def step(state, bed_obj, sigma):
+        qs, rr, _ = state
+        qs2 = inner(qs, bed_obj, sigma)
+        if not nb:
+            return (qs2, 0, True)
+        if buchis[rr].accepting(qs[nc + rr]):
+            rr = (rr + 1) % nb
+            return (qs2, rr, rr == 0)
+        return (qs2, rr, False)
+
+    def avoid(state):
+        return any(r.accepting(q) for r, q in zip(cobuchis, state[0]))
+
+    def label(state):
+        return "%s{%s}" % (name, "; ".join(r.label(q)
+                                           for r, q in zip(runners, state[0])))
+
+    return Runner((tuple(r.init for r in runners), 0, not nb), step,
+                  pairs=[(avoid, lambda state: state[2])], label=label)
+
+
+def union(runners):
+    """Union of Rabin runners: their lockstep product, every pair lifted.
+
+    States are tuples of component states, labelled ``label || label ...``;
+    the pairs come in component order.
+    """
+    runners = list(runners)
+    pairs = [(lambda qs, i=i, p=avoid: p(qs[i]),
+              lambda qs, i=i, p=meet: p(qs[i]))
+             for i, r in enumerate(runners) for avoid, meet in r.pairs]
+    return Runner(tuple(r.init for r in runners), _lockstep(runners),
+                  pairs=pairs,
+                  label=lambda qs: " || ".join(r.label(q)
+                                               for r, q in zip(runners, qs)))
 
 
 class StateLimitExceeded(Exception):
@@ -94,7 +151,8 @@ class StateLimitExceeded(Exception):
 
 
 def _explore(ap, init_state, succ, max_states=None):
-    """Generic deterministic BFS materialization; returns index maps."""
+    """Deterministic BFS materialization: the states in discovery order and
+    the transition table over their indices."""
     letters = letters_for(ap)
     index = {init_state: 0}
     order = [init_state]
@@ -115,101 +173,32 @@ def _explore(ap, init_state, succ, max_states=None):
             row.append(j)
         trans.append(row)
         i += 1
-    return order, index, trans
+    return order, trans
 
 
 def cascade(bed, runner, max_states=None):
-    """Product of a bed automaton with a runner observing its next state."""
-    ap = bed.ap
+    """Rabin automaton of a bed and a product runner observing it.
+
+    States are ``(runner state, bed state)`` pairs in BFS order, labelled
+    ``runner | bed``; the pairs are the runner's, in its order.  Raises
+    :class:`StateLimitExceeded` when exploration would pass ``max_states``.
+    """
+    letter_index = {sigma: i for i, sigma in enumerate(letters_for(bed.ap))}
 
     def succ(pair, sigma):
         q, s = pair
-        li = bed.letter_index(sigma)
-        s2 = bed.trans[s][li]
+        s2 = bed.trans[s][letter_index[sigma]]
         return (runner.step(q, bed.state_objs[s2], sigma), s2)
 
-    init = (runner.init, bed.init)
-    order, index, trans = _explore(ap, init, succ, max_states)
+    order, trans = _explore(bed.ap, (runner.init, bed.init), succ,
+                            max_states)
     labels = ["%s | %s" % (runner.label(q), bed.labels[s])
               for (q, s) in order]
-    if runner.acc_kind in ("buchi", "cobuchi"):
-        acc = (runner.acc_kind,
-               frozenset(i for i, (q, _) in enumerate(order)
-                         if runner.accepting(q)))
-    else:
-        acc = ("rabin",
-               tuple((frozenset(i for i, (q, _) in enumerate(order)
-                                if avoid(q)),
-                      frozenset(i for i, (q, _) in enumerate(order)
-                                if meet(q)))
-                     for avoid, meet in runner.pairs))
-    return OmegaAutomaton(ap, 0, trans, labels, acc)
-
-
-def rabin_conjunction(cobuchis, buchis, max_states=None):
-    """Intersection as a one-pair Rabin automaton.
-
-    All components run in lockstep; a round-robin counter watches the Büchi
-    components and raises a tick whenever it has seen each of them accept
-    once more.  The pair rejects on any co-Büchi violation recurring and
-    demands recurring ticks.
-    """
-    comps = list(cobuchis) + list(buchis)
-    if not comps:
-        raise ValueError("need at least one component")
-    ap = comps[0].ap
-    assert all(c.ap == ap for c in comps)
-    nc = len(cobuchis)
-    nb = len(buchis)
-
-    def succ(state, sigma):
-        qs, rr, _ = state
-        qs2 = tuple(c.trans[q][c.letter_index(sigma)]
-                    for c, q in zip(comps, qs))
-        rr2, tick = rr, False
-        if nb and qs[nc + rr] in buchis[rr].acc[1]:
-            rr2 = (rr + 1) % nb
-            tick = rr2 == 0
-        elif not nb:
-            tick = True
-        return (qs2, rr2, tick)
-
-    init = (tuple(c.init for c in comps), 0, False)
-    order, index, trans = _explore(ap, init, succ, max_states)
-    bad = frozenset(i for i, (qs, _, _) in enumerate(order)
-                    if any(q in c.acc[1] for c, q in zip(cobuchis, qs)))
-    good = frozenset(i for i, (_, _, tick) in enumerate(order) if tick)
-    labels = [" & ".join([cobuchis[j].labels[qs[j]] for j in range(nc)]
-                         + [buchis[j].labels[qs[nc + j]] for j in range(nb)])
-              for (qs, _, _) in order]
-    return OmegaAutomaton(ap, 0, trans, labels,
-                          ("rabin", ((bad, good),)))
-
-
-def rabin_union(autos, max_states=None):
-    """Union of deterministic Rabin automata by full product, pairs lifted."""
-    autos = list(autos)
-    if not autos:
-        raise ValueError("need at least one automaton")
-    ap = autos[0].ap
-    assert all(a.ap == ap for a in autos)
-
-    def succ(qs, sigma):
-        return tuple(a.trans[q][a.letter_index(sigma)]
-                     for a, q in zip(autos, qs))
-
-    init = tuple(a.init for a in autos)
-    order, index, trans = _explore(ap, init, succ, max_states)
-    pairs = []
-    for j, a in enumerate(autos):
-        for avoid, meet in a.acc[1]:
-            pairs.append((frozenset(i for i, qs in enumerate(order)
-                                    if qs[j] in avoid),
-                          frozenset(i for i, qs in enumerate(order)
-                                    if qs[j] in meet)))
-    labels = [" || ".join(a.labels[q] for a, q in zip(autos, qs))
-              for qs in order]
-    return OmegaAutomaton(ap, 0, trans, labels, ("rabin", tuple(pairs)))
+    acc = ("rabin",
+           tuple((frozenset(i for i, (q, _) in enumerate(order) if avoid(q)),
+                  frozenset(i for i, (q, _) in enumerate(order) if meet(q)))
+                 for avoid, meet in runner.pairs))
+    return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 
 def accepts(auto, word):

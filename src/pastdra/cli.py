@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success; 1 malformed formula or word, negative position, or a
-formula nested too deeply; 2 state cap exceeded; 3 automaton/semantics
-disagreement (``check``) or a failed suite (``selftest``).
+Exit codes: 0 success; 1 malformed formula, word or HOA input, negative
+position, or a formula nested too deeply; 2 state cap exceeded or out of
+memory; 3 automaton/semantics disagreement (``check``) or a failed suite
+(``selftest``).
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ def main(argv=None):
         return EXIT_PARSE
     except StateLimitExceeded as exc:
         print("error: state cap %s exceeded" % exc, file=sys.stderr)
+        return EXIT_LIMIT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_LIMIT
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import NamedTuple
 
 # Node kinds.
 TRUE = "tt"
@@ -35,7 +35,6 @@ WBACK = "wB"
 
 PAST_KINDS = frozenset((YESTERDAY, WYESTERDAY, SINCE, WSINCE, BACK, WBACK))
 FUTURE_KINDS = frozenset((NEXT, UNTIL, WUNTIL, RELEASE, SRELEASE))
-TEMPORAL_KINDS = PAST_KINDS | FUTURE_KINDS
 BINARY_TEMPORAL_KINDS = frozenset(
     (UNTIL, WUNTIL, RELEASE, SRELEASE, SINCE, WSINCE, BACK, WBACK))
 UNARY_TEMPORAL_KINDS = frozenset((NEXT, YESTERDAY, WYESTERDAY))
@@ -57,10 +56,6 @@ class Formula:
     @property
     def is_past(self):
         return self.kind in PAST_KINDS
-
-    @property
-    def is_temporal(self):
-        return self.kind in TEMPORAL_KINDS
 
     @property
     def is_leaf(self):
@@ -180,16 +175,6 @@ def alw(a):
     return wuntil(a, false())
 
 
-def once(a):
-    """O a == tt S a."""
-    return since(true(), a)
-
-
-def hist(a):
-    """H a == a wS ff."""
-    return wsince(a, false())
-
-
 def conj_all(formulas):
     """Right-nested conjunction of an iterable; tt when empty."""
     items = list(formulas)
@@ -213,7 +198,7 @@ def disj_all(formulas):
 
 
 # ---------------------------------------------------------------------------
-# Negation (dualization) of formulas already in NNF.
+# The dual of each operator, which the parser uses to push negations down.
 
 _DUAL_KIND = {
     AND: OR, OR: AND,
@@ -224,29 +209,6 @@ _DUAL_KIND = {
     SINCE: WBACK, WBACK: SINCE,
     WSINCE: BACK, BACK: WSINCE,
 }
-
-_dual_memo: dict = {}
-
-
-def dual_negate(f):
-    """The NNF of the negation of ``f``."""
-    out = _dual_memo.get(f)
-    if out is not None:
-        return out
-    if f.kind == TRUE:
-        out = false()
-    elif f.kind == FALSE:
-        out = true()
-    elif f.kind == PROP:
-        out = nprop(f.name)
-    elif f.kind == NPROP:
-        out = prop(f.name)
-    else:
-        l = dual_negate(f.left) if f.left is not None else None
-        r = dual_negate(f.right) if f.right is not None else None
-        out = make(_DUAL_KIND[f.kind], l, r)
-    _dual_memo[f] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +226,6 @@ def _memoized(cache):
         wrapper.__name__ = fn.__name__
         return wrapper
     return deco
-
-
-@_memoized({})
-def sff(f):
-    """All proposition-literal and temporal subformulas (state formulas)."""
-    out = set()
-    if f.kind in (PROP, NPROP) or f.is_temporal:
-        out.add(f)
-    for c in f.children():
-        out |= sff(c)
-    return frozenset(out)
 
 
 @_memoized({})

@@ -98,16 +98,37 @@ _HOA_STATE_RE = re.compile(
 _HOA_EDGE_RE = re.compile(r"\[([^\]]*)\]\s*(\d+)\s*$")
 
 
+def _header_line(pattern, header, name):
+    m = re.search(pattern, header)
+    if m is None:
+        raise ValueError("HOA header has no %r line" % name)
+    return m
+
+
+def _state(text, n):
+    q = int(text)
+    if q >= n:
+        raise ValueError("HOA state %d out of range (States: %d)" % (q, n))
+    return q
+
+
 def parse_hoa(text):
-    """Read an automaton in the shape produced by :func:`export_hoa`."""
+    """Read an automaton in the shape produced by :func:`export_hoa`.
+
+    Raises :class:`ValueError` on input outside that shape.
+    """
     header, _, body = text.partition("--BODY--")
     body = body.split("--END--")[0]
-    n = int(re.search(r"States:\s*(\d+)", header).group(1))
-    init = int(re.search(r"Start:\s*(\d+)", header).group(1))
-    apm = re.search(r'AP:\s*(\d+)((?:\s+"[^"]*")*)', header)
+    n = int(_header_line(r"States:\s*(\d+)", header, "States:").group(1))
+    init = _state(_header_line(r"Start:\s*(\d+)", header, "Start:").group(1),
+                  n)
+    apm = _header_line(r'AP:\s*(\d+)((?:\s+"[^"]*")*)', header, "AP:")
     ap = tuple(re.findall(r'"([^"]*)"', apm.group(2)))
-    assert len(ap) == int(apm.group(1))
-    accm = re.search(r"acc-name:\s*(\S+)(?:\s+(\d+))?", header)
+    if len(ap) != int(apm.group(1)):
+        raise ValueError("HOA AP: line announces %s propositions, names %d"
+                         % (apm.group(1), len(ap)))
+    accm = _header_line(r"acc-name:\s*(\S+)(?:\s+(\d+))?", header,
+                        "acc-name:")
     width = 1 << len(ap)
 
     labels = [""] * n
@@ -120,26 +141,27 @@ def parse_hoa(text):
             continue
         m = _HOA_STATE_RE.match(line)
         if m:
-            cur = int(m.group(1))
+            cur = _state(m.group(1), n)
             labels[cur] = m.group(2) or ""
             if m.group(3):
                 sets[cur] = [int(x) for x in m.group(3).split()]
             continue
         m = _HOA_EDGE_RE.match(line)
-        if m:
+        if m and cur is not None:
             li = _expr_letter_index(m.group(1), len(ap))
-            trans[cur][li] = int(m.group(2))
+            trans[cur][li] = _state(m.group(2), n)
             continue
         raise ValueError("unsupported HOA body line: %r" % line)
-    assert all(all(x is not None for x in row) for row in trans), \
-        "only complete automata are supported"
+    if any(None in row for row in trans):
+        raise ValueError("HOA transition table is incomplete: only complete "
+                         "automata with one edge per letter are supported")
 
     name = accm.group(1)
     if name == "Buchi":
         acc = ("buchi", frozenset(q for q in range(n) if 0 in sets[q]))
     elif name == "co-Buchi":
         acc = ("cobuchi", frozenset(q for q in range(n) if 0 in sets[q]))
-    elif name == "Rabin":
+    elif name == "Rabin" and accm.group(2):
         k = int(accm.group(2))
         acc = ("rabin", tuple(
             (frozenset(q for q in range(n) if 2 * i in sets[q]),
@@ -157,8 +179,10 @@ def _expr_letter_index(expr, nap):
     li = 0
     for token in expr.split("&"):
         token = token.strip()
+        j = int(token[1:] if token.startswith("!") else token)
+        if not 0 <= j < nap:
+            raise ValueError("HOA proposition %d out of range (AP: %d)"
+                             % (j, nap))
         if not token.startswith("!"):
-            li |= 1 << int(token)
-        else:
-            int(token[1:])  # validate
+            li |= 1 << j
     return li

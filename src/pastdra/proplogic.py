@@ -122,14 +122,6 @@ def disj_all(bs):
     return out
 
 
-def is_true(b):
-    return b is TRUE_B
-
-
-def is_false(b):
-    return b is FALSE_B
-
-
 def canonicalize(f):
     """Canonical Boolean function of formula ``f``."""
     out = _canon_memo.get(f)
@@ -147,11 +139,6 @@ def canonicalize(f):
         out = _node(f, TRUE_B, FALSE_B)
     _canon_memo[f] = out
     return out
-
-
-def prop_equiv(f, g):
-    """Propositional equivalence over the atom view described above."""
-    return canonicalize(f) is canonicalize(g)
 
 
 def atoms(b):

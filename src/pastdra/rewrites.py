@@ -112,14 +112,6 @@ def is_saturated(cj, ci, f):
     return True
 
 
-def rewrite_indices_for(f, i, past_sets=None):
-    """Indices j with past_sets[j] saturated under, i.e. refining, set i."""
-    if past_sets is None:
-        past_sets = enumerate_past_sets(f)
-    return tuple(j for j in range(len(past_sets))
-                 if is_saturated(past_sets[j], past_sets[i], f))
-
-
 def compose_sequence(f, sets):
     """Composition of a sequence of past sets into a single set.
 

@@ -31,16 +31,6 @@ def entailed_seq(f, w, t):
     return seq
 
 
-def entailed_set(f, w, t):
-    """The entailed past set of ``f`` along ``w`` at instant ``t``."""
-    return entailed_seq(f, w, t)[t]
-
-
-def composed_entailed(f, w, t):
-    """Composition of the entailed sets at instants 0..t into one set."""
-    return compose_sequence(f, entailed_seq(f, w, t))
-
-
 @functools.lru_cache(maxsize=1 << 12)
 def _composed_cycle(f, w):
     """All composed entailed sets until the (state, phase) pair repeats.

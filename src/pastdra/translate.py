@@ -16,8 +16,7 @@ from itertools import combinations
 from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc
-from .automata import (BedAutomaton, OmegaAutomaton, Runner,
-                       StateLimitExceeded, cascade, letters_for)
+from .automata import BedAutomaton, Runner, cascade, conjunction, union
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, wc)
 
@@ -104,8 +103,10 @@ def _bed_label(state):
 def build_wc_automaton(ctx):
     """The bed: one canonical-derivative track per enumerated past set."""
     init = (P.TRUE_B,) + (P.FALSE_B,) * (ctx.k - 1)
+    # Looked up at call time so that a wrapper installed on
+    # ``automata._explore`` (the benchmark's tracer) sees the bed too.
     from .automata import _explore
-    order, _, trans = _explore(ctx.ap, init, ctx.rc, ctx.max_states)
+    order, trans = _explore(ctx.ap, init, ctx.rc, ctx.max_states)
     return BedAutomaton(ctx.ap, 0, trans,
                         [_bed_label(s) for s in order], list(order))
 
@@ -140,8 +141,7 @@ def build_recurrence_runner(ctx, psi, N):
         return af_class(zeta, sigma)
 
     init = P.canonicalize(F.ev(rewrite_nu_limit(psi, N)))
-    return Runner(init, step, "buchi",
-                  accepting=lambda z: z is P.TRUE_B,
+    return Runner(init, step, accepting=lambda z: z is P.TRUE_B,
                   label=lambda z: "F:%s" % P.to_formula(z))
 
 
@@ -164,8 +164,7 @@ def build_persistence_runner(ctx, psi, M):
         return af_class(zeta, sigma)
 
     init = P.canonicalize(F.alw(rewrite_mu_limit(psi, M)))
-    return Runner(init, step, "cobuchi",
-                  accepting=lambda z: z is P.FALSE_B,
+    return Runner(init, step, accepting=lambda z: z is P.FALSE_B,
                   label=lambda z: "G:%s" % P.to_formula(z))
 
 
@@ -190,52 +189,9 @@ def build_safety_runner(ctx, M):
 
     init = (P.canonicalize(ctx.phi),
             P.canonicalize(rewrite_mu_limit(ctx.phi, M)))
-    return Runner(init, step, "cobuchi",
-                  accepting=lambda q: q[1] is P.FALSE_B,
+    return Runner(init, step, accepting=lambda q: q[1] is P.FALSE_B,
                   label=lambda q: "%s / %s" % (P.to_formula(q[0]),
                                                P.to_formula(q[1])))
-
-
-class _ConjRunner(Runner):
-    """Lockstep product of one branch's runners with a round-robin watcher
-    over its Büchi components; contributes a single Rabin pair.
-    """
-
-    def __init__(self, cobuchis, buchis, name):
-        self.cobuchis = cobuchis
-        self.buchis = buchis
-        self.name = name
-        init = (tuple(r.init for r in cobuchis + buchis), 0,
-                not buchis)
-
-        def step(state, bed_state, sigma):
-            qs, rr, _ = state
-            rs = cobuchis + buchis
-            qs2 = tuple(r.step(q, bed_state, sigma)
-                        for r, q in zip(rs, qs))
-            if not buchis:
-                return (qs2, 0, True)
-            rr2, tick = rr, False
-            if buchis[rr].accepting(qs[len(cobuchis) + rr]):
-                rr2 = (rr + 1) % len(buchis)
-                tick = rr2 == 0
-            return (qs2, rr2, tick)
-
-        def avoid(state):
-            qs = state[0]
-            return any(r.accepting(q) for r, q in zip(cobuchis, qs))
-
-        def meet(state):
-            return state[2]
-
-        super().__init__(init, step, "rabin", pairs=[(avoid, meet)],
-                         label=self._fmt)
-
-    def _fmt(self, state):
-        qs = state[0]
-        rs = self.cobuchis + self.buchis
-        return "%s{%s}" % (self.name,
-                           "; ".join(r.label(q) for r, q in zip(rs, qs)))
 
 
 def _branch_runner(ctx, M, N):
@@ -243,15 +199,7 @@ def _branch_runner(ctx, M, N):
     cobuchis += [build_persistence_runner(ctx, psi, M) for psi in N]
     buchis = [build_recurrence_runner(ctx, psi, N) for psi in M]
     name = "M=%s N=%s " % ([str(m) for m in M], [str(n) for n in N])
-    return _ConjRunner(cobuchis, buchis, name)
-
-
-def build_rabin_component(ctx, M, N, max_states=None):
-    """One branch as an explicit single-pair Rabin automaton."""
-    M = F.sorted_set(M)
-    N = F.sorted_set(N)
-    return cascade(ctx.bed, _branch_runner(ctx, M, N),
-                   max_states or ctx.max_states)
+    return conjunction(cobuchis, buchis, name)
 
 
 def _subsets(items):
@@ -266,25 +214,11 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
     Raises :class:`StateLimitExceeded` when exploration would pass the cap.
     """
     ctx = TranslationContext(phi, ap, max_states)
-    branches = [_branch_runner(ctx, M, N)
-                for M in _subsets(ctx.mu)
-                for N in _subsets(ctx.nu)]
-
-    def step(qs, bed_state, sigma):
-        return tuple(b.step(q, bed_state, sigma)
-                     for b, q in zip(branches, qs))
-
-    pairs = []
-    for i, b in enumerate(branches):
-        avoid, meet = b.pairs[0]
-        pairs.append((lambda qs, i=i, p=avoid: p(qs[i]),
-                      lambda qs, i=i, p=meet: p(qs[i])))
-
-    union = Runner(tuple(b.init for b in branches), step, "rabin",
-                   pairs=pairs,
-                   label=lambda qs: " || ".join(
-                       b.label(q) for b, q in zip(branches, qs)))
-    return cascade(ctx.bed, union, max_states)
+    # The runners are built before the bed: both intern formulas, and the
+    # interning order fixes the BDD variable order and so the state labels.
+    runner = union(_branch_runner(ctx, M, N)
+                   for M in _subsets(ctx.mu) for N in _subsets(ctx.nu))
+    return cascade(ctx.bed, runner, max_states)
 
 
 def translation_stats(phi, auto):

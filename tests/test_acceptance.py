@@ -4,8 +4,13 @@ Each check is seeded and self-contained; expected verdicts come from the
 independent lasso-word evaluators, never from the code under test.
 """
 
+import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -16,10 +21,10 @@ from pastdra.after import af_ext
 from pastdra.automata import accepts
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.lasso import holds, naive_holds
-from pastdra.rewrites import (enumerate_past_sets, is_saturated,
-                              rewrite_mu_limit, rewrite_nu_limit,
-                              rewrite_set, rewrite_under)
-from pastdra.stability import check_master, composed_entailed, limit_sets
+from pastdra.rewrites import (compose_sequence, enumerate_past_sets,
+                              is_saturated, rewrite_mu_limit,
+                              rewrite_nu_limit, rewrite_set, rewrite_under)
+from pastdra.stability import check_master, entailed_seq, limit_sets
 from pastdra.translate import TranslationContext, translate, translation_stats
 
 parse = F.parse
@@ -69,7 +74,7 @@ def test_entailed_rewrite_transfers_truth():
     # weakening by the past sets actually justified by the prefix makes the
     # suffix self-contained
     for f, w, t in _cases(102, 500):
-        g = rewrite_under(f, composed_entailed(f, w, t))
+        g = rewrite_under(f, compose_sequence(f, entailed_seq(f, w, t)))
         assert holds(g, w.suffix(t), 0) == holds(f, w, t), (f, w, t)
 
 
@@ -105,6 +110,34 @@ def test_translation_end_to_end(corpus_automata):
             w = random_lasso(rng, AP3, max_prefix=4, max_cycle=4)
             assert accepts(auto, w) == holds(f, w, 0), (text, w)
     assert time.monotonic() - start < 600
+
+
+CORPUS_HOA_SHA256 = (
+    "162e81a6e42d09f57e7abcca26e5126be6abfe33d6dab77a1424b65f1e03d98d")
+CORPUS_HOA_BYTES = 4398639
+
+_CORPUS_HOA_SCRIPT = """
+import json, sys
+from pastdra import export_hoa, parse, translate
+sys.stdout.buffer.write("".join(
+    export_hoa(translate(parse(t), %r, max_states=200000), name=str(parse(t)))
+    for t in json.load(sys.stdin)).encode())
+""" % (list(AP3),)
+
+
+def test_corpus_hoa_is_golden():
+    # Refactors must leave the automata byte-identical; a change that alters
+    # them on purpose updates the two constants above and says why.  The
+    # corpus is translated in a fresh interpreter: interning order steers
+    # the BDD variable order and with it the state labels, and the tests
+    # that run before this one intern formulas of their own.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
+    text = subprocess.run(
+        [sys.executable, "-c", _CORPUS_HOA_SCRIPT],
+        input=json.dumps(CORPUS).encode(), capture_output=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=600).stdout
+    assert len(text) == CORPUS_HOA_BYTES
+    assert hashlib.sha256(text).hexdigest() == CORPUS_HOA_SHA256
 
 
 def test_past_and_pure_future_phrasings_agree(corpus_automata):
@@ -210,7 +243,7 @@ def test_guarantee_fragment_reaches_true():
         b = P.canonicalize(f)
         hit = False
         for t in range(bound + 1):
-            if P.is_true(b):
+            if b is P.TRUE_B:
                 hit = True
                 break
             b = P.canonicalize(af_ext(P.to_formula(b), [w.letter(t)]))
@@ -226,7 +259,7 @@ def test_safety_fragment_avoids_false():
         b = P.canonicalize(f)
         hit = False
         for t in range(bound + 1):
-            if P.is_false(b):
+            if b is P.FALSE_B:
                 hit = True
                 break
             b = P.canonicalize(af_ext(P.to_formula(b), [w.letter(t)]))

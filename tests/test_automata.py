@@ -2,7 +2,7 @@ import pytest
 
 from pastdra.automata import (BedAutomaton, OmegaAutomaton, Runner,
                               StateLimitExceeded, accepts, cascade,
-                              letters_for, rabin_conjunction, rabin_union)
+                              conjunction, letters_for, union)
 from pastdra.lasso import parse_word
 
 
@@ -67,38 +67,51 @@ def test_accepts_ignores_foreign_props():
     assert accepts(a, parse_word("; {p,q}"))
 
 
-def test_rabin_union_is_language_union():
-    lets = [parse_word("; {p}"), parse_word("; {}"),
-            parse_word("{p} ; {}"), parse_word("; {p},{}")]
-    a = _p_tracker(("rabin", [(frozenset(), frozenset({1}))]))   # inf p
-    b = _p_tracker(("rabin", [(frozenset({1}), frozenset({0}))]))  # fin p
-    u = rabin_union([a, b])
-    u.audit()
-    for w in lets:
-        assert accepts(u, w) == (accepts(a, w) or accepts(b, w))
+def _one_state_bed(ap):
+    return BedAutomaton(ap=tuple(ap), init=0, trans=[[0] * (1 << len(ap))],
+                        labels=["-"], state_objs=[None])
 
 
-def _last_letter_tracker(ap, prop, acc):
+def _last_letter(prop, accepting=None, pairs=None):
     # state 1 iff the last letter contained the given proposition
-    lets = letters_for(ap)
-    return OmegaAutomaton(
-        ap=tuple(ap), init=0,
-        trans=[[1 if prop in s else 0 for s in lets]] * 2,
-        labels=["!" + prop, prop], acc=acc)
+    return Runner(init=0, step=lambda q, obj, s: int(prop in s),
+                  accepting=accepting, pairs=pairs,
+                  label=lambda q: ("" if q else "!") + prop)
+
+
+def test_rabin_union_is_language_union():
+    words = [parse_word("; {p}"), parse_word("; {}"),
+             parse_word("{p} ; {}"), parse_word("; {p},{}")]
+    bed = _one_state_bed(("p",))
+    inf_p = _last_letter("p", pairs=[(lambda q: False, lambda q: q == 1)])
+    fin_p = _last_letter("p", pairs=[(lambda q: q == 1, lambda q: q == 0)])
+    u = cascade(bed, union([inf_p, fin_p]))
+    u.audit()
+    assert len(u.acc[1]) == 2
+    assert u.labels[0] == "!p || !p | -"
+    for w in words:
+        assert accepts(u, w) == (accepts(cascade(bed, inf_p), w)
+                                 or accepts(cascade(bed, fin_p), w))
 
 
 def test_rabin_conjunction_single_pair():
     # Büchi "p infinitely often" and co-Büchi "q finitely often" conjoined
-    ap = ("p", "q")
-    buchi = _last_letter_tracker(ap, "p", ("buchi", frozenset({1})))
-    cob = _last_letter_tracker(ap, "q", ("cobuchi", frozenset({1})))
-    a = rabin_conjunction([cob], [buchi])
+    bed = _one_state_bed(("p", "q"))
+    buchi = _last_letter("p", accepting=lambda q: q == 1)
+    cob = _last_letter("q", accepting=lambda q: q == 1)
+    a = cascade(bed, conjunction([cob], [buchi], "c"))
     a.audit()
     assert a.acc[0] == "rabin" and len(a.acc[1]) == 1
+    assert a.labels[0] == "c{!q; !p} | -"
     assert accepts(a, parse_word("; {p}"))
     assert accepts(a, parse_word("{q} ; {p},{}"))
     assert not accepts(a, parse_word("; {p,q}"))
     assert not accepts(a, parse_word("; {}"))
+    # two Büchi components are watched in turn
+    both = cascade(bed, conjunction(
+        [], [buchi, _last_letter("q", accepting=lambda q: q == 1)], "c"))
+    assert accepts(both, parse_word("; {p},{q}"))
+    assert not accepts(both, parse_word("{q} ; {p}"))
 
 
 def test_cascade_runner_sees_reached_bed_state():
@@ -107,7 +120,7 @@ def test_cascade_runner_sees_reached_bed_state():
                        trans=[[0, 1], [1, 0]], labels=["a", "b"],
                        state_objs=["a", "b"])
     run = Runner(init="a", step=lambda q, obj, s: obj,
-                 acc_kind="buchi", accepting=lambda q: q == "b")
+                 pairs=[(lambda q: False, lambda q: q == "b")])
     a = cascade(bed, run)
     a.audit()
     assert accepts(a, parse_word("{p} ; {}"))  # bed reaches b and stays
@@ -117,7 +130,6 @@ def test_cascade_runner_sees_reached_bed_state():
 def test_cascade_state_limit():
     bed = BedAutomaton(ap=("p",), init=0, trans=[[0, 0]], labels=["-"],
                        state_objs=[None])
-    run = Runner(init=0, step=lambda q, obj, s: q + 1,
-                 acc_kind="buchi", accepting=lambda q: False)
+    run = Runner(init=0, step=lambda q, obj, s: q + 1, pairs=[])
     with pytest.raises(StateLimitExceeded):
         cascade(bed, run, max_states=10)

@@ -1,3 +1,6 @@
+import pytest
+
+from pastdra import cli
 from pastdra.cli import main
 
 
@@ -92,3 +95,51 @@ def test_selftest_all_smoke(capsys):
         assert "%s: 5/5 pass" % name in out
     # end-to-end checks count formula/word combinations
     assert "endtoend: 25/25 pass" in out
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "translate", exhausted)
+    code, out, err = run(capsys, "translate", "G p")
+    assert code == 2 and not out
+    assert err.strip() == "error: out of memory"
+
+
+def _check_hoa(capsys, text):
+    code, out, err = run(capsys, "check", text, "; {q}")
+    assert code == 1 and not out and err.startswith("error: HOA"), err
+    return err
+
+
+def _fq_hoa(capsys):
+    code, text, _ = run(capsys, "translate", "F q")
+    assert code == 0
+    return text
+
+
+@pytest.mark.parametrize("line", ["States:", "Start:", "AP:", "acc-name:"])
+def test_check_hoa_missing_header_line(capsys, line):
+    text = "".join(s for s in _fq_hoa(capsys).splitlines(keepends=True)
+                   if not s.startswith(line))
+    assert line in _check_hoa(capsys, text)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("[0] 2\n", ""),                         # a letter without an edge
+    ("[!0] 1\n[0] 2\n", "[t] 1\n"),          # "t" is one letter of two
+])
+def test_check_hoa_incomplete_table(capsys, old, new):
+    text = _fq_hoa(capsys).replace(old, new, 1)
+    assert "incomplete" in _check_hoa(capsys, text)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("[0] 2\n", "[0] 5\n"),                  # successor past the last state
+    ("Start: 0\n", "Start: 5\n"),
+    ("State: 4 ", "State: 5 "),
+    ("[0] 2\n", "[1] 2\n"),                  # proposition past the last one
+])
+def test_check_hoa_out_of_range(capsys, old, new):
+    text = _fq_hoa(capsys).replace(old, new, 1)
+    assert "out of range" in _check_hoa(capsys, text)

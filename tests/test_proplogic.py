@@ -5,28 +5,31 @@ from pastdra import proplogic as P
 from pastdra.gen import random_formula
 
 
+def _equiv(f, g):
+    return P.canonicalize(f) is P.canonicalize(g)
+
+
 def test_constants():
     assert P.canonicalize(F.true()) is P.TRUE_B
     assert P.canonicalize(F.false()) is P.FALSE_B
-    assert P.is_true(P.TRUE_B) and P.is_false(P.FALSE_B)
 
 
 def test_boolean_laws():
     a = F.parse("p & (q | r)")
     b = F.parse("(p & q) | (p & r)")
-    assert P.prop_equiv(a, b)
-    assert P.prop_equiv(F.parse("p | (p & q)"), F.prop("p"))
-    assert P.prop_equiv(F.parse("p & tt"), F.prop("p"))
-    assert P.prop_equiv(F.parse("p & ff"), F.false())
+    assert _equiv(a, b)
+    assert _equiv(F.parse("p | (p & q)"), F.prop("p"))
+    assert _equiv(F.parse("p & tt"), F.prop("p"))
+    assert _equiv(F.parse("p & ff"), F.false())
 
 
 def test_literals_and_temporal_nodes_are_opaque():
     # p and !p are distinct atoms: no propositional contradiction.
-    assert not P.prop_equiv(F.parse("p & !p"), F.false())
-    assert not P.prop_equiv(F.parse("p | !p"), F.true())
+    assert not _equiv(F.parse("p & !p"), F.false())
+    assert not _equiv(F.parse("p | !p"), F.true())
     # temporal subformulas are atoms; no unfolding happens here
-    assert not P.prop_equiv(F.parse("p U q"), F.parse("q | (p & X(p U q))"))
-    assert P.prop_equiv(F.parse("(p U q) | (p U q)"), F.parse("p U q"))
+    assert not _equiv(F.parse("p U q"), F.parse("q | (p & X(p U q))"))
+    assert _equiv(F.parse("(p U q) | (p U q)"), F.parse("p U q"))
 
 
 def test_to_formula_is_faithful():

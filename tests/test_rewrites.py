@@ -6,6 +6,7 @@ import pytest
 from pastdra import formula as F
 from pastdra import rewrites as R
 from pastdra.gen import random_formula
+from pastdra.translate import TranslationContext
 
 
 @pytest.mark.parametrize("strong,weak", [
@@ -87,13 +88,14 @@ def test_saturation_example():
 
 def test_rewrite_indices_reflexive():
     phi = F.parse("Y p & wY p")
-    sets = R.enumerate_past_sets(phi)
+    ctx = TranslationContext(phi)
+    sets = ctx.past_sets
     for i in range(len(sets)):
-        assert i in R.rewrite_indices_for(phi, i, sets)
+        assert i in ctx.refining[i]
     yp = F.parse("Y p")
     i_yp = sets.index(frozenset({yp}))
     i_empty = sets.index(frozenset())
-    assert i_empty not in R.rewrite_indices_for(phi, i_yp, sets)
+    assert i_empty not in ctx.refining[i_yp]
 
 
 def _past_formulas():

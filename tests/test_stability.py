@@ -3,9 +3,9 @@ import random
 from pastdra import formula as F
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.lasso import holds, parse_word
-from pastdra.rewrites import rewrite_under
-from pastdra.stability import (check_master, composed_entailed, entailed_seq,
-                               entailed_set, limit_sets, stability_index)
+from pastdra.rewrites import compose_sequence, rewrite_under
+from pastdra.stability import (check_master, entailed_seq, limit_sets,
+                               stability_index)
 
 parse = F.parse
 
@@ -16,13 +16,13 @@ def test_entailed_seq_frozen():
     seq = entailed_seq(f, w, 3)
     assert [sorted(str(g) for g in c) for c in seq] == [
         [], ["p S X q"], ["p wS X q"], ["p wS X q"]]
-    assert composed_entailed(f, w, 3) == frozenset({parse("p S X q")})
+    assert compose_sequence(f, seq) == frozenset({parse("p S X q")})
 
 
 def test_entailed_set_initial_is_all_weak():
     f = parse("(Y p) & (q wS p)")
     w = parse_word("; {}")
-    assert entailed_set(f, w, 0) == frozenset({parse("q wS p")})
+    assert entailed_seq(f, w, 0) == [frozenset({parse("q wS p")})]
 
 
 def test_entailed_rewrite_preserves_truth():
@@ -31,7 +31,7 @@ def test_entailed_rewrite_preserves_truth():
         f = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
         w = random_lasso(rng, ("p", "q"))
         t = rng.randrange(5)
-        g = rewrite_under(f, composed_entailed(f, w, t))
+        g = rewrite_under(f, compose_sequence(f, entailed_seq(f, w, t)))
         assert holds(f, w, t) == holds(g, w.suffix(t), 0), (f, w, t)
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,8 +8,7 @@ from pastdra.automata import StateLimitExceeded, accepts
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import holds, parse_word
-from pastdra.translate import (TranslationContext, build_rabin_component,
-                               translate, translation_stats)
+from pastdra.translate import translate, translation_stats
 
 parse = F.parse
 
@@ -87,10 +87,10 @@ def test_state_limit():
 
 
 def test_rabin_component_is_one_witness():
-    phi = parse("F p")
-    ctx = TranslationContext(phi)
-    comp = build_rabin_component(ctx, frozenset(F.mu_subformulas(phi)),
-                                 frozenset())
+    auto = translate(parse("F p"))
+    # branches come in subset order: pair 1 is the guess M = {F p}, N = {}
+    assert auto.labels[0].split(" || ")[1].startswith("M=['F p'] N=[] {")
+    comp = replace(auto, acc=("rabin", auto.acc[1][1:2]))
     comp.audit()
     # the full-M branch accepts exactly the words where p recurs
     assert accepts(comp, parse_word("; {p}"))
