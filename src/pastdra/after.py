@@ -9,7 +9,7 @@ currently hold in the weak sense.  For a fixed ``C`` it distributes over
 automata built later.  It works on canonical functions (``proplogic``
 diagrams) and removes the assumption by guessing: for every subset ``C`` of
 the past subformulas of ``b``'s atoms, each atom is derived under ``C`` and
-the results are composed on the diagram (``proplogic.map_atoms``); the
+the results are composed on the diagram (``derive``); the
 disjunction over all guesses is the derivative.  No formula representative
 of ``b`` is built on the way.
 """
@@ -20,7 +20,7 @@ from . import formula as F
 from . import proplogic as P
 from .rewrites import rewrite_under, wc
 
-_afloc_memo: dict = {}
+_afloc_memo = F.memo()
 
 
 def af_loc(f, sigma, C):
@@ -95,18 +95,26 @@ def af_loc_ext(f, word, past_sets):
     return f
 
 
-_afclass_memo: dict = {}
-_compose_memo: dict = {}
-_psf_memo: dict = {}
+_afclass_memo = F.memo()
+_compose_memo = F.memo()
+_psf_memo = F.memo()
+
+
+def derive(b, sigma, C):
+    """``b`` derived by ``sigma`` under the past set ``C``, on the diagram.
+
+    Each atom is derived under the part of ``C`` among its own past
+    subformulas, which is all ``af_loc`` reads; guesses that agree there
+    share the atom's memo entry.  ``sigma`` and ``C`` are frozensets.
+    """
+    memo = _compose_memo.get((sigma, C))
+    if memo is None:
+        memo = _compose_memo[sigma, C] = {}
+    return P.map_atoms(b, lambda a: _af_loc(a, sigma, C & F.psf(a)), memo)
 
 
 def af_class(b, sigma):
-    """Canonical one-letter derivative of ``b``, all past sets guessed.
-
-    Under each guess ``C`` every atom is derived under the part of ``C``
-    among its own past subformulas, which is all ``af_loc`` reads; guesses
-    that agree there share the atom's memo entry.
-    """
+    """Canonical one-letter derivative of ``b``, all past sets guessed."""
     sigma = frozenset(sigma)
     key = (b.uid, sigma)
     out = _afclass_memo.get(key)
@@ -118,11 +126,7 @@ def af_class(b, sigma):
         out = P.FALSE_B
         for mask in range(1 << len(ps)):
             C = frozenset(p for i, p in enumerate(ps) if mask >> i & 1)
-            memo = _compose_memo.get((sigma, C))
-            if memo is None:
-                memo = _compose_memo[sigma, C] = {}
-            out = P.disj(out, P.map_atoms(
-                b, lambda a: _af_loc(a, sigma, C & F.psf(a)), memo))
+            out = P.disj(out, derive(b, sigma, C))
         _afclass_memo[key] = out
     return out
 

@@ -44,20 +44,22 @@ class OmegaAutomaton:
         return sum(1 << j for j, p in enumerate(self.ap) if p in sigma)
 
     def audit(self):
-        """Check determinism, completeness and acceptance well-formedness."""
+        """Check determinism, completeness and acceptance well-formedness;
+        raise AssertionError explicitly, so it also checks under ``-O``."""
         n, width = len(self.trans), 1 << len(self.ap)
-        assert 0 <= self.init < n
-        assert len(self.labels) == n
-        for row in self.trans:
-            assert len(row) == width
-            assert all(isinstance(q, int) and 0 <= q < n for q in row)
-        kind = self.acc[0]
+        kind, sets = self.acc
         if kind in ("buchi", "cobuchi"):
-            assert all(0 <= q < n for q in self.acc[1])
-        else:
-            assert kind == "rabin"
-            for a, b in self.acc[1]:
-                assert all(0 <= q < n for q in a | b)
+            sets = [(sets, frozenset())]
+        elif kind != "rabin":
+            raise AssertionError("unknown acceptance %r" % (kind,))
+        if not (0 <= self.init < n and len(self.labels) == n):
+            raise AssertionError("initial state or labels do not fit")
+        for row in self.trans:
+            if len(row) != width or not all(
+                    isinstance(q, int) and 0 <= q < n for q in row):
+                raise AssertionError("bad transition row %r" % (row,))
+        if not all(0 <= q < n for a, b in sets for q in a | b):
+            raise AssertionError("acceptance state out of range")
         return True
 
 

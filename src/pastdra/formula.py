@@ -74,6 +74,8 @@ class Formula:
         return "Formula(%s)" % self
 
 
+# Hash-consing tables live as long as the process: identity of their
+# objects is equality, so they are never cleared.
 _lock = threading.Lock()
 _interned: dict = {}
 _uid_counter = [0]
@@ -212,23 +214,40 @@ _DUAL_KIND = {
 
 
 # ---------------------------------------------------------------------------
-# Subformula queries and size metrics.
+# Memo tables that live for one translation, and subformula queries.
 
-def _memoized(cache):
-    def deco(fn):
-        def wrapper(f):
-            out = cache.get(f)
-            if out is None:
-                out = fn(f)
-                cache[f] = out
-            return out
-        wrapper.__doc__ = fn.__doc__
-        wrapper.__name__ = fn.__name__
-        return wrapper
-    return deco
+_memos: list = []
 
 
-@_memoized({})
+def memo():
+    """A new module-level memo table, emptied by :func:`clear_memos`."""
+    _memos.append({})
+    return _memos[-1]
+
+
+def clear_memos():
+    """Empty every :func:`memo` table; each translation starts here.
+
+    Their keys are interned formulas or uids of BDD nodes, which are never
+    freed, so emptying them only costs recomputation.
+    """
+    for table in _memos:
+        table.clear()
+
+
+def _memoized(fn):
+    cache = memo()
+
+    def wrapper(f):
+        out = cache.get(f)
+        if out is None:
+            out = cache[f] = fn(f)
+        return out
+    wrapper.__doc__, wrapper.__name__ = fn.__doc__, fn.__name__
+    return wrapper
+
+
+@_memoized
 def psf(f):
     """All past-rooted subformulas."""
     out = set()
@@ -239,7 +258,7 @@ def psf(f):
     return frozenset(out)
 
 
-@_memoized({})
+@_memoized
 def mu_subformulas(f):
     """Subformulas rooted in a least-fixpoint future operator (U or M)."""
     out = set()
@@ -250,7 +269,7 @@ def mu_subformulas(f):
     return frozenset(out)
 
 
-@_memoized({})
+@_memoized
 def nu_subformulas(f):
     """Subformulas rooted in a greatest-fixpoint future operator (W or R)."""
     out = set()
@@ -261,7 +280,7 @@ def nu_subformulas(f):
     return frozenset(out)
 
 
-@_memoized({})
+@_memoized
 def props(f):
     """Names of all propositions occurring in ``f``."""
     out = set()
@@ -277,7 +296,7 @@ class SizeMetrics(NamedTuple):
     m: int  # past-temporal nodes, with multiplicity
 
 
-@_memoized({})
+@_memoized
 def size(f):
     """Syntax-tree node counts (shared subtrees count once per occurrence)."""
     n = 1 if (f.kind in FUTURE_KINDS or f.kind in (PROP, NPROP)) else 0
@@ -289,7 +308,7 @@ def size(f):
     return SizeMetrics(n, m)
 
 
-@_memoized({})
+@_memoized
 def tree_size(f):
     """Total syntax-tree node count, with multiplicity."""
     return 1 + sum(tree_size(c) for c in f.children())
@@ -425,48 +444,54 @@ class _Parser:
         raise ParseError("expected a formula, found %r" % (val or "end"), pos)
 
 
-def _nnf(node, neg):
+def _nnf(node, neg, memo):
+    # ``memo`` maps (id(node), neg) to (node, result) for one parse: sugar
+    # expansion visits operands twice, so nested <-> would be exponential.
+    # Holding ``node`` keeps its id from being reused by a later tuple.
+    key = (id(node), neg)
+    if key in memo:
+        return memo[key][1]
     op = node[0]
     if op == "tt":
-        return false() if neg else true()
-    if op == "ff":
-        return true() if neg else false()
-    if op == "prop":
-        return nprop(node[1]) if neg else prop(node[1])
-    if op == "not":
-        return _nnf(node[1], not neg)
-    if op == "and":
-        a, b = _nnf(node[1], neg), _nnf(node[2], neg)
-        return disj(a, b) if neg else conj(a, b)
-    if op == "or":
-        a, b = _nnf(node[1], neg), _nnf(node[2], neg)
-        return conj(a, b) if neg else disj(a, b)
-    if op == "imp":
+        out = false() if neg else true()
+    elif op == "ff":
+        out = true() if neg else false()
+    elif op == "prop":
+        out = nprop(node[1]) if neg else prop(node[1])
+    elif op == "not":
+        out = _nnf(node[1], not neg, memo)
+    elif op == "and":
+        a, b = _nnf(node[1], neg, memo), _nnf(node[2], neg, memo)
+        out = disj(a, b) if neg else conj(a, b)
+    elif op == "or":
+        a, b = _nnf(node[1], neg, memo), _nnf(node[2], neg, memo)
+        out = conj(a, b) if neg else disj(a, b)
+    elif op == "imp":
         # a -> b == !a | b
-        return _nnf(("or", ("not", node[1]), node[2]), neg)
-    if op == "iff":
+        out = _nnf(("or", ("not", node[1]), node[2]), neg, memo)
+    elif op == "iff":
         # a <-> b == (a -> b) & (b -> a)
-        return _nnf(("and", ("imp", node[1], node[2]),
-                     ("imp", node[2], node[1])), neg)
-    if op == "X":
-        return nxt(_nnf(node[1], neg))
-    if op == "F":
-        return _nnf(("U", ("tt",), node[1]), neg)
-    if op == "G":
-        return _nnf(("W", node[1], ("ff",)), neg)
-    if op == "O":
-        return _nnf(("S", ("tt",), node[1]), neg)
-    if op == "H":
-        return _nnf(("wS", node[1], ("ff",)), neg)
-    if op in _BINARY_WORDS:
-        a, b = _nnf(node[1], neg), _nnf(node[2], neg)
-        kind = _DUAL_KIND[op] if neg else op
-        return make(kind, a, b)
-    if op in ("Y", "wY"):
-        a = _nnf(node[1], neg)
-        kind = _DUAL_KIND[op] if neg else op
-        return make(kind, a)
-    raise AssertionError("unhandled node %r" % (op,))
+        out = _nnf(("and", ("imp", node[1], node[2]),
+                    ("imp", node[2], node[1])), neg, memo)
+    elif op == "X":
+        out = nxt(_nnf(node[1], neg, memo))
+    elif op == "F":
+        out = _nnf(("U", ("tt",), node[1]), neg, memo)
+    elif op == "G":
+        out = _nnf(("W", node[1], ("ff",)), neg, memo)
+    elif op == "O":
+        out = _nnf(("S", ("tt",), node[1]), neg, memo)
+    elif op == "H":
+        out = _nnf(("wS", node[1], ("ff",)), neg, memo)
+    elif op in _BINARY_WORDS:
+        a, b = _nnf(node[1], neg, memo), _nnf(node[2], neg, memo)
+        out = make(_DUAL_KIND[op] if neg else op, a, b)
+    elif op in ("Y", "wY"):
+        out = make(_DUAL_KIND[op] if neg else op, _nnf(node[1], neg, memo))
+    else:
+        raise AssertionError("unhandled node %r" % (op,))
+    memo[key] = (node, out)
+    return out
 
 
 def parse(text):
@@ -479,7 +504,7 @@ def parse(text):
     kind, val, pos = p.peek()
     if kind != "eof":
         raise ParseError("trailing input %r" % val, pos)
-    return _nnf(raw, False)
+    return _nnf(raw, False, {})
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,11 @@ class Bool:
 TRUE_B = Bool(None, None, None, 0)
 FALSE_B = Bool(None, None, None, 1)
 
+# Process lifetime: nodes are hash-consed and never freed.
 _nodes = {}
 _uid = [2]
-_apply_memo = {}
-_canon_memo = {}
+_apply_memo = F.memo()
+_canon_memo = F.memo()
 
 
 def _node(var, hi, lo):

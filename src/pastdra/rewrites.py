@@ -39,7 +39,7 @@ def is_weak(f):
     return f.kind not in _WEAK_OF
 
 
-_rw_memo: dict = {}
+_rw_memo = F.memo()
 
 
 def rewrite_under(f, C):

@@ -9,7 +9,6 @@ instant.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import formula as F
@@ -31,7 +30,6 @@ def entailed_seq(f, w, t):
     return seq
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def _composed_cycle(f, w):
     """All composed entailed sets until the (state, phase) pair repeats.
 
@@ -114,14 +112,14 @@ def _premise_one(f, w, r, M):
     return holds(chi, w.suffix(r), 0)
 
 
-def _premise_two(f, w, psi, N):
-    composed, lo, hi = _composed_cycle(f, w)
+def _premise_two(cycle, w, psi, N):
+    composed, lo, hi = cycle
     return any(_eventually_holds(psi, N, composed[t], w, t, weak=False)
                for t in range(lo, hi))
 
 
-def _premise_three(f, w, psi, M):
-    composed, lo, hi = _composed_cycle(f, w)
+def _premise_three(cycle, w, psi, M):
+    composed, lo, hi = cycle
     return any(_eventually_holds(psi, M, composed[t], w, t, weak=True)
                for t in range(hi))
 
@@ -141,6 +139,7 @@ def check_master(f, w):
     r = stability_index(f, w)
     mu = F.sorted_set(F.mu_subformulas(f))
     nu = F.sorted_set(F.nu_subformulas(f))
+    cycle = _composed_cycle(f, w)
     witness = None
     for mmask in range(1 << len(mu)):
         M = frozenset(p for i, p in enumerate(mu) if mmask >> i & 1)
@@ -148,8 +147,8 @@ def check_master(f, w):
             continue
         for nmask in range(1 << len(nu)):
             N = frozenset(p for i, p in enumerate(nu) if nmask >> i & 1)
-            if all(_premise_two(f, w, psi, N) for psi in M) and \
-                    all(_premise_three(f, w, psi, M) for psi in N):
+            if all(_premise_two(cycle, w, psi, N) for psi in M) and \
+                    all(_premise_three(cycle, w, psi, M) for psi in N):
                 witness = (M, N)
                 break
         if witness is not None:

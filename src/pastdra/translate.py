@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import formula as F
 from . import proplogic as P
-from .after import af_class, af_loc
+from .after import af_class, af_loc, derive
 from .automata import BedAutomaton, Runner, cascade, conjunction, union
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, wc)
@@ -27,6 +27,7 @@ class TranslationContext:
     """Shared tables for one formula: past sets, saturation, the bed."""
 
     def __init__(self, phi, ap=None, max_states=DEFAULT_MAX_STATES):
+        F.clear_memos()
         self.phi = phi
         self.ap = tuple(sorted(set(F.props(phi)) | set(ap or ())))
         self.max_states = max_states
@@ -49,35 +50,17 @@ class TranslationContext:
                                            for x in ci)
         self.mu = F.sorted_set(F.mu_subformulas(phi))
         self.nu = F.sorted_set(F.nu_subformulas(phi))
-        self._rc_memo = {}
-        self._derive_memo = {}
         self._bed = None
-
-    def _derive(self, b, sigma, c):
-        """``b`` derived by ``sigma`` under ``c``, atom by atom on the diagram.
-
-        ``af_loc`` distributes over ``&``/``|`` for a fixed past set and
-        reads only the past subformulas of its argument, so each atom is
-        derived under its own part of ``c``.
-        """
-        memo = self._derive_memo.get((sigma, c))
-        if memo is None:
-            memo = self._derive_memo[sigma, c] = {}
-        return P.map_atoms(b, lambda a: af_loc(a, sigma, c & F.psf(a)), memo)
 
     def rc(self, state, sigma):
         """Bed transition: component i re-derives from every refining j."""
         sigma = frozenset(sigma)
-        key = (tuple(b.uid for b in state), sigma)
-        out = self._rc_memo.get(key)
-        if out is not None:
-            return out
         parts = []
         for i in range(self.k):
             acc = P.FALSE_B
             for j in self.refining[i]:
                 cij = self._ij_sets[i, j]
-                term = self._derive(state[j], sigma, cij)
+                term = derive(state[j], sigma, cij)
                 for owed in self._ij_wcs[i, j]:
                     if term is P.FALSE_B:
                         break
@@ -85,9 +68,7 @@ class TranslationContext:
                         af_loc(owed, sigma, cij)))
                 acc = P.disj(acc, term)
             parts.append(acc)
-        out = tuple(parts)
-        self._rc_memo[key] = out
-        return out
+        return tuple(parts)
 
     @property
     def bed(self):
@@ -122,50 +103,29 @@ def _limit_cache(rewriter, rw_sets):
     return apply
 
 
-def build_recurrence_runner(ctx, psi, N):
-    """Büchi runner demanding that psi (premise 2) is fulfilled recurrently."""
-    rw = [rewrite_set(N, c) for c in ctx.past_sets]
-    mu_of = _limit_cache(rewrite_nu_limit, rw)
-    restart = [F.ev(rewrite_nu_limit(rewrite_under(psi, ctx.past_sets[i]),
-                                     rw[i]))
-               for i in range(ctx.k)]
-    restart_b = [P.canonicalize(f) for f in restart]
+def _limit_runner(ctx, psi, S, limit, wrap, trigger, tag):
+    """Runner for premise 2 (``rewrite_nu_limit``, ``F.ev``, Büchi on tt)
+    or premise 3 (``rewrite_mu_limit``, ``F.alw``, co-Büchi on ff): the
+    derivative of ``wrap(limit(psi, S))`` that restarts from every track of
+    the bed whenever it reaches ``trigger``.
+    """
+    rw = [rewrite_set(S, c) for c in ctx.past_sets]
+    limit_of = _limit_cache(limit, rw)
+    restart_b = [P.canonicalize(wrap(limit(rewrite_under(psi, c), rw[i])))
+                 for i, c in enumerate(ctx.past_sets)]
 
     def step(zeta, bed_state, sigma):
-        if zeta is P.TRUE_B:
+        if zeta is trigger:
             out = P.FALSE_B
             for i in range(ctx.k):
                 out = P.disj(out, P.conj(restart_b[i],
-                                         mu_of(bed_state[i], i)))
+                                         limit_of(bed_state[i], i)))
             return out
         return af_class(zeta, sigma)
 
-    init = P.canonicalize(F.ev(rewrite_nu_limit(psi, N)))
-    return Runner(init, step, accepting=lambda z: z is P.TRUE_B,
-                  label=lambda z: "F:%s" % P.to_formula(z))
-
-
-def build_persistence_runner(ctx, psi, M):
-    """Co-Büchi runner demanding that psi (premise 3) eventually stays true."""
-    rw = [rewrite_set(M, c) for c in ctx.past_sets]
-    nu_of = _limit_cache(rewrite_mu_limit, rw)
-    restart = [F.alw(rewrite_mu_limit(rewrite_under(psi, ctx.past_sets[i]),
-                                      rw[i]))
-               for i in range(ctx.k)]
-    restart_b = [P.canonicalize(f) for f in restart]
-
-    def step(zeta, bed_state, sigma):
-        if zeta is P.FALSE_B:
-            out = P.FALSE_B
-            for i in range(ctx.k):
-                out = P.disj(out, P.conj(restart_b[i],
-                                         nu_of(bed_state[i], i)))
-            return out
-        return af_class(zeta, sigma)
-
-    init = P.canonicalize(F.alw(rewrite_mu_limit(psi, M)))
-    return Runner(init, step, accepting=lambda z: z is P.FALSE_B,
-                  label=lambda z: "G:%s" % P.to_formula(z))
+    init = P.canonicalize(wrap(limit(psi, S)))
+    return Runner(init, step, accepting=lambda z: z is trigger,
+                  label=lambda z: "%s:%s" % (tag, P.to_formula(z)))
 
 
 def build_safety_runner(ctx, M):
@@ -196,8 +156,10 @@ def build_safety_runner(ctx, M):
 
 def _branch_runner(ctx, M, N):
     cobuchis = [build_safety_runner(ctx, M)]
-    cobuchis += [build_persistence_runner(ctx, psi, M) for psi in N]
-    buchis = [build_recurrence_runner(ctx, psi, N) for psi in M]
+    cobuchis += [_limit_runner(ctx, psi, M, rewrite_mu_limit, F.alw,
+                               P.FALSE_B, "G") for psi in N]
+    buchis = [_limit_runner(ctx, psi, N, rewrite_nu_limit, F.ev, P.TRUE_B, "F")
+              for psi in M]
     name = "M=%s N=%s " % ([str(m) for m in M], [str(n) for n in N])
     return conjunction(cobuchis, buchis, name)
 

@@ -72,6 +72,24 @@ def test_iff_expansion():
     assert F.parse("!(p <-> q)") is F.parse("(p & !q) | (q & !p)")
 
 
+def test_nested_iff_parses_in_linear_work(monkeypatch):
+    # Each <-> mentions both operands twice; NNF must not re-walk them.
+    calls = [0]
+    make = F.make
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return make(*args, **kwargs)
+    monkeypatch.setattr(F, "make", counting)
+
+    def made(levels):
+        calls[0] = 0
+        F.parse(" <-> ".join("n%d" % i for i in range(levels + 1)))
+        return calls[0]
+    assert made(16) < 4 * made(8)
+    assert F.parse("a <-> b <-> c") is F.parse("a <-> (b <-> c)")
+
+
 @pytest.mark.parametrize("text,tree", [
     # unary binds tightest, then temporal binaries (right-assoc), & , |
     ("X p U q", "(X p) U q"),
