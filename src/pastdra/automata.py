@@ -9,9 +9,10 @@ iff bit ``j`` of ``i`` is set.  Acceptance is one of
 * ``("rabin", pairs)``-- accept iff some pair (A, B) has Inf avoiding A and
   intersecting B.
 
-Translation builds Rabin automata only, with one product engine: component
-runners combined by :func:`conjunction` and :func:`union`, cascaded onto a
-bed by :func:`cascade`.  The other two kinds come from HOA input.
+Translation builds Rabin automata only, with one product engine: the
+distinct component runners, each stepped once, combined into one Rabin pair
+per branch by :func:`product` and cascaded onto a bed by :func:`cascade`.
+The other two kinds come from HOA input.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class Runner:
     ``step(q, bed_obj, sigma)`` sees the bed state *reached* on the current
     letter, and ``label(q)`` names a state.  A component runner marks the
     states of its Büchi or co-Büchi set with ``accepting(q)``; the product
-    runners built by :func:`conjunction` and :func:`union` instead carry
-    Rabin ``pairs`` of (avoid, meet) predicates on their states.
+    runner built by :func:`product` instead carries Rabin ``pairs`` of
+    (avoid, meet) predicates on its states.
     """
 
     def __init__(self, init, step, accepting=None, pairs=None, label=str):
@@ -91,61 +92,45 @@ class Runner:
         self.label = label
 
 
-def _lockstep(runners):
-    def step(qs, bed_obj, sigma):
-        return tuple(r.step(q, bed_obj, sigma) for r, q in zip(runners, qs))
-    return step
+def product(components, branches):
+    """Union over the branches of the intersection of their components.
 
-
-def conjunction(cobuchis, buchis, name):
-    """Intersection of co-Büchi and Büchi runners as a one-pair runner.
-
-    The components run in lockstep.  A round-robin watcher waits for each
-    Büchi component in turn to visit its set and ticks whenever it has seen
-    all of them once more; without Büchi components every state ticks.
-    The pair avoids the states where some co-Büchi component is in its set
-    and meets the ticks.  States are ``(component states, watched index,
-    tick)``, labelled ``name{label; label; ...}``.
+    ``components`` are Büchi or co-Büchi runners, each stepped once per
+    transition however many branches share it.  A branch ``(co-Büchi
+    indices, Büchi indices, name)`` gives one Rabin pair: it avoids the
+    states where one of its co-Büchi components is in its set and meets the
+    ticks of a round-robin watcher, which waits for each of its Büchi
+    components in turn to visit its set (without any, every state ticks).
+    States are ``(component states, per-branch (watched index, tick))``,
+    labelled ``name{label; ...} || ...``; the pairs come in branch order.
     """
-    runners = list(cobuchis) + list(buchis)
-    nc, nb = len(cobuchis), len(buchis)
-    inner = _lockstep(runners)
-
     def step(state, bed_obj, sigma):
-        qs, rr, _ = state
-        qs2 = inner(qs, bed_obj, sigma)
-        if not nb:
-            return (qs2, 0, True)
-        if buchis[rr].accepting(qs[nc + rr]):
-            rr = (rr + 1) % nb
-            return (qs2, rr, rr == 0)
-        return (qs2, rr, False)
-
-    def avoid(state):
-        return any(r.accepting(q) for r, q in zip(cobuchis, state[0]))
+        qs, watchers = state
+        ticks = []
+        for (_, bu, _), (rr, _) in zip(branches, watchers):
+            if not bu:
+                ticks.append((0, True))
+            elif components[bu[rr]].accepting(qs[bu[rr]]):
+                rr = (rr + 1) % len(bu)
+                ticks.append((rr, rr == 0))
+            else:
+                ticks.append((rr, False))
+        return (tuple(c.step(q, bed_obj, sigma)
+                      for c, q in zip(components, qs)), tuple(ticks))
 
     def label(state):
-        return "%s{%s}" % (name, "; ".join(r.label(q)
-                                           for r, q in zip(runners, state[0])))
+        labels = [c.label(q) for c, q in zip(components, state[0])]
+        return " || ".join("%s{%s}" % (name, "; ".join(labels[i]
+                                                       for i in (*co, *bu)))
+                           for co, bu, name in branches)
 
-    return Runner((tuple(r.init for r in runners), 0, not nb), step,
-                  pairs=[(avoid, lambda state: state[2])], label=label)
-
-
-def union(runners):
-    """Union of Rabin runners: their lockstep product, every pair lifted.
-
-    States are tuples of component states, labelled ``label || label ...``;
-    the pairs come in component order.
-    """
-    runners = list(runners)
-    pairs = [(lambda qs, i=i, p=avoid: p(qs[i]),
-              lambda qs, i=i, p=meet: p(qs[i]))
-             for i, r in enumerate(runners) for avoid, meet in r.pairs]
-    return Runner(tuple(r.init for r in runners), _lockstep(runners),
-                  pairs=pairs,
-                  label=lambda qs: " || ".join(r.label(q)
-                                               for r, q in zip(runners, qs)))
+    init = (tuple(c.init for c in components),
+            tuple((0, not bu) for _, bu, _ in branches))
+    pairs = [(lambda state, co=co: any(components[i].accepting(state[0][i])
+                                       for i in co),
+              lambda state, b=b: state[1][b][1])
+             for b, (co, _, _) in enumerate(branches)]
+    return Runner(init, step, pairs=pairs, label=label)
 
 
 class StateLimitExceeded(Exception):

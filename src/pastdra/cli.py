@@ -1,9 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success; 1 malformed formula, word or HOA input, negative
-position, or a formula nested too deeply; 2 state cap exceeded or out of
-memory; 3 automaton/semantics disagreement (``check``) or a failed suite
-(``selftest``).
+Exit codes: 0 success; 1 malformed formula, word, proposition name or HOA
+input, negative position, or a formula nested too deeply; 2 state cap
+exceeded or out of memory; 3 automaton/semantics disagreement (``check``)
+or a failed suite (``selftest``).
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def cmd_check(args):
     target = _load_target(args.target)
     word = lasso.parse_word(args.word)
     if isinstance(target, F.Formula):
-        auto = translate(target, sorted(set(F.props(target)) | word.props()),
-                         args.max_states)
+        # ``accepts`` ignores the word's other names, which need not parse
+        auto = translate(target, max_states=args.max_states)
         verdict = accepts(auto, word)
         truth = lasso.holds(target, word, 0)
         print("accepts" if verdict else "rejects")
@@ -152,7 +152,7 @@ def build_parser():
     t.add_argument("--stats", action="store_true",
                    help="print size statistics to stderr")
     t.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    t.add_argument("--ap", help="comma-separated extra propositions")
+    t.add_argument("--ap", help="comma-separated extra proposition names")
     t.set_defaults(fn=cmd_translate)
 
     e = sub.add_parser("eval", help="formula truth value on a lasso word")

@@ -337,6 +337,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<sym>[&|!()])
 """, re.VERBOSE)
 
+_KEYWORDS = ("wY", "wS", "wB", "tt", "ff")  # identifiers that are not names
 _UNARY_WORDS = {"F", "G", "O", "H", "X", "Y", "wY"}
 _BINARY_WORDS = {"U", "W", "R", "M", "S", "wS", "B", "wB"}
 
@@ -351,12 +352,18 @@ def _tokenize(text):
         if m.lastgroup != "ws":
             kind = m.lastgroup
             val = m.group()
-            if kind == "ident" and val in ("wY", "wS", "wB", "tt", "ff"):
+            if kind == "ident" and val in _KEYWORDS:
                 kind = "word"
             tokens.append((kind, val, pos))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def is_prop_name(name):
+    """Whether :func:`parse` reads ``name`` as the proposition ``name``."""
+    m = _TOKEN_RE.fullmatch(name)
+    return m is not None and m.lastgroup == "ident" and name not in _KEYWORDS
 
 
 class _Parser:

@@ -50,12 +50,6 @@ class LassoWord:
             return t
         return len(self.prefix) + (t - len(self.prefix)) % len(self.period)
 
-    def props(self):
-        out = set()
-        for s in self.prefix + self.period:
-            out |= s
-        return frozenset(out)
-
     def __str__(self):
         return format_word(self)
 

@@ -2,11 +2,13 @@
 
 The construction is the product of a single shared bed automaton -- which
 tracks, per enumerated past set, the canonical derivative of the formula
-rewritten under that set -- with one runner per guess (M, N) of the
+rewritten under that set -- with one branch per guess (M, N) of the
 least-fixpoint subformulas that recur and the greatest-fixpoint subformulas
-that eventually hold forever.  Each runner contributes one Rabin pair; the
-union over all guesses is taken at the runner level so the bed is never
-duplicated.
+that eventually hold forever.  Each branch contributes one Rabin pair and
+intersects a few component runners: the safety runner of M, a ``G`` runner
+per (psi, M) and an ``F`` runner per (psi, N).  Components are shared across
+guesses, so each distinct one is built and stepped once, and the union over
+all guesses is taken at the runner level so the bed is never duplicated.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
-from .automata import BedAutomaton, Runner, cascade, conjunction, union
+from .automata import BedAutomaton, Runner, cascade, product
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, wc)
 
@@ -29,6 +31,9 @@ class TranslationContext:
     def __init__(self, phi, ap=None, max_states=DEFAULT_MAX_STATES):
         F.clear_memos()
         self.phi = phi
+        for name in ap or ():
+            if not F.is_prop_name(name):
+                raise ValueError("not a proposition name: %r" % (name,))
         self.ap = tuple(sorted(set(F.props(phi)) | set(ap or ())))
         self.max_states = max_states
         self.past_sets = enumerate_past_sets(phi)
@@ -103,12 +108,14 @@ def _limit_cache(rewriter, rw_sets):
     return apply
 
 
-def _limit_runner(ctx, psi, S, limit, wrap, trigger, tag):
-    """Runner for premise 2 (``rewrite_nu_limit``, ``F.ev``, Büchi on tt)
-    or premise 3 (``rewrite_mu_limit``, ``F.alw``, co-Büchi on ff): the
-    derivative of ``wrap(limit(psi, S))`` that restarts from every track of
-    the bed whenever it reaches ``trigger``.
+def _limit_runner(ctx, tag, psi, S):
+    """Runner for premise 2 (tag ``F``: ``rewrite_nu_limit``, ``F.ev``,
+    Büchi on tt) or premise 3 (tag ``G``: ``rewrite_mu_limit``, ``F.alw``,
+    co-Büchi on ff): the derivative of ``wrap(limit(psi, S))`` that restarts
+    from every track of the bed whenever it reaches ``trigger``.
     """
+    limit, wrap, trigger = ((rewrite_mu_limit, F.alw, P.FALSE_B) if tag == "G"
+                            else (rewrite_nu_limit, F.ev, P.TRUE_B))
     rw = [rewrite_set(S, c) for c in ctx.past_sets]
     limit_of = _limit_cache(limit, rw)
     restart_b = [P.canonicalize(wrap(limit(rewrite_under(psi, c), rw[i])))
@@ -154,20 +161,9 @@ def build_safety_runner(ctx, M):
                                                P.to_formula(q[1])))
 
 
-def _branch_runner(ctx, M, N):
-    cobuchis = [build_safety_runner(ctx, M)]
-    cobuchis += [_limit_runner(ctx, psi, M, rewrite_mu_limit, F.alw,
-                               P.FALSE_B, "G") for psi in N]
-    buchis = [_limit_runner(ctx, psi, N, rewrite_nu_limit, F.ev, P.TRUE_B, "F")
-              for psi in M]
-    name = "M=%s N=%s " % ([str(m) for m in M], [str(n) for n in N])
-    return conjunction(cobuchis, buchis, name)
-
-
 def _subsets(items):
     for r in range(len(items) + 1):
-        for combo in combinations(items, r):
-            yield list(combo)
+        yield from combinations(items, r)
 
 
 def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
@@ -176,11 +172,22 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
     Raises :class:`StateLimitExceeded` when exploration would pass the cap.
     """
     ctx = TranslationContext(phi, ap, max_states)
-    # The runners are built before the bed: both intern formulas, and the
-    # interning order fixes the BDD variable order and so the state labels.
-    runner = union(_branch_runner(ctx, M, N)
-                   for M in _subsets(ctx.mu) for N in _subsets(ctx.nu))
-    return cascade(ctx.bed, runner, max_states)
+    index = {}                # component key -> number, first appearance
+    branches = []
+    for M in _subsets(ctx.mu):
+        for N in _subsets(ctx.nu):
+            co = [("S", M)] + [("G", psi, M) for psi in N]
+            bu = [("F", psi, N) for psi in M]
+            branches.append(([index.setdefault(k, len(index)) for k in co],
+                             [index.setdefault(k, len(index)) for k in bu],
+                             "M=%s N=%s " % ([str(m) for m in M],
+                                             [str(n) for n in N])))
+    # The runners are built before the bed and in first-appearance order:
+    # both intern formulas, and the interning order fixes the BDD variable
+    # order and so the state labels.
+    components = [build_safety_runner(ctx, key[1]) if key[0] == "S"
+                  else _limit_runner(ctx, *key) for key in index]
+    return cascade(ctx.bed, product(components, branches), max_states)
 
 
 def translation_stats(phi, auto):

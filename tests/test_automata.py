@@ -2,7 +2,7 @@ import pytest
 
 from pastdra.automata import (BedAutomaton, OmegaAutomaton, Runner,
                               StateLimitExceeded, accepts, cascade,
-                              conjunction, letters_for, union)
+                              letters_for, product)
 from pastdra.lasso import parse_word
 
 
@@ -80,18 +80,31 @@ def _last_letter(prop, accepting=None, pairs=None):
 
 
 def test_rabin_union_is_language_union():
+    # one shared component: Büchi in branch "inf", co-Büchi in branch "fin"
     words = [parse_word("; {p}"), parse_word("; {}"),
              parse_word("{p} ; {}"), parse_word("; {p},{}")]
     bed = _one_state_bed(("p",))
-    inf_p = _last_letter("p", pairs=[(lambda q: False, lambda q: q == 1)])
-    fin_p = _last_letter("p", pairs=[(lambda q: q == 1, lambda q: q == 0)])
-    u = cascade(bed, union([inf_p, fin_p]))
+    last_p = _last_letter("p", accepting=lambda q: q == 1)
+    steps = []
+
+    def counted_step(q, obj, sigma):
+        steps.append(q)
+        return last_p.step(q, obj, sigma)
+
+    counted = Runner(0, counted_step, accepting=last_p.accepting,
+                     label=last_p.label)
+    u = cascade(bed, product([counted], [([], [0], "inf"), ([0], [], "fin")]))
     u.audit()
     assert len(u.acc[1]) == 2
-    assert u.labels[0] == "!p || !p | -"
+    assert u.labels[0] == "inf{!p} || fin{!p} | -"
+    # stepped once per product transition, not once per branch
+    assert len(steps) == u.n_states() * 2
+    inf_p = cascade(bed, product([last_p], [([], [0], "inf")]))
+    fin_p = cascade(bed, product([last_p], [([0], [], "fin")]))
+    assert not accepts(inf_p, parse_word("{p} ; {}"))
+    assert not accepts(fin_p, parse_word("; {p},{}"))
     for w in words:
-        assert accepts(u, w) == (accepts(cascade(bed, inf_p), w)
-                                 or accepts(cascade(bed, fin_p), w))
+        assert accepts(u, w) == (accepts(inf_p, w) or accepts(fin_p, w))
 
 
 def test_rabin_conjunction_single_pair():
@@ -99,7 +112,7 @@ def test_rabin_conjunction_single_pair():
     bed = _one_state_bed(("p", "q"))
     buchi = _last_letter("p", accepting=lambda q: q == 1)
     cob = _last_letter("q", accepting=lambda q: q == 1)
-    a = cascade(bed, conjunction([cob], [buchi], "c"))
+    a = cascade(bed, product([cob, buchi], [([0], [1], "c")]))
     a.audit()
     assert a.acc[0] == "rabin" and len(a.acc[1]) == 1
     assert a.labels[0] == "c{!q; !p} | -"
@@ -108,8 +121,9 @@ def test_rabin_conjunction_single_pair():
     assert not accepts(a, parse_word("; {p,q}"))
     assert not accepts(a, parse_word("; {}"))
     # two Büchi components are watched in turn
-    both = cascade(bed, conjunction(
-        [], [buchi, _last_letter("q", accepting=lambda q: q == 1)], "c"))
+    both = cascade(bed, product(
+        [buchi, _last_letter("q", accepting=lambda q: q == 1)],
+        [([], [0, 1], "c")]))
     assert accepts(both, parse_word("; {p},{q}"))
     assert not accepts(both, parse_word("{q} ; {p}"))
 

@@ -62,6 +62,22 @@ def test_translate_state_cap(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("ap", ['a"b', ",", "x y,G", "tt", "wY"])
+def test_translate_rejects_unnameable_ap(capsys, ap):
+    # no formula can mention these names, and a quote breaks the AP: line
+    code, out, err = run(capsys, "translate", "p", "--ap", ap)
+    assert code == 1 and not out and "not a proposition name" in err
+
+
+def test_translate_output_round_trips_through_check(capsys, tmp_path):
+    code, hoa, _ = run(capsys, "translate", "G(p -> O q)", "--ap", "r")
+    assert code == 0
+    path = tmp_path / "out.hoa"
+    path.write_text(hoa)
+    code, out, err = run(capsys, "check", str(path), "; {p,q}")
+    assert code == 0 and out.strip() == "accepts" and not err
+
+
 def test_check_formula(capsys):
     code, out, _ = run(capsys, "check", "G(p -> O q)", "{q} ; {p}")
     assert code == 0
@@ -69,6 +85,10 @@ def test_check_formula(capsys):
     code, out, _ = run(capsys, "check", "G p", "; {}")
     assert code == 0
     assert out.splitlines() == ["rejects", "semantics agree"]
+    # a word may name propositions that no formula can mention
+    code, out, _ = run(capsys, "check", "F p", "; {p,1,tt}")
+    assert code == 0
+    assert out.splitlines() == ["accepts", "semantics agree"]
 
 
 def test_check_hoa_file(capsys, tmp_path):

@@ -22,7 +22,6 @@ def test_parse_word_normalizes():
     w = parse_word("{q,p} ; {p}")
     assert w.prefix == (frozenset({"p", "q"}),)
     assert w.period == (frozenset({"p"}),)
-    assert w.props() == frozenset({"p", "q"})
 
 
 def test_parse_word_rejects_empty_period():

@@ -1,7 +1,9 @@
 import random
+import sys
 from dataclasses import replace
 
 import pytest
+from test_acceptance import FUTURE_HISTORY_SPEC
 
 from pastdra import formula as F
 from pastdra.automata import StateLimitExceeded, accepts
@@ -96,6 +98,26 @@ def test_rabin_component_is_one_witness():
     assert accepts(comp, parse_word("; {p}"))
     assert accepts(comp, parse_word("; {p},{}"))
     assert not accepts(comp, parse_word("{p} ; {}"))
+
+
+def test_components_are_stepped_once(monkeypatch):
+    # Each distinct safety or limit runner is stepped once per product
+    # transition, not once per (M, N) guess that uses it: the future
+    # history spec has 64 guesses but only 7 distinct components.  The
+    # package attribute ``pastdra.translate`` is the function, not the module.
+    module = sys.modules["pastdra.translate"]
+    af_class = module.af_class
+    calls = []
+
+    def counted(b, sigma):
+        calls.append(b)
+        return af_class(b, sigma)
+
+    monkeypatch.setattr(module, "af_class", counted)
+    auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
+    assert len(auto.acc[1]) == 64
+    transitions = auto.n_states() * len(auto.letters)
+    assert len(calls) <= 8 * transitions
 
 
 def test_hoa_round_trip():
