@@ -2,17 +2,15 @@
 
 States are integers in discovery order; the alphabet is the powerset of the
 atomic propositions, with letter index ``i`` setting proposition ``ap[j]``
-iff bit ``j`` of ``i`` is set.  Acceptance is one of
+iff bit ``j`` of ``i`` is set.  Acceptance has one form, ``("rabin",
+pairs)``: accept iff some pair (A, B) has Inf avoiding A and intersecting B.
+A Büchi set S is the one pair (∅, S), a co-Büchi set S the one pair
+(S, all states).
 
-* ``("buchi", S)``    -- accept iff Inf intersects S,
-* ``("cobuchi", S)``  -- accept iff Inf avoids S,
-* ``("rabin", pairs)``-- accept iff some pair (A, B) has Inf avoiding A and
-  intersecting B.
-
-Translation builds Rabin automata only, with one product engine: the
-distinct component runners, each stepped once, combined into one Rabin pair
-per branch by :func:`product` and cascaded onto a bed by :func:`cascade`.
-The other two kinds come from HOA input.
+Translation has one product step: per transition, :func:`cascade` looks up
+the bed successor, steps each distinct component runner once and advances
+each branch's watcher, then reads one Rabin pair per branch off the
+explored states.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ class OmegaAutomaton:
     init: int
     trans: list               # trans[state][letter_index] -> state
     labels: list              # human-readable state annotations
-    acc: tuple                # acceptance as described above
+    acc: tuple                # ("rabin", pairs) as described above
 
     @property
     def letters(self):
@@ -48,10 +46,8 @@ class OmegaAutomaton:
         """Check determinism, completeness and acceptance well-formedness;
         raise AssertionError explicitly, so it also checks under ``-O``."""
         n, width = len(self.trans), 1 << len(self.ap)
-        kind, sets = self.acc
-        if kind in ("buchi", "cobuchi"):
-            sets = [(sets, frozenset())]
-        elif kind != "rabin":
+        kind, pairs = self.acc
+        if kind != "rabin":
             raise AssertionError("unknown acceptance %r" % (kind,))
         if not (0 <= self.init < n and len(self.labels) == n):
             raise AssertionError("initial state or labels do not fit")
@@ -59,78 +55,33 @@ class OmegaAutomaton:
             if len(row) != width or not all(
                     isinstance(q, int) and 0 <= q < n for q in row):
                 raise AssertionError("bad transition row %r" % (row,))
-        if not all(0 <= q < n for a, b in sets for q in a | b):
+        if not all(0 <= q < n for a, b in pairs for q in a | b):
             raise AssertionError("acceptance state out of range")
         return True
 
 
 @dataclass
 class BedAutomaton:
-    """The acceptance-free component other automata are cascaded onto."""
+    """The acceptance-free component the runners observe; starts in 0."""
     ap: tuple
-    init: int
     trans: list
     labels: list
     state_objs: list          # opaque payload per state, passed to runners
 
 
 class Runner:
-    """A deterministic transition system that also observes the bed state.
+    """A Büchi or co-Büchi component that also observes the bed state.
 
     ``step(q, bed_obj, sigma)`` sees the bed state *reached* on the current
-    letter, and ``label(q)`` names a state.  A component runner marks the
-    states of its Büchi or co-Büchi set with ``accepting(q)``; the product
-    runner built by :func:`product` instead carries Rabin ``pairs`` of
-    (avoid, meet) predicates on its states.
+    letter, ``accepting(q)`` marks the states of its set and ``label(q)``
+    names a state.
     """
 
-    def __init__(self, init, step, accepting=None, pairs=None, label=str):
+    def __init__(self, init, step, accepting, label=str):
         self.init = init
         self.step = step
         self.accepting = accepting
-        self.pairs = pairs
         self.label = label
-
-
-def product(components, branches):
-    """Union over the branches of the intersection of their components.
-
-    ``components`` are Büchi or co-Büchi runners, each stepped once per
-    transition however many branches share it.  A branch ``(co-Büchi
-    indices, Büchi indices, name)`` gives one Rabin pair: it avoids the
-    states where one of its co-Büchi components is in its set and meets the
-    ticks of a round-robin watcher, which waits for each of its Büchi
-    components in turn to visit its set (without any, every state ticks).
-    States are ``(component states, per-branch (watched index, tick))``,
-    labelled ``name{label; ...} || ...``; the pairs come in branch order.
-    """
-    def step(state, bed_obj, sigma):
-        qs, watchers = state
-        ticks = []
-        for (_, bu, _), (rr, _) in zip(branches, watchers):
-            if not bu:
-                ticks.append((0, True))
-            elif components[bu[rr]].accepting(qs[bu[rr]]):
-                rr = (rr + 1) % len(bu)
-                ticks.append((rr, rr == 0))
-            else:
-                ticks.append((rr, False))
-        return (tuple(c.step(q, bed_obj, sigma)
-                      for c, q in zip(components, qs)), tuple(ticks))
-
-    def label(state):
-        labels = [c.label(q) for c, q in zip(components, state[0])]
-        return " || ".join("%s{%s}" % (name, "; ".join(labels[i]
-                                                       for i in (*co, *bu)))
-                           for co, bu, name in branches)
-
-    init = (tuple(c.init for c in components),
-            tuple((0, not bu) for _, bu, _ in branches))
-    pairs = [(lambda state, co=co: any(components[i].accepting(state[0][i])
-                                       for i in co),
-              lambda state, b=b: state[1][b][1])
-             for b, (co, _, _) in enumerate(branches)]
-    return Runner(init, step, pairs=pairs, label=label)
 
 
 class StateLimitExceeded(Exception):
@@ -163,28 +114,53 @@ def _explore(ap, init_state, succ, max_states=None):
     return order, trans
 
 
-def cascade(bed, runner, max_states=None):
-    """Rabin automaton of a bed and a product runner observing it.
+def cascade(bed, components, branches, max_states=None):
+    """Rabin automaton of the union over the branches of the intersection
+    of their components, all observing the bed.
 
-    States are ``(runner state, bed state)`` pairs in BFS order, labelled
-    ``runner | bed``; the pairs are the runner's, in its order.  Raises
-    :class:`StateLimitExceeded` when exploration would pass ``max_states``.
+    ``components`` are runners, each stepped once per transition however
+    many branches share it.  A branch ``(co-Büchi indices, Büchi indices,
+    name)`` gives one Rabin pair: it avoids the states where one of its
+    co-Büchi components is in its set and meets the ticks of a round-robin
+    watcher, which waits for each of its Büchi components in turn to visit
+    its set (without any, every state ticks).  States are ``(component
+    states, per-branch (watched index, tick), bed state)`` in BFS order,
+    labelled ``name{label; ...} || ... | bed``; the pairs come in branch
+    order.  Raises :class:`StateLimitExceeded` when exploration would pass
+    ``max_states``.
     """
     letter_index = {sigma: i for i, sigma in enumerate(letters_for(bed.ap))}
 
-    def succ(pair, sigma):
-        q, s = pair
+    def succ(state, sigma):
+        qs, watchers, s = state
+        ticks = []
+        for (_, bu, _), (rr, _) in zip(branches, watchers):
+            if not bu:
+                ticks.append((0, True))
+            elif components[bu[rr]].accepting(qs[bu[rr]]):
+                rr = (rr + 1) % len(bu)
+                ticks.append((rr, rr == 0))
+            else:
+                ticks.append((rr, False))
         s2 = bed.trans[s][letter_index[sigma]]
-        return (runner.step(q, bed.state_objs[s2], sigma), s2)
+        obj = bed.state_objs[s2]
+        return (tuple(c.step(q, obj, sigma) for c, q in zip(components, qs)),
+                tuple(ticks), s2)
 
-    order, trans = _explore(bed.ap, (runner.init, bed.init), succ,
-                            max_states)
-    labels = ["%s | %s" % (runner.label(q), bed.labels[s])
-              for (q, s) in order]
-    acc = ("rabin",
-           tuple((frozenset(i for i, (q, _) in enumerate(order) if avoid(q)),
-                  frozenset(i for i, (q, _) in enumerate(order) if meet(q)))
-                 for avoid, meet in runner.pairs))
+    init = (tuple(c.init for c in components),
+            tuple((0, not bu) for _, bu, _ in branches), 0)
+    order, trans = _explore(bed.ap, init, succ, max_states)
+    labels = []
+    for qs, _, s in order:
+        parts = [c.label(q) for c, q in zip(components, qs)]
+        labels.append("%s | %s" % (" || ".join(
+            "%s{%s}" % (name, "; ".join(parts[i] for i in (*co, *bu)))
+            for co, bu, name in branches), bed.labels[s]))
+    acc = ("rabin", tuple(
+        (frozenset(i for i, (qs, _, _) in enumerate(order)
+                   if any(components[j].accepting(qs[j]) for j in co)),
+         frozenset(i for i, (_, ws, _) in enumerate(order) if ws[b][1]))
+        for b, (co, _, _) in enumerate(branches)))
     return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 
@@ -211,9 +187,4 @@ def accepts(auto, word):
         sigma = word.letter(t) & apset
         q = auto.trans[q][auto.letter_index(sigma)]
         t += 1
-    kind, data = auto.acc
-    if kind == "buchi":
-        return bool(inf & data)
-    if kind == "cobuchi":
-        return not inf & data
-    return any(not inf & avoid and inf & meet for avoid, meet in data)
+    return any(not inf & avoid and inf & meet for avoid, meet in auto.acc[1])

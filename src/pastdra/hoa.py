@@ -4,7 +4,8 @@ The writer emits one edge per letter with an explicit conjunction label and
 state-based acceptance sets, and is deterministic: same automaton, same
 bytes.  The reader only understands that shape (plus whitespace slack); it
 exists for round-trip checks and for feeding previously exported automata
-back into the membership checker.
+back into the membership checker.  Büchi and co-Büchi input is read as one
+Rabin pair, so every automaton is written back out as Rabin.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import re
 from .automata import OmegaAutomaton
 
 
-def _acc_header(acc):
-    kind, data = acc
-    if kind == "buchi":
-        return "acc-name: Buchi\nAcceptance: 1 Inf(0)"
-    if kind == "cobuchi":
-        return "acc-name: co-Buchi\nAcceptance: 1 Fin(0)"
-    pairs = data
+def _acc_header(pairs):
     if not pairs:
         return "acc-name: Rabin 0\nAcceptance: 0 f"
     terms = ["(Fin(%d)&Inf(%d))" % (2 * i, 2 * i + 1)
@@ -29,12 +24,9 @@ def _acc_header(acc):
         len(pairs), 2 * len(pairs), " | ".join(terms))
 
 
-def _state_sets(acc, q):
-    kind, data = acc
-    if kind in ("buchi", "cobuchi"):
-        return [0] if q in data else []
+def _state_sets(pairs, q):
     out = []
-    for i, (avoid, meet) in enumerate(data):
+    for i, (avoid, meet) in enumerate(pairs):
         if q in avoid:
             out.append(2 * i)
         if q in meet:
@@ -50,7 +42,7 @@ def export_hoa(auto, name=None):
     lines.append("Start: %d" % auto.init)
     lines.append("AP: %d %s" % (len(auto.ap),
                                 " ".join('"%s"' % p for p in auto.ap)))
-    lines.append(_acc_header(auto.acc))
+    lines.append(_acc_header(auto.acc[1]))
     lines.append("properties: trans-labels explicit-labels state-acc "
                  "deterministic complete")
     lines.append("--BODY--")
@@ -59,7 +51,7 @@ def export_hoa(auto, name=None):
                         for j in range(len(auto.ap))) or "t"
              for li in range(width)]
     for q in range(auto.n_states()):
-        sets = _state_sets(auto.acc, q)
+        sets = _state_sets(auto.acc[1], q)
         lines.append('State: %d "%s"%s' % (
             q, auto.labels[q].replace('"', "'"),
             " {%s}" % " ".join(map(str, sets)) if sets else ""))
@@ -74,7 +66,7 @@ def export_dot(auto):
            '  __init [shape=point,label=""];',
            "  __init -> q%d;" % auto.init]
     for q in range(auto.n_states()):
-        sets = _state_sets(auto.acc, q)
+        sets = _state_sets(auto.acc[1], q)
         extra = " [%s]" % ",".join(map(str, sets)) if sets else ""
         shape = "doublecircle" if sets else "circle"
         out.append('  q%d [shape=%s,label="%d%s\\n%s"];'
@@ -156,20 +148,20 @@ def parse_hoa(text):
         raise ValueError("HOA transition table is incomplete: only complete "
                          "automata with one edge per letter are supported")
 
+    def marked(i):
+        return frozenset(q for q in range(n) if i in sets[q])
+
     name = accm.group(1)
     if name == "Buchi":
-        acc = ("buchi", frozenset(q for q in range(n) if 0 in sets[q]))
+        pairs = ((frozenset(), marked(0)),)
     elif name == "co-Buchi":
-        acc = ("cobuchi", frozenset(q for q in range(n) if 0 in sets[q]))
+        pairs = ((marked(0), frozenset(range(n))),)
     elif name == "Rabin" and accm.group(2):
-        k = int(accm.group(2))
-        acc = ("rabin", tuple(
-            (frozenset(q for q in range(n) if 2 * i in sets[q]),
-             frozenset(q for q in range(n) if 2 * i + 1 in sets[q]))
-            for i in range(k)))
+        pairs = tuple((marked(2 * i), marked(2 * i + 1))
+                      for i in range(int(accm.group(2))))
     else:
         raise ValueError("unsupported acceptance %r" % name)
-    return OmegaAutomaton(ap, init, trans, labels, acc)
+    return OmegaAutomaton(ap, init, trans, labels, ("rabin", pairs))
 
 
 def _expr_letter_index(expr, nap):

@@ -63,7 +63,7 @@ def format_word(w):
                         ",".join(_format_letter(s) for s in w.period))
 
 
-_LETTER_RE = re.compile(r"\{([a-z0-9_,\s]*)\}")
+_LETTER_RE = re.compile(r"\{([a-zA-Z0-9_,\s]*)\}")
 
 
 def _parse_side(text):
@@ -180,8 +180,8 @@ def _forward(raws, step, init):
     """Run ``state = step(state, *inputs(t))`` forward; output is the state.
 
     The update is monotone in the carried state, so the boundary state is
-    stable after one extra cycle; a second extra cycle is computed to assert
-    that.
+    stable after one extra cycle; a second extra cycle is computed to check
+    that (raising AssertionError explicitly, so it also checks under ``-O``).
     """
     threshold, period = _align(raws)
     state = init
@@ -189,8 +189,9 @@ def _forward(raws, step, init):
     for t in range(threshold + 3 * period):
         state = step(state, *(_raw_value(r, t) for r in raws))
         bits.append(state)
-    assert bits[threshold + period:threshold + 2 * period] == \
-        bits[threshold + 2 * period:threshold + 3 * period]
+    if bits[threshold + period:threshold + 2 * period] != \
+            bits[threshold + 2 * period:threshold + 3 * period]:
+        raise AssertionError("forward state did not stabilize")
     return (threshold + period, period, bits[:threshold + 2 * period])
 
 

@@ -7,8 +7,9 @@ least-fixpoint subformulas that recur and the greatest-fixpoint subformulas
 that eventually hold forever.  Each branch contributes one Rabin pair and
 intersects a few component runners: the safety runner of M, a ``G`` runner
 per (psi, M) and an ``F`` runner per (psi, N).  Components are shared across
-guesses, so each distinct one is built and stepped once, and the union over
-all guesses is taken at the runner level so the bed is never duplicated.
+guesses, so each distinct one is built and stepped once, and
+:func:`~pastdra.automata.cascade` explores the bed, the components and the
+branches in one product, so the bed is never duplicated.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations
 from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
-from .automata import BedAutomaton, Runner, cascade, product
+from .automata import BedAutomaton, Runner, cascade
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, wc)
 
@@ -26,7 +27,7 @@ DEFAULT_MAX_STATES = 200000
 
 
 class TranslationContext:
-    """Shared tables for one formula: past sets, saturation, the bed."""
+    """Shared tables for one formula: past sets, saturation, the bed step."""
 
     def __init__(self, phi, ap=None, max_states=DEFAULT_MAX_STATES):
         F.clear_memos()
@@ -55,7 +56,6 @@ class TranslationContext:
                                            for x in ci)
         self.mu = F.sorted_set(F.mu_subformulas(phi))
         self.nu = F.sorted_set(F.nu_subformulas(phi))
-        self._bed = None
 
     def rc(self, state, sigma):
         """Bed transition: component i re-derives from every refining j."""
@@ -75,12 +75,6 @@ class TranslationContext:
             parts.append(acc)
         return tuple(parts)
 
-    @property
-    def bed(self):
-        if self._bed is None:
-            self._bed = build_wc_automaton(self)
-        return self._bed
-
 
 def _bed_label(state):
     return "<%s>" % ", ".join(str(P.to_formula(b)) for b in state)
@@ -93,7 +87,7 @@ def build_wc_automaton(ctx):
     # ``automata._explore`` (the benchmark's tracer) sees the bed too.
     from .automata import _explore
     order, trans = _explore(ctx.ap, init, ctx.rc, ctx.max_states)
-    return BedAutomaton(ctx.ap, 0, trans,
+    return BedAutomaton(ctx.ap, trans,
                         [_bed_label(s) for s in order], list(order))
 
 
@@ -187,7 +181,7 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
     # order and so the state labels.
     components = [build_safety_runner(ctx, key[1]) if key[0] == "S"
                   else _limit_runner(ctx, *key) for key in index]
-    return cascade(ctx.bed, product(components, branches), max_states)
+    return cascade(build_wc_automaton(ctx), components, branches, max_states)
 
 
 def translation_stats(phi, auto):

@@ -25,7 +25,8 @@ from pastdra.rewrites import (compose_sequence, enumerate_past_sets,
                               is_saturated, rewrite_mu_limit,
                               rewrite_nu_limit, rewrite_set, rewrite_under)
 from pastdra.stability import check_master, entailed_seq, limit_sets
-from pastdra.translate import TranslationContext, translate, translation_stats
+from pastdra.translate import (TranslationContext, build_wc_automaton, translate,
+                               translation_stats)
 
 parse = F.parse
 AP3 = ("p", "q", "r")
@@ -160,7 +161,7 @@ def test_size_bounds_and_audits(corpus_automata):
         assert stats["pairs"] <= 1 << k, text
         # the shared acceptance-free component respects the doubly
         # exponential state bound (compared in the log to stay cheap)
-        bed = TranslationContext(f, list(AP3)).bed
+        bed = build_wc_automaton(TranslationContext(f, list(AP3)))
         states = len(bed.trans)
         n, m = F.size(f)
         assert max(states - 1, 1).bit_length() <= 2 ** (n + 2 * m), text

@@ -2,7 +2,8 @@ import pytest
 
 from pastdra.automata import (BedAutomaton, OmegaAutomaton, Runner,
                               StateLimitExceeded, accepts, cascade,
-                              letters_for, product)
+                              letters_for)
+from pastdra.hoa import parse_hoa
 from pastdra.lasso import parse_word
 
 
@@ -29,28 +30,44 @@ def _p_tracker(acc):
         labels=["!p", "p"], acc=acc)
 
 
+def _p_tracker_hoa(acc_name, acceptance):
+    # the same tracker written as HOA, with state 1 in acceptance set 0
+    return parse_hoa("\n".join([
+        "HOA: v1", "States: 2", "Start: 0", 'AP: 1 "p"',
+        "acc-name: " + acc_name, "Acceptance: " + acceptance, "--BODY--",
+        'State: 0 "!p"', "[!0] 0", "[0] 1",
+        'State: 1 "p" {0}', "[!0] 0", "[0] 1", "--END--"]))
+
+
+INF_P = ("rabin", [(frozenset(), frozenset({1}))])
+
+
 def test_audit_accepts_wellformed():
-    assert _p_tracker(("buchi", frozenset({1}))).audit()
+    assert _p_tracker(INF_P).audit()
     assert _mod_counter(("p",), 3, ("rabin",
                                     [(frozenset({0}), frozenset({1}))])).audit()
 
 
 def test_audit_rejects_bad_transition():
-    a = _p_tracker(("buchi", frozenset({1})))
+    a = _p_tracker(INF_P)
     a.trans[0][1] = 7
     with pytest.raises(AssertionError):
         a.audit()
 
 
 def test_accepts_buchi():
-    a = _p_tracker(("buchi", frozenset({1})))
+    a = _p_tracker_hoa("Buchi", "1 Inf(0)")
+    assert a.acc == ("rabin", ((frozenset(), frozenset({1})),))
+    a.audit()
     assert accepts(a, parse_word("; {p}"))
     assert accepts(a, parse_word("; {p},{}"))
     assert not accepts(a, parse_word("{p} ; {}"))
 
 
 def test_accepts_cobuchi():
-    a = _p_tracker(("cobuchi", frozenset({1})))
+    a = _p_tracker_hoa("co-Buchi", "1 Fin(0)")
+    assert a.acc == ("rabin", ((frozenset({1}), frozenset({0, 1})),))
+    a.audit()
     assert not accepts(a, parse_word("; {p},{}"))
     assert accepts(a, parse_word("{p},{p} ; {}"))
 
@@ -63,19 +80,20 @@ def test_accepts_rabin():
 
 
 def test_accepts_ignores_foreign_props():
-    a = _p_tracker(("buchi", frozenset({1})))
+    a = _p_tracker(INF_P)
     assert accepts(a, parse_word("; {p,q}"))
 
 
 def _one_state_bed(ap):
-    return BedAutomaton(ap=tuple(ap), init=0, trans=[[0] * (1 << len(ap))],
+    return BedAutomaton(ap=tuple(ap), trans=[[0] * (1 << len(ap))],
                         labels=["-"], state_objs=[None])
 
 
-def _last_letter(prop, accepting=None, pairs=None):
-    # state 1 iff the last letter contained the given proposition
+def _last_letter(prop):
+    # state 1 iff the last letter contained the given proposition; the
+    # accepting set is {1}
     return Runner(init=0, step=lambda q, obj, s: int(prop in s),
-                  accepting=accepting, pairs=pairs,
+                  accepting=lambda q: q == 1,
                   label=lambda q: ("" if q else "!") + prop)
 
 
@@ -84,23 +102,22 @@ def test_rabin_union_is_language_union():
     words = [parse_word("; {p}"), parse_word("; {}"),
              parse_word("{p} ; {}"), parse_word("; {p},{}")]
     bed = _one_state_bed(("p",))
-    last_p = _last_letter("p", accepting=lambda q: q == 1)
+    last_p = _last_letter("p")
     steps = []
 
     def counted_step(q, obj, sigma):
         steps.append(q)
         return last_p.step(q, obj, sigma)
 
-    counted = Runner(0, counted_step, accepting=last_p.accepting,
-                     label=last_p.label)
-    u = cascade(bed, product([counted], [([], [0], "inf"), ([0], [], "fin")]))
+    counted = Runner(0, counted_step, last_p.accepting, last_p.label)
+    u = cascade(bed, [counted], [([], [0], "inf"), ([0], [], "fin")])
     u.audit()
     assert len(u.acc[1]) == 2
     assert u.labels[0] == "inf{!p} || fin{!p} | -"
     # stepped once per product transition, not once per branch
     assert len(steps) == u.n_states() * 2
-    inf_p = cascade(bed, product([last_p], [([], [0], "inf")]))
-    fin_p = cascade(bed, product([last_p], [([0], [], "fin")]))
+    inf_p = cascade(bed, [last_p], [([], [0], "inf")])
+    fin_p = cascade(bed, [last_p], [([0], [], "fin")])
     assert not accepts(inf_p, parse_word("{p} ; {}"))
     assert not accepts(fin_p, parse_word("; {p},{}"))
     for w in words:
@@ -110,9 +127,9 @@ def test_rabin_union_is_language_union():
 def test_rabin_conjunction_single_pair():
     # Büchi "p infinitely often" and co-Büchi "q finitely often" conjoined
     bed = _one_state_bed(("p", "q"))
-    buchi = _last_letter("p", accepting=lambda q: q == 1)
-    cob = _last_letter("q", accepting=lambda q: q == 1)
-    a = cascade(bed, product([cob, buchi], [([0], [1], "c")]))
+    buchi = _last_letter("p")
+    cob = _last_letter("q")
+    a = cascade(bed, [cob, buchi], [([0], [1], "c")])
     a.audit()
     assert a.acc[0] == "rabin" and len(a.acc[1]) == 1
     assert a.labels[0] == "c{!q; !p} | -"
@@ -121,29 +138,26 @@ def test_rabin_conjunction_single_pair():
     assert not accepts(a, parse_word("; {p,q}"))
     assert not accepts(a, parse_word("; {}"))
     # two Büchi components are watched in turn
-    both = cascade(bed, product(
-        [buchi, _last_letter("q", accepting=lambda q: q == 1)],
-        [([], [0, 1], "c")]))
+    both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1], "c")])
     assert accepts(both, parse_word("; {p},{q}"))
     assert not accepts(both, parse_word("{q} ; {p}"))
 
 
 def test_cascade_runner_sees_reached_bed_state():
     # bed flips between two states on p; the runner copies what it observes
-    bed = BedAutomaton(ap=("p",), init=0,
-                       trans=[[0, 1], [1, 0]], labels=["a", "b"],
+    bed = BedAutomaton(ap=("p",), trans=[[0, 1], [1, 0]], labels=["a", "b"],
                        state_objs=["a", "b"])
     run = Runner(init="a", step=lambda q, obj, s: obj,
-                 pairs=[(lambda q: False, lambda q: q == "b")])
-    a = cascade(bed, run)
+                 accepting=lambda q: q == "b")
+    a = cascade(bed, [run], [([], [0], "b")])
     a.audit()
     assert accepts(a, parse_word("{p} ; {}"))  # bed reaches b and stays
     assert not accepts(a, parse_word("; {}"))  # bed never leaves a
 
 
 def test_cascade_state_limit():
-    bed = BedAutomaton(ap=("p",), init=0, trans=[[0, 0]], labels=["-"],
-                       state_objs=[None])
-    run = Runner(init=0, step=lambda q, obj, s: q + 1, pairs=[])
+    bed = _one_state_bed(("p",))
+    run = Runner(init=0, step=lambda q, obj, s: q + 1,
+                 accepting=lambda q: False)
     with pytest.raises(StateLimitExceeded):
-        cascade(bed, run, max_states=10)
+        cascade(bed, [run], [], max_states=10)

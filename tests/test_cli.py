@@ -17,6 +17,12 @@ def test_eval(capsys):
     assert code == 0 and out.strip() == "false"
 
 
+def test_eval_upper_case_proposition(capsys):
+    # letters name propositions as the formula tokenizer does
+    code, out, _ = run(capsys, "eval", "pA", "; {pA}")
+    assert code == 0 and out.strip() == "true"
+
+
 def test_eval_position(capsys):
     code, out, _ = run(capsys, "eval", "Y p", "{p} ; {q}", "1")
     assert code == 0 and out.strip() == "true"

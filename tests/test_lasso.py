@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from pastdra import formula as F
 from pastdra.gen import random_formula_bounded, random_lasso
-from pastdra.lasso import (LassoWord, PeriodicBitSeq, eval_seq, format_word,
-                           holds, naive_holds, parse_word)
+from pastdra.lasso import (LassoWord, PeriodicBitSeq, _forward, eval_seq,
+                           format_word, holds, naive_holds, parse_word)
 
 parse = F.parse
 
@@ -149,3 +149,10 @@ def test_word_is_hashable_and_frozen():
     assert w == LassoWord(w.prefix, w.period)
     with pytest.raises(AttributeError):
         w.prefix = ()
+
+
+def test_forward_rejects_unstable_state():
+    # a toggling update is not monotone, so its state never stabilizes; the
+    # check raises explicitly and so also holds under ``python -O``
+    with pytest.raises(AssertionError):
+        _forward(((0, 1, [True]),), lambda prev, a: not prev, False)
