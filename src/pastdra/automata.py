@@ -9,8 +9,9 @@ A Büchi set S is the one pair (∅, S), a co-Büchi set S the one pair
 
 Translation has one product step: per transition, :func:`cascade` looks up
 the bed successor, steps each distinct component runner once and advances
-each branch's watcher, then reads one Rabin pair per branch off the
-explored states.
+each branch's watcher, then reads the state labels and one Rabin pair per
+branch off the explored states.  A label names each component once,
+however many branches share it.
 """
 
 from __future__ import annotations
@@ -119,22 +120,22 @@ def cascade(bed, components, branches, max_states=None):
     of their components, all observing the bed.
 
     ``components`` are runners, each stepped once per transition however
-    many branches share it.  A branch ``(co-Büchi indices, Büchi indices,
-    name)`` gives one Rabin pair: it avoids the states where one of its
-    co-Büchi components is in its set and meets the ticks of a round-robin
-    watcher, which waits for each of its Büchi components in turn to visit
-    its set (without any, every state ticks).  States are ``(component
-    states, per-branch (watched index, tick), bed state)`` in BFS order,
-    labelled ``name{label; ...} || ... | bed``; the pairs come in branch
-    order.  Raises :class:`StateLimitExceeded` when exploration would pass
-    ``max_states``.
+    many branches share it.  A branch ``(co-Büchi indices, Büchi indices)``
+    gives one Rabin pair: it avoids the states where one of its co-Büchi
+    components is in its set and meets the ticks of a round-robin watcher,
+    which waits for each of its Büchi components in turn to visit its set
+    (without any, every state ticks).  States are ``(component states,
+    per-branch (watched index, tick), bed state)`` in BFS order, labelled
+    ``label; ... | bed`` with one label per component in component order;
+    the pairs come in branch order.  Raises :class:`StateLimitExceeded` when
+    exploration would pass ``max_states``.
     """
     letter_index = {sigma: i for i, sigma in enumerate(letters_for(bed.ap))}
 
     def succ(state, sigma):
         qs, watchers, s = state
         ticks = []
-        for (_, bu, _), (rr, _) in zip(branches, watchers):
+        for (_, bu), (rr, _) in zip(branches, watchers):
             if not bu:
                 ticks.append((0, True))
             elif components[bu[rr]].accepting(qs[bu[rr]]):
@@ -148,19 +149,17 @@ def cascade(bed, components, branches, max_states=None):
                 tuple(ticks), s2)
 
     init = (tuple(c.init for c in components),
-            tuple((0, not bu) for _, bu, _ in branches), 0)
+            tuple((0, not bu) for _, bu in branches), 0)
     order, trans = _explore(bed.ap, init, succ, max_states)
     labels = []
     for qs, _, s in order:
         parts = [c.label(q) for c, q in zip(components, qs)]
-        labels.append("%s | %s" % (" || ".join(
-            "%s{%s}" % (name, "; ".join(parts[i] for i in (*co, *bu)))
-            for co, bu, name in branches), bed.labels[s]))
+        labels.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
     acc = ("rabin", tuple(
         (frozenset(i for i, (qs, _, _) in enumerate(order)
                    if any(components[j].accepting(qs[j]) for j in co)),
          frozenset(i for i, (_, ws, _) in enumerate(order) if ws[b][1]))
-        for b, (co, _, _) in enumerate(branches)))
+        for b, (co, _) in enumerate(branches)))
     return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 

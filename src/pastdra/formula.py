@@ -340,6 +340,9 @@ _TOKEN_RE = re.compile(r"""
 _KEYWORDS = ("wY", "wS", "wB", "tt", "ff")  # identifiers that are not names
 _UNARY_WORDS = {"F", "G", "O", "H", "X", "Y", "wY"}
 _BINARY_WORDS = {"U", "W", "R", "M", "S", "wS", "B", "wB"}
+# The right-associative binary levels, loosest first: token -> raw node op.
+_LEVELS = ({"<->": "iff"}, {"->": "imp"}, {"|": "or"}, {"&": "and"},
+           {w: w for w in _BINARY_WORDS})
 
 
 def _tokenize(text):
@@ -386,47 +389,17 @@ class _Parser:
                              pos)
 
     # Raw AST nodes are tuples ("op", child...) to keep sugar around until
-    # the NNF pass.
-    def formula(self):
-        left = self.implication()
-        if self.peek()[1] == "<->":
-            self.next()
-            right = self.formula()
-            return ("iff", left, right)
-        return left
-
-    def implication(self):
-        left = self.disjunction()
-        if self.peek()[1] == "->":
-            self.next()
-            right = self.implication()
-            return ("imp", left, right)
-        return left
-
-    def disjunction(self):
-        left = self.conjunction()
-        if self.peek()[1] == "|":
-            self.next()
-            right = self.disjunction()
-            return ("or", left, right)
-        return left
-
-    def conjunction(self):
-        left = self.temporal()
-        if self.peek()[1] == "&":
-            self.next()
-            right = self.conjunction()
-            return ("and", left, right)
-        return left
-
-    def temporal(self):
-        left = self.unary()
-        kind, val, _ = self.peek()
-        if kind in ("op", "word") and val in _BINARY_WORDS:
-            self.next()
-            right = self.temporal()
-            return (val, left, right)
-        return left
+    # the NNF pass.  The last level calls ``unary`` itself, so each level
+    # costs one frame; the depth per parenthesis sets the "nested too
+    # deeply" threshold.
+    def formula(self, level=0):
+        left = (self.formula(level + 1) if level + 1 < len(_LEVELS)
+                else self.unary())
+        op = _LEVELS[level].get(self.peek()[1])
+        if op is None:
+            return left
+        self.next()
+        return (op, left, self.formula(level))
 
     def unary(self):
         kind, val, pos = self.peek()

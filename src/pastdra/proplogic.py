@@ -109,13 +109,6 @@ def disj(a, b):
     return _apply("or", a, b)
 
 
-def conj_all(bs):
-    out = TRUE_B
-    for b in bs:
-        out = conj(out, b)
-    return out
-
-
 def disj_all(bs):
     out = FALSE_B
     for b in bs:

@@ -132,33 +132,46 @@ def compose_sequence(f, sets):
 # ---------------------------------------------------------------------------
 # Fixpoint eliminations used by the stability argument.
 
+_LIMIT_WEAK_OF = {F.UNTIL: F.WUNTIL, F.SRELEASE: F.RELEASE}
+_LIMIT_STRONG_OF = {v: k for k, v in _LIMIT_WEAK_OF.items()}
+_mu_limit_memo = F.memo()
+_nu_limit_memo = F.memo()
+
+
 def rewrite_mu_limit(f, M):
     """Downgrade least-fixpoint future roots: members of ``M`` become weak
     (U -> W, M -> R), non-members collapse to ff.  Everything else recurses.
     """
-    if f.is_leaf:
-        return f
-    l = rewrite_mu_limit(f.left, M) if f.left is not None else None
-    r = rewrite_mu_limit(f.right, M) if f.right is not None else None
-    if f.kind == F.UNTIL:
-        return F.wuntil(l, r) if f in M else F.false()
-    if f.kind == F.SRELEASE:
-        return F.release(l, r) if f in M else F.false()
-    return F.make(f.kind, l, r)
+    M = frozenset(M)
+    out = _mu_limit_memo.get((f, M))
+    if out is None:
+        if f.is_leaf:
+            out = f
+        else:
+            l = rewrite_mu_limit(f.left, M) if f.left is not None else None
+            r = rewrite_mu_limit(f.right, M) if f.right is not None else None
+            if f.kind in _LIMIT_WEAK_OF and f not in M:
+                out = F.false()
+            else:
+                out = F.make(_LIMIT_WEAK_OF.get(f.kind, f.kind), l, r)
+        _mu_limit_memo[f, M] = out
+    return out
 
 
 def rewrite_nu_limit(f, N):
     """Resolve greatest-fixpoint future roots: members of ``N`` become tt,
     non-members become strong (W -> U, R -> M).  Everything else recurses.
     """
-    if f.is_leaf:
-        return f
-    if f.kind in (F.WUNTIL, F.RELEASE) and f in N:
-        return F.true()
-    l = rewrite_nu_limit(f.left, N) if f.left is not None else None
-    r = rewrite_nu_limit(f.right, N) if f.right is not None else None
-    if f.kind == F.WUNTIL:
-        return F.until(l, r)
-    if f.kind == F.RELEASE:
-        return F.srelease(l, r)
-    return F.make(f.kind, l, r)
+    N = frozenset(N)
+    out = _nu_limit_memo.get((f, N))
+    if out is None:
+        if f.is_leaf:
+            out = f
+        elif f.kind in _LIMIT_STRONG_OF and f in N:
+            out = F.true()
+        else:
+            l = rewrite_nu_limit(f.left, N) if f.left is not None else None
+            r = rewrite_nu_limit(f.right, N) if f.right is not None else None
+            out = F.make(_LIMIT_STRONG_OF.get(f.kind, f.kind), l, r)
+        _nu_limit_memo[f, N] = out
+    return out

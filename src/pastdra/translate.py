@@ -7,9 +7,11 @@ least-fixpoint subformulas that recur and the greatest-fixpoint subformulas
 that eventually hold forever.  Each branch contributes one Rabin pair and
 intersects a few component runners: the safety runner of M, a ``G`` runner
 per (psi, M) and an ``F`` runner per (psi, N).  Components are shared across
-guesses, so each distinct one is built and stepped once, and
+guesses, so each distinct one is built, stepped and labelled once, and
 :func:`~pastdra.automata.cascade` explores the bed, the components and the
-branches in one product, so the bed is never duplicated.
+branches in one product, so the bed is never duplicated.  The branches,
+and so the pairs, come M-major: M and N each run over the subsets of the
+sorted fixpoint subformulas by size, then lexicographically.
 """
 
 from __future__ import annotations
@@ -39,21 +41,17 @@ class TranslationContext:
         self.max_states = max_states
         self.past_sets = enumerate_past_sets(phi)
         self.k = len(self.past_sets)
-        self.refining = [tuple(j for j in range(self.k)
-                               if is_saturated(self.past_sets[j],
-                                               self.past_sets[i], phi))
-                         for i in range(self.k)]
-        # Per (i, j): C_i rewritten under C_j, and the weakening conditions
-        # owed by the members of C_i after that rewrite.
-        self._ij_sets = {}
-        self._ij_wcs = {}
-        for i in range(self.k):
-            ci = F.sorted_set(self.past_sets[i])
-            for j in self.refining[i]:
-                cj = self.past_sets[j]
-                self._ij_sets[i, j] = rewrite_set(self.past_sets[i], cj)
-                self._ij_wcs[i, j] = tuple(wc(rewrite_under(x, cj))
-                                           for x in ci)
+        # Saturation first, then one row per refining pair (i, j): j, C_i
+        # rewritten under C_j, and the weakening conditions owed by the
+        # members of C_i after that rewrite.  Both passes intern formulas.
+        sets = self.past_sets
+        saturated = [[j for j, cj in enumerate(sets)
+                      if is_saturated(cj, ci, phi)] for ci in sets]
+        self.refining = [tuple((j, rewrite_set(ci, sets[j]),
+                                tuple(wc(rewrite_under(x, sets[j]))
+                                      for x in F.sorted_set(ci)))
+                               for j in js)
+                         for ci, js in zip(sets, saturated)]
         self.mu = F.sorted_set(F.mu_subformulas(phi))
         self.nu = F.sorted_set(F.nu_subformulas(phi))
 
@@ -61,12 +59,11 @@ class TranslationContext:
         """Bed transition: component i re-derives from every refining j."""
         sigma = frozenset(sigma)
         parts = []
-        for i in range(self.k):
+        for rows in self.refining:
             acc = P.FALSE_B
-            for j in self.refining[i]:
-                cij = self._ij_sets[i, j]
+            for j, cij, owed_wcs in rows:
                 term = derive(state[j], sigma, cij)
-                for owed in self._ij_wcs[i, j]:
+                for owed in owed_wcs:
                     if term is P.FALSE_B:
                         break
                     term = P.conj(term, P.canonicalize(
@@ -91,15 +88,16 @@ def build_wc_automaton(ctx):
                         [_bed_label(s) for s in order], list(order))
 
 
-def _limit_cache(rewriter, rw_sets):
-    """Memoized (b, i) -> b with every atom rewritten by its limit under
-    ``rw_sets[i]``."""
-    fns = [lambda a, s=s: rewriter(a, s) for s in rw_sets]
-    memos = [{} for _ in rw_sets]
+_limit_memo = F.memo()
 
-    def apply(b, i):
-        return P.map_atoms(b, fns[i], memos[i])
-    return apply
+
+def _limit_view(b, limit, S):
+    """``b`` with every atom ``a`` replaced by ``limit(a, S)``.  The memo is
+    keyed by ``(limit, S)``, so every runner that needs a view shares it."""
+    memo = _limit_memo.get((limit, S))
+    if memo is None:
+        memo = _limit_memo[limit, S] = {}
+    return P.map_atoms(b, lambda a: limit(a, S), memo)
 
 
 def _limit_runner(ctx, tag, psi, S):
@@ -111,17 +109,14 @@ def _limit_runner(ctx, tag, psi, S):
     limit, wrap, trigger = ((rewrite_mu_limit, F.alw, P.FALSE_B) if tag == "G"
                             else (rewrite_nu_limit, F.ev, P.TRUE_B))
     rw = [rewrite_set(S, c) for c in ctx.past_sets]
-    limit_of = _limit_cache(limit, rw)
     restart_b = [P.canonicalize(wrap(limit(rewrite_under(psi, c), rw[i])))
                  for i, c in enumerate(ctx.past_sets)]
 
     def step(zeta, bed_state, sigma):
         if zeta is trigger:
-            out = P.FALSE_B
-            for i in range(ctx.k):
-                out = P.disj(out, P.conj(restart_b[i],
-                                         limit_of(bed_state[i], i)))
-            return out
+            return P.disj_all(P.conj(restart_b[i],
+                                     _limit_view(bed_state[i], limit, rw[i]))
+                              for i in range(ctx.k))
         return af_class(zeta, sigma)
 
     init = P.canonicalize(wrap(limit(psi, S)))
@@ -135,17 +130,15 @@ def build_safety_runner(ctx, M):
     it runs empty.
     """
     rw = [rewrite_set(M, c) for c in ctx.past_sets]
-    nu_of = _limit_cache(rewrite_mu_limit, rw)
 
     def step(q, bed_state, sigma):
         psi, zeta = q
         psi2 = af_class(psi, sigma)
         if zeta is P.FALSE_B:
-            out = P.FALSE_B
-            for i in range(ctx.k):
-                out = P.disj(out, P.conj(nu_of(psi2, i),
-                                         nu_of(bed_state[i], i)))
-            return (psi2, out)
+            return (psi2, P.disj_all(
+                P.conj(_limit_view(psi2, rewrite_mu_limit, rw[i]),
+                       _limit_view(bed_state[i], rewrite_mu_limit, rw[i]))
+                for i in range(ctx.k)))
         return (psi2, af_class(zeta, sigma))
 
     init = (P.canonicalize(ctx.phi),
@@ -161,7 +154,9 @@ def _subsets(items):
 
 
 def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
-    """Deterministic Rabin automaton for ``phi``; one pair per (M, N) guess.
+    """Deterministic Rabin automaton for ``phi``; one pair per (M, N) guess,
+    M-major, each of M and N in subset order (by size, then lexicographic
+    over ``ctx.mu`` or ``ctx.nu``).
 
     Raises :class:`StateLimitExceeded` when exploration would pass the cap.
     """
@@ -173,9 +168,7 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
             co = [("S", M)] + [("G", psi, M) for psi in N]
             bu = [("F", psi, N) for psi in M]
             branches.append(([index.setdefault(k, len(index)) for k in co],
-                             [index.setdefault(k, len(index)) for k in bu],
-                             "M=%s N=%s " % ([str(m) for m in M],
-                                             [str(n) for n in N])))
+                             [index.setdefault(k, len(index)) for k in bu]))
     # The runners are built before the bed and in first-appearance order:
     # both intern formulas, and the interning order fixes the BDD variable
     # order and so the state labels.

@@ -114,8 +114,8 @@ def test_translation_end_to_end(corpus_automata):
 
 
 CORPUS_HOA_SHA256 = (
-    "162e81a6e42d09f57e7abcca26e5126be6abfe33d6dab77a1424b65f1e03d98d")
-CORPUS_HOA_BYTES = 4398639
+    "fa03c8d41790ff4a9925d2a8f1f8113b608b3d1dc36c894af562b6fe6b24ab56")
+CORPUS_HOA_BYTES = 457019
 
 _CORPUS_HOA_SCRIPT = """
 import json, sys

@@ -98,7 +98,7 @@ def _last_letter(prop):
 
 
 def test_rabin_union_is_language_union():
-    # one shared component: Büchi in branch "inf", co-Büchi in branch "fin"
+    # one shared component: Büchi in one branch, co-Büchi in the other
     words = [parse_word("; {p}"), parse_word("; {}"),
              parse_word("{p} ; {}"), parse_word("; {p},{}")]
     bed = _one_state_bed(("p",))
@@ -110,14 +110,14 @@ def test_rabin_union_is_language_union():
         return last_p.step(q, obj, sigma)
 
     counted = Runner(0, counted_step, last_p.accepting, last_p.label)
-    u = cascade(bed, [counted], [([], [0], "inf"), ([0], [], "fin")])
+    u = cascade(bed, [counted], [([], [0]), ([0], [])])
     u.audit()
     assert len(u.acc[1]) == 2
-    assert u.labels[0] == "inf{!p} || fin{!p} | -"
+    assert u.labels[0] == "!p | -"
     # stepped once per product transition, not once per branch
     assert len(steps) == u.n_states() * 2
-    inf_p = cascade(bed, [last_p], [([], [0], "inf")])
-    fin_p = cascade(bed, [last_p], [([0], [], "fin")])
+    inf_p = cascade(bed, [last_p], [([], [0])])
+    fin_p = cascade(bed, [last_p], [([0], [])])
     assert not accepts(inf_p, parse_word("{p} ; {}"))
     assert not accepts(fin_p, parse_word("; {p},{}"))
     for w in words:
@@ -129,16 +129,16 @@ def test_rabin_conjunction_single_pair():
     bed = _one_state_bed(("p", "q"))
     buchi = _last_letter("p")
     cob = _last_letter("q")
-    a = cascade(bed, [cob, buchi], [([0], [1], "c")])
+    a = cascade(bed, [cob, buchi], [([0], [1])])
     a.audit()
     assert a.acc[0] == "rabin" and len(a.acc[1]) == 1
-    assert a.labels[0] == "c{!q; !p} | -"
+    assert a.labels[0] == "!q; !p | -"
     assert accepts(a, parse_word("; {p}"))
     assert accepts(a, parse_word("{q} ; {p},{}"))
     assert not accepts(a, parse_word("; {p,q}"))
     assert not accepts(a, parse_word("; {}"))
     # two Büchi components are watched in turn
-    both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1], "c")])
+    both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])])
     assert accepts(both, parse_word("; {p},{q}"))
     assert not accepts(both, parse_word("{q} ; {p}"))
 
@@ -149,7 +149,7 @@ def test_cascade_runner_sees_reached_bed_state():
                        state_objs=["a", "b"])
     run = Runner(init="a", step=lambda q, obj, s: obj,
                  accepting=lambda q: q == "b")
-    a = cascade(bed, [run], [([], [0], "b")])
+    a = cascade(bed, [run], [([], [0])])
     a.audit()
     assert accepts(a, parse_word("{p} ; {}"))  # bed reaches b and stays
     assert not accepts(a, parse_word("; {}"))  # bed never leaves a

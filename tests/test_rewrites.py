@@ -90,12 +90,35 @@ def test_rewrite_indices_reflexive():
     phi = F.parse("Y p & wY p")
     ctx = TranslationContext(phi)
     sets = ctx.past_sets
+    refining = [[j for j, _, _ in rows] for rows in ctx.refining]
     for i in range(len(sets)):
-        assert i in ctx.refining[i]
+        assert i in refining[i]
     yp = F.parse("Y p")
     i_yp = sets.index(frozenset({yp}))
     i_empty = sets.index(frozenset())
-    assert i_empty not in ctx.refining[i_yp]
+    assert i_empty not in refining[i_yp]
+
+
+def test_limit_rewrites_walk_the_dag(monkeypatch):
+    # Each <-> mentions both operands twice, so the tree of
+    # F(p <-> (q <-> ...)) doubles per level while its DAG grows linearly.
+    calls = [0]
+    make = F.make
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return make(*args, **kwargs)
+    monkeypatch.setattr(F, "make", counting)
+
+    def made(rewrite, levels):
+        f = F.parse("F(%s)" % " <-> ".join("pq"[i % 2]
+                                            for i in range(levels + 1)))
+        F.clear_memos()
+        calls[0] = 0
+        rewrite(f, ())
+        return calls[0]
+    for rewrite in (R.rewrite_mu_limit, R.rewrite_nu_limit):
+        assert made(rewrite, 16) < 4 * made(rewrite, 8)
 
 
 def _past_formulas():

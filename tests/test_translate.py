@@ -91,7 +91,6 @@ def test_state_limit():
 def test_rabin_component_is_one_witness():
     auto = translate(parse("F p"))
     # branches come in subset order: pair 1 is the guess M = {F p}, N = {}
-    assert auto.labels[0].split(" || ")[1].startswith("M=['F p'] N=[] {")
     comp = replace(auto, acc=("rabin", auto.acc[1][1:2]))
     comp.audit()
     # the full-M branch accepts exactly the words where p recurs
@@ -118,6 +117,14 @@ def test_components_are_stepped_once(monkeypatch):
     assert len(auto.acc[1]) == 64
     transitions = auto.n_states() * len(auto.letters)
     assert len(calls) <= 8 * transitions
+
+
+def test_labels_name_each_component_once():
+    # 64 guesses share 7 components; a label names each component once, so
+    # it has 7 parts.  Count "; ", not " | ": formula text contains " | ".
+    auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
+    assert len(auto.acc[1]) == 64
+    assert auto.labels[0].count("; ") == 6
 
 
 def test_hoa_round_trip():
