@@ -188,17 +188,6 @@ def conj_all(formulas):
     return out
 
 
-def disj_all(formulas):
-    """Right-nested disjunction of an iterable; ff when empty."""
-    items = list(formulas)
-    if not items:
-        return false()
-    out = items[-1]
-    for f in reversed(items[:-1]):
-        out = disj(f, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The dual of each operator, which the parser uses to push negations down.
 

@@ -23,10 +23,8 @@ _BINARY = (F.conj, F.disj, F.until, F.wuntil, F.release, F.srelease,
            F.since, F.wsince, F.back, F.wback)
 
 
-def random_formula(rng, ap, depth=3, allow_past=True):
+def random_formula(rng, ap, depth=3):
     """A random NNF formula with syntax-tree depth at most ``depth``."""
-    unary = _UNARY if allow_past else _UNARY[:1]
-    binary = _BINARY if allow_past else _BINARY[:6]
     if depth <= 0 or rng.random() < 0.25:
         r = rng.random()
         if r < 0.05:
@@ -36,18 +34,16 @@ def random_formula(rng, ap, depth=3, allow_past=True):
         name = rng.choice(ap)
         return F.prop(name) if rng.random() < 0.6 else F.nprop(name)
     if rng.random() < 0.35:
-        return rng.choice(unary)(
-            random_formula(rng, ap, depth - 1, allow_past))
-    op = rng.choice(binary)
-    return op(random_formula(rng, ap, depth - 1, allow_past),
-              random_formula(rng, ap, depth - 1, allow_past))
+        return rng.choice(_UNARY)(random_formula(rng, ap, depth - 1))
+    op = rng.choice(_BINARY)
+    return op(random_formula(rng, ap, depth - 1),
+              random_formula(rng, ap, depth - 1))
 
 
-def random_formula_bounded(rng, ap, max_size=6, max_past=2, depth=3,
-                           allow_past=True, tries=500):
+def random_formula_bounded(rng, ap, max_size=6, max_past=2, depth=3):
     """Retry :func:`random_formula` until the size budget is met."""
-    for _ in range(tries):
-        f = random_formula(rng, ap, depth, allow_past)
+    for _ in range(500):
+        f = random_formula(rng, ap, depth)
         n, m = F.size(f)
         if n + m <= max_size and len(F.psf(f)) <= max_past:
             return f

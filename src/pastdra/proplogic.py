@@ -8,12 +8,12 @@ subformula is its own atom.  ``p`` and ``!p`` are *distinct* atoms, so e.g.
 Canonical forms are reduced ordered BDDs, hash-consed so that two formulas are
 propositionally equivalent iff ``canonicalize`` returns the same object.  All
 combinations built here are positive (no complement operation is exposed), so
-every reachable function is monotone and a representative formula can be read
-off the true-paths of the diagram using only the positively decided atoms.
+every reachable function is monotone.
 
-Monotonicity also means the high branch of a node implies its low branch, so
-the node on atom ``a`` is the monotone if-then-else ``(a & hi) | lo``.
-``map_atoms`` substitutes formulas for atoms along that decomposition,
+Monotonicity means the high branch of a node implies its low branch, so the
+node on atom ``a`` is the monotone if-then-else ``(a & hi) | lo``.
+``to_formula`` writes a representative formula in exactly that shape, and
+``map_atoms`` substitutes formulas for atoms along the same decomposition,
 node by node, under a caller-owned ``memo``, without building a
 representative formula.
 """
@@ -26,7 +26,7 @@ from . import formula as F
 class Bool:
     """A node of the shared BDD; compare with ``is`` or ``==`` (identity)."""
 
-    __slots__ = ("var", "hi", "lo", "uid", "_rep", "_paths")
+    __slots__ = ("var", "hi", "lo", "uid", "_rep")
 
     def __init__(self, var, hi, lo, uid):
         self.var = var
@@ -34,7 +34,6 @@ class Bool:
         self.lo = lo
         self.uid = uid
         self._rep = None
-        self._paths = None
 
 
 TRUE_B = Bool(None, None, None, 0)
@@ -151,28 +150,23 @@ def atoms(b):
     return frozenset(out)
 
 
-def _one_paths(b):
-    """Positive-atom sets of all paths to true, in diagram order."""
-    if b._paths is not None:
-        return b._paths
-    if b is TRUE_B:
-        out = ((),)
-    elif b is FALSE_B:
-        out = ()
-    else:
-        out = tuple((b.var,) + p for p in _one_paths(b.hi)) + _one_paths(b.lo)
-    b._paths = out
-    return out
-
-
 def to_formula(b):
     """A deterministic representative formula of the function.
 
-    Valid for the monotone functions built here: on a true-path the
-    negatively decided atoms can be dropped without losing the path.
+    Read off the diagram node by node: a node on atom ``a`` is written
+    ``(a & hi) | lo``, dropping ``& tt`` and ``| ff``.  Its nesting depth is
+    the height of the diagram, and shared subdiagrams share their formulas.
     """
     if b._rep is None:
-        b._rep = F.disj_all(F.conj_all(path) for path in _one_paths(b))
+        if b is TRUE_B:
+            rep = F.true()
+        elif b is FALSE_B:
+            rep = F.false()
+        else:
+            rep = b.var if b.hi is TRUE_B else F.conj(b.var, to_formula(b.hi))
+            if b.lo is not FALSE_B:
+                rep = F.disj(rep, to_formula(b.lo))
+        b._rep = rep
     return b._rep
 
 

@@ -80,22 +80,23 @@ def wc(f):
     raise ValueError("wc is only defined on past-rooted formulas: %s" % f)
 
 
+def subsets(items):
+    """Every subset of ``items`` as a tuple: by size, then lexicographic."""
+    for r in range(len(items) + 1):
+        yield from combinations(items, r)
+
+
 def enumerate_past_sets(f):
     """All subsets of psf(f), the all-weak subset first.
 
-    The remaining subsets come in (cardinality, interning-order-lex) order,
-    so the enumeration is deterministic and the first entry is always the
-    canonical initial set.
+    The remaining subsets follow in :func:`subsets` order over the interning
+    order, so the enumeration is deterministic and the first entry is always
+    the canonical initial set.
     """
     ps = F.sorted_set(F.psf(f))
     all_weak = frozenset(p for p in ps if is_weak(p))
-    out = [all_weak]
-    for r in range(len(ps) + 1):
-        for combo in combinations(ps, r):
-            s = frozenset(combo)
-            if s != all_weak:
-                out.append(s)
-    return out
+    return [all_weak] + [s for s in map(frozenset, subsets(ps))
+                         if s != all_weak]
 
 
 def is_saturated(cj, ci, f):

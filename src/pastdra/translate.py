@@ -16,14 +16,13 @@ sorted fixpoint subformulas by size, then lexicographically.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
 from .automata import BedAutomaton, Runner, cascade
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
-                       rewrite_nu_limit, rewrite_set, rewrite_under, wc)
+                       rewrite_nu_limit, rewrite_set, rewrite_under, subsets,
+                       wc)
 
 DEFAULT_MAX_STATES = 200000
 
@@ -148,11 +147,6 @@ def build_safety_runner(ctx, M):
                                                P.to_formula(q[1])))
 
 
-def _subsets(items):
-    for r in range(len(items) + 1):
-        yield from combinations(items, r)
-
-
 def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
     """Deterministic Rabin automaton for ``phi``; one pair per (M, N) guess,
     M-major, each of M and N in subset order (by size, then lexicographic
@@ -163,8 +157,8 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
     ctx = TranslationContext(phi, ap, max_states)
     index = {}                # component key -> number, first appearance
     branches = []
-    for M in _subsets(ctx.mu):
-        for N in _subsets(ctx.nu):
+    for M in subsets(ctx.mu):
+        for N in subsets(ctx.nu):
             co = [("S", M)] + [("G", psi, M) for psi in N]
             bu = [("F", psi, N) for psi in M]
             branches.append(([index.setdefault(k, len(index)) for k in co],

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -114,8 +115,13 @@ def test_translation_end_to_end(corpus_automata):
 
 
 CORPUS_HOA_SHA256 = (
-    "fa03c8d41790ff4a9925d2a8f1f8113b608b3d1dc36c894af562b6fe6b24ab56")
-CORPUS_HOA_BYTES = 457019
+    "5cc6559d07a519cb77bcae31541c8097f94df70c5cf815cbc32e751c8e616c83")
+CORPUS_HOA_BYTES = 449723
+# The same text with every state label dropped: states, edges and Rabin
+# pairs.  A change that only edits labels leaves these two as they are.
+CORPUS_STRUCTURE_SHA256 = (
+    "e419cbd8b887b7687ee92ddd6f7cef48191bd8e076edf0d59ed4c5fd1d2c3160")
+CORPUS_STRUCTURE_BYTES = 268636
 
 _CORPUS_HOA_SCRIPT = """
 import json, sys
@@ -128,7 +134,7 @@ sys.stdout.buffer.write("".join(
 
 def test_corpus_hoa_is_golden():
     # Refactors must leave the automata byte-identical; a change that alters
-    # them on purpose updates the two constants above and says why.  The
+    # them on purpose updates the constants above and says why.  The
     # corpus is translated in a fresh interpreter: interning order steers
     # the BDD variable order and with it the state labels, and the tests
     # that run before this one intern formulas of their own.
@@ -137,6 +143,9 @@ def test_corpus_hoa_is_golden():
         [sys.executable, "-c", _CORPUS_HOA_SCRIPT],
         input=json.dumps(CORPUS).encode(), capture_output=True, check=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=600).stdout
+    structure = re.sub(rb'^(State: \d+) "[^"\n]*"', rb"\1", text, flags=re.M)
+    assert len(structure) == CORPUS_STRUCTURE_BYTES
+    assert hashlib.sha256(structure).hexdigest() == CORPUS_STRUCTURE_SHA256
     assert len(text) == CORPUS_HOA_BYTES
     assert hashlib.sha256(text).hexdigest() == CORPUS_HOA_SHA256
 

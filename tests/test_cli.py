@@ -40,6 +40,14 @@ def test_deep_formula_exit_code(capsys):
     assert err.strip() == "error: formula nested too deeply"
 
 
+def test_many_path_derivative_translates(capsys):
+    # (X p | X q) & (X X p | X X q) & ... with 10 conjuncts: a shallow
+    # formula whose derivatives have about 1,000 true-paths
+    phi = " & ".join("(%sp | %sq)" % ("X " * i, "X " * i) for i in range(1, 11))
+    code, _, err = run(capsys, "translate", phi, "--stats")
+    assert code == 0 and "states=13" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "p U", "; {}")
     assert code == 1 and err

@@ -45,6 +45,14 @@ def test_to_formula_deterministic():
     assert str(P.to_formula(b)) == str(P.to_formula(b))
 
 
+def test_to_formula_of_many_paths():
+    # 4,096 true-paths; the representative nests as deep as the diagram
+    f = F.parse(" & ".join("(p%d | q%d)" % (i, i) for i in range(12)))
+    b = P.canonicalize(f)
+    assert str(P.to_formula(b))
+    assert P.canonicalize(P.to_formula(b)) is b
+
+
 def test_map_atoms():
     b = P.canonicalize(F.parse("p & X q"))
 
