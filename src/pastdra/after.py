@@ -4,30 +4,32 @@
 ``sigma`` under the assumption that exactly the past subformulas in ``C``
 currently hold in the weak sense.  For a fixed ``C`` it distributes over
 ``&`` and ``|``, and it reads only the past subformulas of its argument.
+It returns the canonical function of the derivative (a ``proplogic``
+diagram), built with ``conj``/``disj`` from the atom up, so no formula
+tree of the result is made.
 
 ``af_class(b, sigma)`` is the transition function of the formula-state
-automata built later.  It works on canonical functions (``proplogic``
-diagrams) and removes the assumption by guessing: for every subset ``C`` of
-the past subformulas of ``b``'s atoms, each atom is derived under ``C`` and
-the results are composed on the diagram (``derive``); the
-disjunction over all guesses is the derivative.  No formula representative
-of ``b`` is built on the way.
+automata built later.  It works on canonical functions too and removes the
+assumption by guessing: for every subset ``C`` of the past subformulas of
+``b``'s atoms, each atom is derived under ``C`` and the results are composed
+on the diagram (``derive``); the disjunction over all guesses is the
+derivative.  No formula representative of ``b`` is built on the way.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 from . import formula as F
 from . import proplogic as P
-from .rewrites import rewrite_under, wc
+from .rewrites import rewrite_under, subsets, wc
 
 _afloc_memo = F.memo()
 
 
 def af_loc(f, sigma, C):
-    """One-letter derivative of ``f`` under past assumption ``C``."""
-    sigma = frozenset(sigma)
-    C = frozenset(C)
-    return _af_loc(f, sigma, C)
+    """Canonical one-letter derivative of ``f`` under past assumption ``C``."""
+    return _af_loc(f, frozenset(sigma), frozenset(C))
 
 
 def _af_loc(f, sigma, C):
@@ -36,30 +38,26 @@ def _af_loc(f, sigma, C):
     if out is not None:
         return out
     k = f.kind
-    if k == F.TRUE:
-        out = f
-    elif k == F.FALSE:
-        out = f
+    if k == F.TRUE or k == F.WYESTERDAY:
+        out = P.TRUE_B
+    elif k == F.FALSE or k == F.YESTERDAY:
+        out = P.FALSE_B
     elif k == F.PROP:
-        out = F.true() if f.name in sigma else F.false()
+        out = P.TRUE_B if f.name in sigma else P.FALSE_B
     elif k == F.NPROP:
-        out = F.false() if f.name in sigma else F.true()
+        out = P.FALSE_B if f.name in sigma else P.TRUE_B
     elif k == F.AND:
-        out = F.conj(_af_loc(f.left, sigma, C), _af_loc(f.right, sigma, C))
+        out = P.conj(_af_loc(f.left, sigma, C), _af_loc(f.right, sigma, C))
     elif k == F.OR:
-        out = F.disj(_af_loc(f.left, sigma, C), _af_loc(f.right, sigma, C))
+        out = P.disj(_af_loc(f.left, sigma, C), _af_loc(f.right, sigma, C))
     elif k == F.NEXT:
         out = pu_loc(f.left, sigma, C)
-    elif k == F.YESTERDAY:
-        out = F.false()
-    elif k == F.WYESTERDAY:
-        out = F.true()
     elif k in (F.UNTIL, F.WUNTIL):
-        out = F.disj(_af_loc(f.right, sigma, C),
-                     F.conj(_af_loc(f.left, sigma, C), pu_loc(f, sigma, C)))
+        out = P.disj(_af_loc(f.right, sigma, C),
+                     P.conj(_af_loc(f.left, sigma, C), pu_loc(f, sigma, C)))
     elif k in (F.RELEASE, F.SRELEASE):
-        out = F.conj(_af_loc(f.right, sigma, C),
-                     F.disj(_af_loc(f.left, sigma, C), pu_loc(f, sigma, C)))
+        out = P.conj(_af_loc(f.right, sigma, C),
+                     P.disj(_af_loc(f.left, sigma, C), pu_loc(f, sigma, C)))
     elif k in (F.SINCE, F.WSINCE, F.BACK, F.WBACK):
         out = _af_loc(wc(f), sigma, C)
     else:
@@ -69,20 +67,20 @@ def _af_loc(f, sigma, C):
 
 
 def pu_loc(f, sigma, C):
-    """Push ``f`` one step into the future under past assumption ``C``.
+    """Canonical function of ``f`` pushed one step on under assumption ``C``.
 
     The carried formula is rewritten under ``C``; each past subformula
     assumed to hold additionally owes its weakening condition now.
     """
-    sigma = frozenset(sigma)
-    C = frozenset(C)
+    sigma, C = frozenset(sigma), frozenset(C)
     owed = [_af_loc(wc(p), sigma, C)
             for p in F.sorted_set(F.psf(f) & C)]
-    return F.conj_all([rewrite_under(f, C)] + owed)
+    return reduce(P.conj, owed, P.canonicalize(rewrite_under(f, C)))
 
 
 def af_loc_ext(f, word, past_sets):
-    """Fold ``af_loc`` over a finite word.
+    """Fold ``af_loc`` over a finite word, reading each step's canonical
+    derivative back as its representative formula.
 
     ``past_sets`` has one entry per position plus a leading entry for the
     initial instant, which is not consumed: letter ``t`` of the word is read
@@ -91,7 +89,7 @@ def af_loc_ext(f, word, past_sets):
     if len(past_sets) != len(word) + 1:
         raise ValueError("need one past set per position plus the initial one")
     for t, sigma in enumerate(word):
-        f = af_loc(f, sigma, past_sets[t + 1])
+        f = P.to_formula(af_loc(f, sigma, past_sets[t + 1]))
     return f
 
 
@@ -124,8 +122,7 @@ def af_class(b, sigma):
             ps = F.sorted_set(frozenset().union(*map(F.psf, P.atoms(b))))
             _psf_memo[b.uid] = ps
         out = P.FALSE_B
-        for mask in range(1 << len(ps)):
-            C = frozenset(p for i, p in enumerate(ps) if mask >> i & 1)
+        for C in map(frozenset, subsets(ps)):
             out = P.disj(out, derive(b, sigma, C))
         _afclass_memo[key] = out
     return out

@@ -26,14 +26,16 @@ EXIT_PARSE = 1
 EXIT_LIMIT = 2
 
 
-def _load_target(text):
-    """A formula, or an automaton given as HOA text or a path to it."""
-    if os.path.isfile(text):
-        with open(text) as fh:
+def _load_target(arg):
+    """A formula, or an automaton as HOA text or a file that holds it; any
+    other argument, even a file's name, is parsed as a formula."""
+    text = arg
+    if os.path.isfile(arg):
+        with open(arg, errors="replace") as fh:
             text = fh.read()
     if "HOA:" in text:
         return parse_hoa(text)
-    return F.parse(text)
+    return F.parse(arg)
 
 
 def cmd_translate(args):

@@ -177,17 +177,6 @@ def alw(a):
     return wuntil(a, false())
 
 
-def conj_all(formulas):
-    """Right-nested conjunction of an iterable; tt when empty."""
-    items = list(formulas)
-    if not items:
-        return true()
-    out = items[-1]
-    for f in reversed(items[:-1]):
-        out = conj(f, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The dual of each operator, which the parser uses to push negations down.
 

@@ -88,6 +88,8 @@ def export_dot(auto):
 _HOA_STATE_RE = re.compile(
     r'State:\s*(\d+)(?:\s+"((?:[^"\\]|\\.)*)")?(?:\s*\{([\d\s]*)\})?\s*$')
 _HOA_EDGE_RE = re.compile(r"\[([^\]]*)\]\s*(\d+)\s*$")
+_INCOMPLETE = ("HOA transition table is incomplete: only complete automata "
+               "with one edge per letter are supported")
 
 
 def _header_line(pattern, header, name):
@@ -122,15 +124,17 @@ def parse_hoa(text):
     accm = _header_line(r"acc-name:\s*(\S+)(?:\s+(\d+))?", header,
                         "acc-name:")
     width = 1 << len(ap)
+    lines = [line for line in map(str.strip, body.splitlines()) if line]
+    # One edge line per state and letter: count them before the table is
+    # allocated, so a short body cannot announce a huge one.
+    if sum(line.startswith("[") for line in lines) < n * width:
+        raise ValueError(_INCOMPLETE)
 
     labels = [""] * n
     sets = [[] for _ in range(n)]
     trans = [[None] * width for _ in range(n)]
     cur = None
-    for line in body.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for line in lines:
         m = _HOA_STATE_RE.match(line)
         if m:
             cur = _state(m.group(1), n)
@@ -145,8 +149,7 @@ def parse_hoa(text):
             continue
         raise ValueError("unsupported HOA body line: %r" % line)
     if any(None in row for row in trans):
-        raise ValueError("HOA transition table is incomplete: only complete "
-                         "automata with one edge per letter are supported")
+        raise ValueError(_INCOMPLETE)
 
     def marked(i):
         return frozenset(q for q in range(n) if i in sets[q])

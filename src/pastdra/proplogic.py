@@ -13,7 +13,7 @@ every reachable function is monotone.
 Monotonicity means the high branch of a node implies its low branch, so the
 node on atom ``a`` is the monotone if-then-else ``(a & hi) | lo``.
 ``to_formula`` writes a representative formula in exactly that shape, and
-``map_atoms`` substitutes formulas for atoms along the same decomposition,
+``map_atoms`` substitutes functions for atoms along the same decomposition,
 node by node, under a caller-owned ``memo``, without building a
 representative formula.
 """
@@ -171,7 +171,7 @@ def to_formula(b):
 
 
 def map_atoms(b, fn, memo):
-    """Compose: replace every atom ``a`` by the formula ``fn(a)``.
+    """Compose: replace every atom ``a`` by the function ``fn(a)``, a node.
 
     Works on the diagram.  ``b`` is monotone, so a node on atom ``a`` is
     ``(a & hi) | lo`` and maps to ``(fn(a) & map(hi)) | map(lo)``: the same
@@ -185,7 +185,7 @@ def map_atoms(b, fn, memo):
         return b
     out = memo.get(b.uid)
     if out is None:
-        atom = canonicalize(fn(b.var))
+        atom = fn(b.var)
         hi = map_atoms(b.hi, fn, memo)
         out = disj(conj(atom, hi), map_atoms(b.lo, fn, memo))
         memo[b.uid] = out

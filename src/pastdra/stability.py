@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from . import formula as F
 from .lasso import holds
 from .rewrites import (compose_sequence, is_weak, rewrite_mu_limit,
-                       rewrite_nu_limit, rewrite_set, rewrite_under, wc)
+                       rewrite_nu_limit, rewrite_set, rewrite_under, subsets,
+                       wc)
 from .after import af_loc_ext
 
 
@@ -135,18 +136,21 @@ def _eventually_holds(psi, S, comp, w, t, weak):
 
 
 def check_master(f, w):
-    """Search for (M, N) limit-set witnesses and compare with ground truth."""
+    """Search for (M, N) limit-set witnesses and compare with ground truth.
+
+    The witness reported is the first (M, N) that meets the premises in the
+    automaton's own pair order (``translate``): M-major, each of M and N in
+    subset order over the sorted fixpoint subformulas.
+    """
     r = stability_index(f, w)
     mu = F.sorted_set(F.mu_subformulas(f))
     nu = F.sorted_set(F.nu_subformulas(f))
     cycle = _composed_cycle(f, w)
     witness = None
-    for mmask in range(1 << len(mu)):
-        M = frozenset(p for i, p in enumerate(mu) if mmask >> i & 1)
+    for M in map(frozenset, subsets(mu)):
         if not _premise_one(f, w, r, M):
             continue
-        for nmask in range(1 << len(nu)):
-            N = frozenset(p for i, p in enumerate(nu) if nmask >> i & 1)
+        for N in map(frozenset, subsets(nu)):
             if all(_premise_two(cycle, w, psi, N) for psi in M) and \
                     all(_premise_three(cycle, w, psi, M) for psi in N):
                 witness = (M, N)

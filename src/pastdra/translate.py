@@ -65,8 +65,7 @@ class TranslationContext:
                 for owed in owed_wcs:
                     if term is P.FALSE_B:
                         break
-                    term = P.conj(term, P.canonicalize(
-                        af_loc(owed, sigma, cij)))
+                    term = P.conj(term, af_loc(owed, sigma, cij))
                 acc = P.disj(acc, term)
             parts.append(acc)
         return tuple(parts)
@@ -96,7 +95,7 @@ def _limit_view(b, limit, S):
     memo = _limit_memo.get((limit, S))
     if memo is None:
         memo = _limit_memo[limit, S] = {}
-    return P.map_atoms(b, lambda a: limit(a, S), memo)
+    return P.map_atoms(b, lambda a: P.canonicalize(limit(a, S)), memo)
 
 
 def _limit_runner(ctx, tag, psi, S):

@@ -132,22 +132,60 @@ sys.stdout.buffer.write("".join(
 """ % (list(AP3),)
 
 
+def _hoa_in_fresh_interpreter(script, stdin=b""):
+    """HOA text written by ``script`` in a new interpreter, and that text
+    with every state label dropped."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
+    text = subprocess.run(
+        [sys.executable, "-c", script], input=stdin, capture_output=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src), timeout=600).stdout
+    return text, re.sub(rb'^(State: \d+) "[^"\n]*"', rb"\1", text, flags=re.M)
+
+
 def test_corpus_hoa_is_golden():
     # Refactors must leave the automata byte-identical; a change that alters
     # them on purpose updates the constants above and says why.  The
     # corpus is translated in a fresh interpreter: interning order steers
     # the BDD variable order and with it the state labels, and the tests
     # that run before this one intern formulas of their own.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
-    text = subprocess.run(
-        [sys.executable, "-c", _CORPUS_HOA_SCRIPT],
-        input=json.dumps(CORPUS).encode(), capture_output=True, check=True,
-        env=dict(os.environ, PYTHONPATH=src), timeout=600).stdout
-    structure = re.sub(rb'^(State: \d+) "[^"\n]*"', rb"\1", text, flags=re.M)
+    text, structure = _hoa_in_fresh_interpreter(
+        _CORPUS_HOA_SCRIPT, json.dumps(CORPUS).encode())
     assert len(structure) == CORPUS_STRUCTURE_BYTES
     assert hashlib.sha256(structure).hexdigest() == CORPUS_STRUCTURE_SHA256
     assert len(text) == CORPUS_HOA_BYTES
     assert hashlib.sha256(text).hexdigest() == CORPUS_HOA_SHA256
+
+
+RANDOM_HOA_SHA256 = (
+    "0f262b54dfa453cfb36754a8403adfd7f056026f1fe28cd14d21651db506fadd")
+RANDOM_HOA_BYTES = 830938
+RANDOM_STRUCTURE_SHA256 = (
+    "7800329a7d510156ccbbc78b707154c5fa0980fe8e96070299a800da7f7c982e")
+RANDOM_STRUCTURE_BYTES = 625146
+
+_RANDOM_HOA_SCRIPT = """
+import random, sys
+from pastdra import export_hoa, translate
+from pastdra.gen import random_formula_bounded
+out = []
+for seed in (1, 2):
+    rng = random.Random(seed)
+    for _ in range(300):
+        phi = random_formula_bounded(rng, %r, max_size=6, max_past=2)
+        out.append(export_hoa(translate(phi, %r), name=str(phi)))
+sys.stdout.buffer.write("".join(out).encode())
+""" % (AP3, list(AP3))
+
+
+def test_random_hoa_is_golden():
+    # As the corpus golden, for 600 seeded random formulas with up to two
+    # past operators each, translated one after another in one fresh
+    # interpreter, so that the atoms of one translation precede the next.
+    text, structure = _hoa_in_fresh_interpreter(_RANDOM_HOA_SCRIPT)
+    assert len(structure) == RANDOM_STRUCTURE_BYTES
+    assert hashlib.sha256(structure).hexdigest() == RANDOM_STRUCTURE_SHA256
+    assert len(text) == RANDOM_HOA_BYTES
+    assert hashlib.sha256(text).hexdigest() == RANDOM_HOA_SHA256
 
 
 def test_past_and_pure_future_phrasings_agree(corpus_automata):

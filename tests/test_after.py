@@ -7,53 +7,50 @@ from pastdra import lasso as L
 from pastdra import proplogic as P
 from pastdra.after import af_class, af_ext, af_loc, af_loc_ext, pu_loc
 from pastdra.gen import random_formula_bounded, random_lasso
+from pastdra.rewrites import subsets
 from pastdra.stability import entailed_seq
 
 parse = F.parse
 EMPTY = frozenset()
 
 
-def _equiv(f, g):
-    return P.canonicalize(f) is P.canonicalize(g)
-
-
 def test_af_loc_propositions():
     p = parse("p")
-    assert af_loc(p, {"p"}, EMPTY) is F.true()
-    assert af_loc(p, frozenset(), EMPTY) is F.false()
-    assert af_loc(parse("!p"), {"p"}, EMPTY) is F.false()
-    assert af_loc(parse("!p"), {"q"}, EMPTY) is F.true()
-    assert af_loc(F.true(), frozenset(), EMPTY) is F.true()
-    assert af_loc(F.false(), {"p"}, EMPTY) is F.false()
+    assert af_loc(p, {"p"}, EMPTY) is P.TRUE_B
+    assert af_loc(p, frozenset(), EMPTY) is P.FALSE_B
+    assert af_loc(parse("!p"), {"p"}, EMPTY) is P.FALSE_B
+    assert af_loc(parse("!p"), {"q"}, EMPTY) is P.TRUE_B
+    assert af_loc(F.true(), frozenset(), EMPTY) is P.TRUE_B
+    assert af_loc(F.false(), {"p"}, EMPTY) is P.FALSE_B
 
 
 def test_af_loc_yesterday_is_letterblind():
     # strong yesterday fails at the first instant, weak succeeds
     for sigma in (frozenset(), frozenset({"p"})):
-        assert af_loc(parse("Y p"), sigma, EMPTY) is F.false()
-        assert af_loc(parse("wY p"), sigma, EMPTY) is F.true()
+        assert af_loc(parse("Y p"), sigma, EMPTY) is P.FALSE_B
+        assert af_loc(parse("wY p"), sigma, EMPTY) is P.TRUE_B
 
 
 def test_af_loc_always():
     g = parse("G p")
-    assert _equiv(af_loc(g, {"p"}, EMPTY), g)
-    assert _equiv(af_loc(g, frozenset(), EMPTY), F.false())
+    assert af_loc(g, {"p"}, EMPTY) is P.canonicalize(g)
+    assert af_loc(g, frozenset(), EMPTY) is P.FALSE_B
 
 
 def test_af_loc_until_unfolding():
     f = parse("p U q")
-    assert _equiv(af_loc(f, {"q"}, EMPTY), F.true())
-    assert _equiv(af_loc(f, {"p"}, EMPTY), f)
-    assert _equiv(af_loc(f, frozenset(), EMPTY), F.false())
+    assert af_loc(f, {"q"}, EMPTY) is P.TRUE_B
+    assert af_loc(f, {"p"}, EMPTY) is P.canonicalize(f)
+    assert af_loc(f, frozenset(), EMPTY) is P.FALSE_B
 
 
 def test_af_loc_past_defers_to_weakening_condition():
     f = parse("p S q")
     C = frozenset({f})
     # wc(p S q) = q, so under either assumption the step only reads sigma
-    assert af_loc(f, {"q"}, EMPTY) is F.true()
-    assert af_loc(f, {"p"}, C) is F.false()
-    assert af_loc(f, {"q"}, C) is F.true()
+    assert af_loc(f, {"q"}, EMPTY) is P.TRUE_B
+    assert af_loc(f, {"p"}, C) is P.FALSE_B
+    assert af_loc(f, {"q"}, C) is P.TRUE_B
 
 
 def test_pu_loc_charges_weakening_conditions():
@@ -61,8 +58,8 @@ def test_pu_loc_charges_weakening_conditions():
     C = frozenset({f})
     got = pu_loc(F.nxt(f), {"p"}, C)
     # carried formula weakened, plus the owed wc = X q pushed one step
-    assert _equiv(got, F.conj(parse("X(p wS X q)"), parse("q")))
-    assert pu_loc(F.nxt(f), {"p"}, EMPTY) is F.nxt(f)
+    assert got is P.canonicalize(F.conj(parse("X(p wS X q)"), parse("q")))
+    assert pu_loc(F.nxt(f), {"p"}, EMPTY) is P.canonicalize(F.nxt(f))
 
 
 def test_af_canonical_example():
@@ -74,17 +71,12 @@ def test_af_canonical_example():
     assert P.canonicalize(af_ext(f, [{"p"}])) is b
 
 
-def _subsets(items):
-    for mask in range(1 << len(items)):
-        yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
-
-
 def _af_class_reference(b, sigma):
     """The derivative by re-deriving the representative under every guess."""
     f = P.to_formula(b)
     out = P.FALSE_B
-    for C in _subsets(F.sorted_set(F.psf(f))):
-        out = P.disj(out, P.canonicalize(af_loc(f, sigma, C)))
+    for C in subsets(F.sorted_set(F.psf(f))):
+        out = P.disj(out, af_loc(f, sigma, C))
     return out
 
 
@@ -116,6 +108,25 @@ def test_af_class_iterates_like_the_reference():
             assert b is ref
 
 
+def test_derivatives_intern_no_formulas():
+    # derivatives are built on the diagram from the atom up, so exploring
+    # every state of a future formula leaves the formula table as it was
+    F.true(), F.false()
+    init = P.canonicalize(parse("G(p -> F q) & (p U (q R r))"))
+    letters = list(map(frozenset, subsets(("p", "q", "r"))))
+    before = len(F._interned)
+    seen, todo = {init}, [init]
+    while todo:
+        b = todo.pop()
+        for sigma in letters:
+            nxt = af_class(b, sigma)
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    assert len(seen) == 8
+    assert len(F._interned) == before
+
+
 def test_af_loc_ext_length_check():
     f = parse("Y p")
     with pytest.raises(ValueError):
@@ -124,7 +135,7 @@ def test_af_loc_ext_length_check():
 
 def test_af_ext_empty_word():
     f = parse("p U q")
-    assert _equiv(af_ext(f, []), f)
+    assert P.canonicalize(af_ext(f, [])) is P.canonicalize(f)
 
 
 def test_af_ext_matches_local_derivative_on_true_past_sets():

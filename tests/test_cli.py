@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from pastdra import cli
@@ -115,6 +117,19 @@ def test_check_hoa_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "rejects"
 
 
+def test_check_formula_that_names_a_file(capsys, tmp_path, monkeypatch):
+    # a file that happens to share the formula's name is not read unless it
+    # holds HOA text
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p").write_text("G q")
+    code, out, _ = run(capsys, "check", "p", "; {p}")
+    assert code == 0
+    assert out.splitlines() == ["accepts", "semantics agree"]
+    (tmp_path / "p").write_bytes(b"\xff junk (")
+    code, out, _ = run(capsys, "check", "p", "; {p}")
+    assert code == 0 and out.splitlines()[0] == "accepts"
+
+
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "derivative",
                        "--count", "20", "--seed", "5")
@@ -177,3 +192,19 @@ def test_check_hoa_incomplete_table(capsys, old, new):
 def test_check_hoa_out_of_range(capsys, old, new):
     text = _fq_hoa(capsys).replace(old, new, 1)
     assert "out of range" in _check_hoa(capsys, text)
+
+
+def test_check_hoa_short_body_is_rejected_before_allocating(capsys):
+    # 16 states over 20 propositions announce a 16 x 2^20 transition table;
+    # a body with one edge is rejected before that table is allocated
+    text = ("HOA: v1\nStates: 16\nStart: 0\nAP: 20 %s\nacc-name: Buchi\n"
+            "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[t] 0\n--END--\n"
+            % " ".join('"a%d"' % i for i in range(20)))
+    tracemalloc.start()
+    try:
+        err = _check_hoa(capsys, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "incomplete" in err
+    assert peak < 1 << 20, peak

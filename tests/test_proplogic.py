@@ -57,12 +57,13 @@ def test_map_atoms():
     b = P.canonicalize(F.parse("p & X q"))
 
     def swap(atom):
-        return {F.prop("p"): F.parse("X q"), F.parse("X q"): F.prop("p")}[atom]
+        return P.canonicalize(
+            {F.prop("p"): F.parse("X q"), F.parse("X q"): F.prop("p")}[atom])
 
     assert P.map_atoms(b, swap, {}) is b  # conjunction is symmetric
     b2 = P.canonicalize(F.parse("p | X q"))
-    assert P.map_atoms(b2, lambda a: F.true(), {}) is P.TRUE_B
-    assert P.map_atoms(P.TRUE_B, lambda a: F.false(), {}) is P.TRUE_B
+    assert P.map_atoms(b2, lambda a: P.TRUE_B, {}) is P.TRUE_B
+    assert P.map_atoms(P.TRUE_B, lambda a: P.FALSE_B, {}) is P.TRUE_B
 
 
 def _subst(f, fn):
@@ -81,9 +82,13 @@ def test_map_atoms_matches_substitution_into_representative():
                  for a in F.sorted_set(P.atoms(b))}
         memo = {}
         want = P.canonicalize(_subst(P.to_formula(b), table.__getitem__))
-        assert P.map_atoms(b, table.__getitem__, memo) is want
+
+        def fn(a):
+            return P.canonicalize(table[a])
+
+        assert P.map_atoms(b, fn, memo) is want
         # a warm memo gives the same node
-        assert P.map_atoms(b, table.__getitem__, memo) is want
+        assert P.map_atoms(b, fn, memo) is want
 
 
 def test_map_atoms_derives_atoms_in_representative_order():
@@ -95,7 +100,7 @@ def test_map_atoms_derives_atoms_in_representative_order():
     def record(atom):
         if atom not in seen:
             seen.append(atom)
-        return atom
+        return P.canonicalize(atom)
 
     P.map_atoms(b, record, {})
     rep = []

@@ -132,8 +132,7 @@ def test_compose_sequence_defining_identity_exhaustive():
     # subsets of psf(f) up to length 3.
     for f in _past_formulas():
         ps = list(F.psf(f))
-        subsets = [frozenset(p for i, p in enumerate(ps) if mask >> i & 1)
-                   for mask in range(1 << len(ps))]
+        subsets = list(map(frozenset, R.subsets(ps)))
         for length in (1, 2, 3):
             for seq in product(subsets, repeat=length):
                 chained = f
@@ -148,8 +147,7 @@ def test_saturation_chain_identity():
     # rewritten under its predecessor) equals rewriting under the last set
     for f in _past_formulas():
         ps = list(F.psf(f))
-        subsets = [frozenset(p for i, p in enumerate(ps) if mask >> i & 1)
-                   for mask in range(1 << len(ps))]
+        subsets = list(map(frozenset, R.subsets(ps)))
         for a, b in product(subsets, repeat=2):
             if R.is_saturated(a, b, f):
                 step = R.rewrite_under(R.rewrite_under(f, a),
