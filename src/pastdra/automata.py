@@ -9,8 +9,8 @@ A Büchi set S is the one pair (∅, S), a co-Büchi set S the one pair
 
 Translation has one product step: per transition, :func:`cascade` looks up
 the bed successor, steps each distinct component runner once and advances
-each branch's watcher, then reads the state labels and one Rabin pair per
-branch off the explored states.  A label names each component once,
+each branch's Büchi counter, then reads the state labels and one Rabin pair
+per branch off the explored states.  A label names each component once,
 however many branches share it.
 """
 
@@ -121,35 +121,32 @@ def cascade(bed, components, branches, max_states=None):
 
     ``components`` are runners, each stepped once per transition however
     many branches share it.  A branch ``(co-Büchi indices, Büchi indices)``
-    gives one Rabin pair: it avoids the states where one of its co-Büchi
-    components is in its set and meets the ticks of a round-robin watcher,
-    which waits for each of its Büchi components in turn to visit its set
-    (without any, every state ticks).  States are ``(component states,
-    per-branch (watched index, tick), bed state)`` in BFS order, labelled
-    ``label; ... | bed`` with one label per component in component order;
-    the pairs come in branch order.  Raises :class:`StateLimitExceeded` when
-    exploration would pass ``max_states``.
+    gives one Rabin pair.  It avoids the states where one of its co-Büchi
+    components is in its set.  A counter names the Büchi component awaited
+    next and moves on when a step leaves a state where that one is in its
+    set; the pair meets the states whose step closes a round (every state,
+    without Büchi components).  States are ``(component states, per-branch
+    counter, bed state)`` in BFS order, labelled ``label; ... | bed`` with
+    one label per component in component order; the pairs come in branch
+    order.  Raises :class:`StateLimitExceeded` when exploration would pass
+    ``max_states``.
     """
     letter_index = {sigma: i for i, sigma in enumerate(letters_for(bed.ap))}
 
+    def advances(bu, qs, rr):
+        return components[bu[rr]].accepting(qs[bu[rr]])
+
     def succ(state, sigma):
-        qs, watchers, s = state
-        ticks = []
-        for (_, bu), (rr, _) in zip(branches, watchers):
-            if not bu:
-                ticks.append((0, True))
-            elif components[bu[rr]].accepting(qs[bu[rr]]):
-                rr = (rr + 1) % len(bu)
-                ticks.append((rr, rr == 0))
-            else:
-                ticks.append((rr, False))
+        qs, counters, s = state
+        counters = tuple((rr + 1) % len(bu) if bu and advances(bu, qs, rr)
+                         else rr
+                         for (_, bu), rr in zip(branches, counters))
         s2 = bed.trans[s][letter_index[sigma]]
         obj = bed.state_objs[s2]
         return (tuple(c.step(q, obj, sigma) for c, q in zip(components, qs)),
-                tuple(ticks), s2)
+                counters, s2)
 
-    init = (tuple(c.init for c in components),
-            tuple((0, not bu) for _, bu in branches), 0)
+    init = (tuple(c.init for c in components), (0,) * len(branches), 0)
     order, trans = _explore(bed.ap, init, succ, max_states)
     labels = []
     for qs, _, s in order:
@@ -158,8 +155,10 @@ def cascade(bed, components, branches, max_states=None):
     acc = ("rabin", tuple(
         (frozenset(i for i, (qs, _, _) in enumerate(order)
                    if any(components[j].accepting(qs[j]) for j in co)),
-         frozenset(i for i, (_, ws, _) in enumerate(order) if ws[b][1]))
-        for b, (co, _) in enumerate(branches)))
+         frozenset(i for i, (qs, rs, _) in enumerate(order)
+                   if not bu or rs[b] == len(bu) - 1
+                   and advances(bu, qs, rs[b])))
+        for b, (co, bu) in enumerate(branches)))
     return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 

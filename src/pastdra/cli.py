@@ -1,9 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success; 1 malformed formula, word, proposition name or HOA
-input, negative position, or a formula nested too deeply; 2 state cap
-exceeded or out of memory; 3 automaton/semantics disagreement (``check``)
-or a failed suite (``selftest``).
+Exit codes: 0 success; 1 a usage error, malformed formula, word,
+proposition name or HOA input, negative position, or a formula nested too
+deeply; 2 state cap exceeded or out of memory; 3 automaton/semantics
+disagreement (``check``) or a failed suite (``selftest``).
 """
 
 from __future__ import annotations
@@ -181,7 +181,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the state cap's code here
+        return EXIT_PARSE if exc.code == 2 else exc.code
     try:
         return args.fn(args)
     except (F.ParseError, ValueError) as exc:

@@ -225,37 +225,26 @@ def _memoized(fn):
     return wrapper
 
 
-@_memoized
-def psf(f):
-    """All past-rooted subformulas."""
-    out = set()
-    if f.is_past:
-        out.add(f)
-    for c in f.children():
-        out |= psf(c)
-    return frozenset(out)
+def _subformulas(keep, doc):
+    """A memoized query: the subformulas ``g`` of its argument with
+    ``keep(g)``, as a frozenset."""
+    def walk(f):
+        out = {f} if keep(f) else set()
+        for c in f.children():
+            out |= query(c)
+        return frozenset(out)
+    walk.__doc__ = doc
+    query = _memoized(walk)
+    return query
 
 
-@_memoized
-def mu_subformulas(f):
-    """Subformulas rooted in a least-fixpoint future operator (U or M)."""
-    out = set()
-    if f.kind in (UNTIL, SRELEASE):
-        out.add(f)
-    for c in f.children():
-        out |= mu_subformulas(c)
-    return frozenset(out)
-
-
-@_memoized
-def nu_subformulas(f):
-    """Subformulas rooted in a greatest-fixpoint future operator (W or R)."""
-    out = set()
-    if f.kind in (WUNTIL, RELEASE):
-        out.add(f)
-    for c in f.children():
-        out |= nu_subformulas(c)
-    return frozenset(out)
+psf = _subformulas(lambda f: f.is_past, "All past-rooted subformulas.")
+mu_subformulas = _subformulas(
+    lambda f: f.kind in (UNTIL, SRELEASE),
+    "Subformulas rooted in a least-fixpoint future operator (U or M).")
+nu_subformulas = _subformulas(
+    lambda f: f.kind in (WUNTIL, RELEASE),
+    "Subformulas rooted in a greatest-fixpoint future operator (W or R).")
 
 
 @_memoized

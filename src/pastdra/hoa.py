@@ -145,7 +145,10 @@ def parse_hoa(text):
         m = _HOA_EDGE_RE.match(line)
         if m and cur is not None:
             li = _expr_letter_index(m.group(1), len(ap))
-            trans[cur][li] = _state(m.group(2), n)
+            q2 = _state(m.group(2), n)
+            if trans[cur][li] is not None:
+                raise ValueError(_INCOMPLETE)
+            trans[cur][li] = q2
             continue
         raise ValueError("unsupported HOA body line: %r" % line)
     if any(None in row for row in trans):
@@ -168,16 +171,19 @@ def parse_hoa(text):
 
 
 def _expr_letter_index(expr, nap):
+    """The letter of an edge label that names every proposition once, as
+    ``0 & !1``, or ``t`` when there are none."""
     expr = expr.strip()
-    if expr == "t":
-        return 0
-    li = 0
-    for token in expr.split("&"):
-        token = token.strip()
+    tokens = [] if expr == "t" else [t.strip() for t in expr.split("&")]
+    li = named = 0
+    for token in tokens:
         j = int(token[1:] if token.startswith("!") else token)
         if not 0 <= j < nap:
             raise ValueError("HOA proposition %d out of range (AP: %d)"
                              % (j, nap))
+        named |= 1 << j
         if not token.startswith("!"):
             li |= 1 << j
+    if len(tokens) != nap or named != (1 << nap) - 1:
+        raise ValueError(_INCOMPLETE)
     return li

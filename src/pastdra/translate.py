@@ -1,17 +1,19 @@
 """Translation of formulas to deterministic Rabin automata.
 
 The construction is the product of a single shared bed automaton -- which
-tracks, per enumerated past set, the canonical derivative of the formula
-rewritten under that set -- with one branch per guess (M, N) of the
-least-fixpoint subformulas that recur and the greatest-fixpoint subformulas
-that eventually hold forever.  Each branch contributes one Rabin pair and
-intersects a few component runners: the safety runner of M, a ``G`` runner
-per (psi, M) and an ``F`` runner per (psi, N).  Components are shared across
-guesses, so each distinct one is built, stepped and labelled once, and
-:func:`~pastdra.automata.cascade` explores the bed, the components and the
-branches in one product, so the bed is never duplicated.  The branches,
-and so the pairs, come M-major: M and N each run over the subsets of the
-sorted fixpoint subformulas by size, then lexicographically.
+tracks, per enumerated past set, the weakening conditions under which that
+set is the current one, from ``tt`` at the all-weak set (the formula's own
+derivative is the safety runner's ``psi``) -- with one branch per guess
+(M, N) of the least-fixpoint subformulas that recur and the
+greatest-fixpoint subformulas that eventually hold forever.  Each branch
+contributes one Rabin pair and intersects a few component runners: the
+safety runner of M, a ``G`` runner per (psi, M) and an ``F`` runner per
+(psi, N).  Components are shared across guesses, so each distinct one is
+built, stepped and labelled once, and :func:`~pastdra.automata.cascade`
+explores the bed, the components and the branches in one product, so the
+bed is never duplicated.  The branches, and so the pairs, come M-major: M
+and N each run over the subsets of the sorted fixpoint subformulas by size,
+then lexicographically.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _bed_label(state):
 
 
 def build_wc_automaton(ctx):
-    """The bed: one canonical-derivative track per enumerated past set."""
+    """The bed: one weakening-obligation track per enumerated past set."""
     init = (P.TRUE_B,) + (P.FALSE_B,) * (ctx.k - 1)
     # Looked up at call time so that a wrapper installed on
     # ``automata._explore`` (the benchmark's tracer) sees the bed too.

@@ -115,13 +115,13 @@ def test_translation_end_to_end(corpus_automata):
 
 
 CORPUS_HOA_SHA256 = (
-    "5cc6559d07a519cb77bcae31541c8097f94df70c5cf815cbc32e751c8e616c83")
-CORPUS_HOA_BYTES = 449723
+    "e84fd6a78d302f2e1b714f5f5bb00ced644b6c8ff963233cd20446f301737023")
+CORPUS_HOA_BYTES = 436205
 # The same text with every state label dropped: states, edges and Rabin
 # pairs.  A change that only edits labels leaves these two as they are.
 CORPUS_STRUCTURE_SHA256 = (
-    "e419cbd8b887b7687ee92ddd6f7cef48191bd8e076edf0d59ed4c5fd1d2c3160")
-CORPUS_STRUCTURE_BYTES = 268636
+    "af8a21b77722740b07584baa75dbf16cb1738fc3bec4348d88fc22373394da50")
+CORPUS_STRUCTURE_BYTES = 260746
 
 _CORPUS_HOA_SCRIPT = """
 import json, sys
@@ -157,11 +157,11 @@ def test_corpus_hoa_is_golden():
 
 
 RANDOM_HOA_SHA256 = (
-    "0f262b54dfa453cfb36754a8403adfd7f056026f1fe28cd14d21651db506fadd")
-RANDOM_HOA_BYTES = 830938
+    "2274f643d44599d965d510296739da048e2a3c8d4751215d0d03cb0b4c5c5830")
+RANDOM_HOA_BYTES = 789639
 RANDOM_STRUCTURE_SHA256 = (
-    "7800329a7d510156ccbbc78b707154c5fa0980fe8e96070299a800da7f7c982e")
-RANDOM_STRUCTURE_BYTES = 625146
+    "0554652493f014b93f94c35b4fc197bf912d3b04f1dad0bb633819986de068e7")
+RANDOM_STRUCTURE_BYTES = 597641
 
 _RANDOM_HOA_SCRIPT = """
 import random, sys

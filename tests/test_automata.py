@@ -118,6 +118,8 @@ def test_rabin_union_is_language_union():
     assert len(steps) == u.n_states() * 2
     inf_p = cascade(bed, [last_p], [([], [0])])
     fin_p = cascade(bed, [last_p], [([0], [])])
+    # one Büchi component: its counter stays 0, so the component alone
+    assert inf_p.n_states() == 2
     assert not accepts(inf_p, parse_word("{p} ; {}"))
     assert not accepts(fin_p, parse_word("; {p},{}"))
     for w in words:
@@ -139,6 +141,8 @@ def test_rabin_conjunction_single_pair():
     assert not accepts(a, parse_word("; {}"))
     # two Büchi components are watched in turn
     both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])])
+    # 2 x 2 component states x 2 counter values, no tick
+    assert both.n_states() == 8
     assert accepts(both, parse_word("; {p},{q}"))
     assert not accepts(both, parse_word("{q} ; {p}"))
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pastdra import cli
 from pastdra.cli import main
@@ -177,6 +181,8 @@ def test_check_hoa_missing_header_line(capsys, line):
 @pytest.mark.parametrize("old,new", [
     ("[0] 2\n", ""),                         # a letter without an edge
     ("[!0] 1\n[0] 2\n", "[t] 1\n"),          # "t" is one letter of two
+    ("[0] 2\n", "[0] 2\n[0] 0\n"),           # two edges for one letter
+    ("[0] 2\n", "[0 & !0] 2\n"),             # a proposition named twice
 ])
 def test_check_hoa_incomplete_table(capsys, old, new):
     text = _fq_hoa(capsys).replace(old, new, 1)
@@ -208,3 +214,43 @@ def test_check_hoa_short_body_is_rejected_before_allocating(capsys):
         tracemalloc.stop()
     assert "incomplete" in err
     assert peak < 1 << 20, peak
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse's own code, 2, is the state cap's
+    for argv in (["eval", "p"], ["translate", "->p"], ["selftest", "nosuch"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and "error" in err, argv
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage" in out
+
+
+_PAST_TOKENS = "Y wY S wS B wB O H".split()
+_OTHER_TOKENS = "p q tt ff ! & | -> <-> ( ) X F G U W R M @".split()
+
+
+@st.composite
+def _token_formulas(draw):
+    past = draw(st.lists(st.sampled_from(_PAST_TOKENS), max_size=2))
+    tokens = draw(st.lists(st.sampled_from(_OTHER_TOKENS),
+                           max_size=12 - len(past)))
+    for token in past:
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return " ".join(tokens)
+
+
+_words = st.lists(st.sampled_from(["{p}", "{}", "{p,q}", "{q}", ",", ";", "{",
+                                   " "]), max_size=6).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_token_formulas(), _words)
+def test_cli_exits_0_or_1_on_any_input(formula, word):
+    # malformed input exits 1 and well-formed input 0: never a traceback,
+    # the state cap's 2 or a disagreement's 3
+    for argv in (["translate", formula], ["eval", formula, word],
+                 ["check", formula, word]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1), argv
