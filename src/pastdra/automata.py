@@ -2,16 +2,19 @@
 
 States are integers in discovery order; the alphabet is the powerset of the
 atomic propositions, with letter index ``i`` setting proposition ``ap[j]``
-iff bit ``j`` of ``i`` is set.  Acceptance has one form, ``("rabin",
-pairs)``: accept iff some pair (A, B) has Inf avoiding A and intersecting B.
-A Büchi set S is the one pair (∅, S), a co-Büchi set S the one pair
-(S, all states).
+iff bit ``j`` of ``i`` is set.  Acceptance has one form, generalized Rabin,
+``("generalized-rabin", pairs)``: a pair ``(avoid, meets)`` is a set and a
+tuple of sets, and the automaton accepts iff for some pair Inf avoids
+``avoid`` and meets every set in ``meets``.  A Büchi set S is the one pair
+(∅, (S,)), a co-Büchi set S the one pair (S, ()), and a plain Rabin pair
+has one meet set.
 
 Translation has one product step: per transition, :func:`cascade` looks up
-the bed successor, steps each distinct component runner once and advances
-each branch's Büchi counter, then reads the state labels and one Rabin pair
-per branch off the explored states.  A label names each component once,
-however many branches share it.
+the bed successor and steps each distinct component runner once, then reads
+the state labels and one generalized pair per branch off the explored
+states.  A label names each component once, however many branches share
+it.  :func:`degeneralize` turns the result into a plain Rabin automaton
+with one counter per pair.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class OmegaAutomaton:
     init: int
     trans: list               # trans[state][letter_index] -> state
     labels: list              # human-readable state annotations
-    acc: tuple                # ("rabin", pairs) as described above
+    acc: tuple                # ("generalized-rabin", pairs) as above
 
     @property
     def letters(self):
@@ -40,15 +43,12 @@ class OmegaAutomaton:
     def n_states(self):
         return len(self.trans)
 
-    def letter_index(self, sigma):
-        return sum(1 << j for j, p in enumerate(self.ap) if p in sigma)
-
     def audit(self):
         """Check determinism, completeness and acceptance well-formedness;
         raise AssertionError explicitly, so it also checks under ``-O``."""
         n, width = len(self.trans), 1 << len(self.ap)
         kind, pairs = self.acc
-        if kind != "rabin":
+        if kind != "generalized-rabin":
             raise AssertionError("unknown acceptance %r" % (kind,))
         if not (0 <= self.init < n and len(self.labels) == n):
             raise AssertionError("initial state or labels do not fit")
@@ -56,8 +56,12 @@ class OmegaAutomaton:
             if len(row) != width or not all(
                     isinstance(q, int) and 0 <= q < n for q in row):
                 raise AssertionError("bad transition row %r" % (row,))
-        if not all(0 <= q < n for a, b in pairs for q in a | b):
-            raise AssertionError("acceptance state out of range")
+        for pair in pairs:
+            if not (len(pair) == 2 and isinstance(pair[1], tuple)):
+                raise AssertionError("bad acceptance pair %r" % (pair,))
+            avoid, meets = pair
+            if not all(0 <= q < n for q in avoid.union(*meets)):
+                raise AssertionError("acceptance state out of range")
         return True
 
 
@@ -116,50 +120,74 @@ def _explore(ap, init_state, succ, max_states=None):
 
 
 def cascade(bed, components, branches, max_states=None):
-    """Rabin automaton of the union over the branches of the intersection
-    of their components, all observing the bed.
+    """Generalized Rabin automaton of the union over the branches of the
+    intersection of their components, all observing the bed.
 
     ``components`` are runners, each stepped once per transition however
     many branches share it.  A branch ``(co-Büchi indices, Büchi indices)``
-    gives one Rabin pair.  It avoids the states where one of its co-Büchi
-    components is in its set.  A counter names the Büchi component awaited
-    next and moves on when a step leaves a state where that one is in its
-    set; the pair meets the states whose step closes a round (every state,
-    without Büchi components).  States are ``(component states, per-branch
-    counter, bed state)`` in BFS order, labelled ``label; ... | bed`` with
-    one label per component in component order; the pairs come in branch
-    order.  Raises :class:`StateLimitExceeded` when exploration would pass
-    ``max_states``.
+    gives one pair.  It avoids the states where one of its co-Büchi
+    components is in its set, and has one meet set per Büchi component:
+    the states where that component is in its set.  States are
+    ``(component states, bed state)`` in BFS order, labelled
+    ``label; ... | bed`` with one label per component in component order;
+    the pairs come in branch order.  Raises :class:`StateLimitExceeded`
+    when exploration would pass ``max_states``.
     """
     letter_index = {sigma: i for i, sigma in enumerate(letters_for(bed.ap))}
 
-    def advances(bu, qs, rr):
-        return components[bu[rr]].accepting(qs[bu[rr]])
-
     def succ(state, sigma):
-        qs, counters, s = state
-        counters = tuple((rr + 1) % len(bu) if bu and advances(bu, qs, rr)
-                         else rr
-                         for (_, bu), rr in zip(branches, counters))
+        qs, s = state
         s2 = bed.trans[s][letter_index[sigma]]
         obj = bed.state_objs[s2]
         return (tuple(c.step(q, obj, sigma) for c, q in zip(components, qs)),
-                counters, s2)
+                s2)
 
-    init = (tuple(c.init for c in components), (0,) * len(branches), 0)
+    init = (tuple(c.init for c in components), 0)
     order, trans = _explore(bed.ap, init, succ, max_states)
     labels = []
-    for qs, _, s in order:
+    for qs, s in order:
         parts = [c.label(q) for c, q in zip(components, qs)]
         labels.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
-    acc = ("rabin", tuple(
-        (frozenset(i for i, (qs, _, _) in enumerate(order)
-                   if any(components[j].accepting(qs[j]) for j in co)),
-         frozenset(i for i, (qs, rs, _) in enumerate(order)
-                   if not bu or rs[b] == len(bu) - 1
-                   and advances(bu, qs, rs[b])))
-        for b, (co, bu) in enumerate(branches)))
+    marked = [frozenset(i for i, (qs, _) in enumerate(order)
+                        if c.accepting(qs[j]))
+              for j, c in enumerate(components)]
+    acc = ("generalized-rabin", tuple(
+        (frozenset().union(*(marked[j] for j in co)),
+         tuple(marked[j] for j in bu))
+        for co, bu in branches))
     return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
+
+
+def degeneralize(auto, max_states=None):
+    """The plain Rabin automaton (one meet set per pair) of a generalized
+    Rabin automaton, with the same labels and pairs in the same order.
+
+    A state is ``(q, counters)`` with one counter per pair.  Counter ``b``
+    names the meet set awaited next and moves on when a step leaves a state
+    in it; pair ``b`` avoids the states ``(q, rs)`` with ``q`` in its avoid
+    set and meets those whose step closes a round (every state, without
+    meet sets).  Raises :class:`StateLimitExceeded` when exploration would
+    pass ``max_states``.
+    """
+    pairs = auto.acc[1]
+    letter_index = {sigma: i for i, sigma in enumerate(auto.letters)}
+
+    def succ(state, sigma):
+        q, rs = state
+        rs = tuple((r + 1) % len(meets) if meets and q in meets[r] else r
+                   for (_, meets), r in zip(pairs, rs))
+        return auto.trans[q][letter_index[sigma]], rs
+
+    order, trans = _explore(auto.ap, (auto.init, (0,) * len(pairs)), succ,
+                            max_states)
+    acc = ("generalized-rabin", tuple(
+        (frozenset(i for i, (q, _) in enumerate(order) if q in avoid),
+         (frozenset(i for i, (q, rs) in enumerate(order)
+                    if not meets or rs[b] == len(meets) - 1
+                    and q in meets[-1]),))
+        for b, (avoid, meets) in enumerate(pairs)))
+    return OmegaAutomaton(auto.ap, 0, trans,
+                          [auto.labels[q] for q, _ in order], acc)
 
 
 def accepts(auto, word):
@@ -169,20 +197,24 @@ def accepts(auto, word):
     followed until the (state, word-phase) pair repeats, which delimits the
     set of states visited infinitely often.
     """
-    apset = set(auto.ap)
-    q = auto.init
+    bit = {p: 1 << j for j, p in enumerate(auto.ap)}
+    letters = [sum(bit.get(p, 0) for p in sigma)
+               for sigma in word.prefix + word.period]
+    n, loop = len(letters), len(word.prefix)
+    trans = auto.trans
+    q, i, t = auto.init, 0, 0
     seen = {}
     trace = []
-    t = 0
     while True:
-        key = (q, word.phase(t))
+        key = q * n + i
         if key in seen:
-            lo = seen[key]
-            inf = set(trace[lo:])
+            inf = set(trace[seen[key]:])
             break
         seen[key] = t
         trace.append(q)
-        sigma = word.letter(t) & apset
-        q = auto.trans[q][auto.letter_index(sigma)]
+        q = trans[q][letters[i]]
+        i = i + 1 if i + 1 < n else loop
         t += 1
-    return any(not inf & avoid and inf & meet for avoid, meet in auto.acc[1])
+    return any(inf.isdisjoint(avoid)
+               and not any(inf.isdisjoint(meet) for meet in meets)
+               for avoid, meets in auto.acc[1])

@@ -16,7 +16,7 @@ import sys
 from . import formula as F
 from . import lasso
 from .after import af_ext
-from .automata import StateLimitExceeded, accepts
+from .automata import StateLimitExceeded, accepts, degeneralize
 from .gen import random_formula_bounded, random_lasso
 from .hoa import export_dot, export_hoa, parse_hoa
 from .stability import check_master
@@ -42,6 +42,8 @@ def cmd_translate(args):
     phi = F.parse(args.formula)
     ap = args.ap.split(",") if args.ap else None
     auto = translate(phi, ap, args.max_states)
+    if args.acceptance == "rabin":
+        auto = degeneralize(auto, args.max_states)
     if args.format == "dot":
         sys.stdout.write(export_dot(auto))
     else:
@@ -113,9 +115,11 @@ def _selftest_endtoend(rng, count):
         phi = random_formula_bounded(rng, ("p", "q"), max_size=4, max_past=1,
                                      depth=2)
         auto = translate(phi, ("p", "q"))
+        rabin = degeneralize(auto)
         for _ in range(5):
             w = random_lasso(rng, ("p", "q"))
-            ok += int(accepts(auto, w) == lasso.holds(phi, w, 0))
+            ok += int(accepts(auto, w) == lasso.holds(phi, w, 0)
+                      == accepts(rabin, w))
     return ok
 
 
@@ -140,17 +144,39 @@ def cmd_selftest(args):
     return 3 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors say how to pass an argument that starts with ``-``, as
+    the formula ``->p`` does: argparse reads it as an unknown option."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        if any(a.startswith("-") and a != "--"
+               and a.split("=")[0] not in self._option_string_actions
+               for a in self._argv):
+            message += ("; put '--' before a formula or word that starts "
+                        "with '-', as in: pastdra translate -- '->p'")
+        super().error(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pastdra",
         description="Translate temporal formulas with past to deterministic "
-                    "Rabin automata, evaluate them over lasso words, and "
-                    "cross-check the two.")
+                    "generalized Rabin or Rabin automata, evaluate them over "
+                    "lasso words, and cross-check the two.")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("translate", help="formula -> automaton")
     t.add_argument("formula")
     t.add_argument("--format", choices=("hoa", "dot"), default="hoa")
+    t.add_argument("--acceptance", choices=("generalized", "rabin"),
+                   default="generalized",
+                   help="generalized Rabin (one meet set per recurrence "
+                        "runner) or plain Rabin (one per pair, counters "
+                        "added by degeneralization)")
     t.add_argument("--stats", action="store_true",
                    help="print size statistics to stderr")
     t.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)

@@ -2,10 +2,12 @@
 
 The writer emits one edge per letter with an explicit conjunction label and
 state-based acceptance sets, and is deterministic: same automaton, same
-bytes.  The reader only understands that shape (plus whitespace slack); it
-exists for round-trip checks and for feeding previously exported automata
-back into the membership checker.  Büchi and co-Büchi input is read as one
-Rabin pair, so every automaton is written back out as Rabin.
+bytes.  Each pair's sets are numbered consecutively, its avoid set first,
+then its meet sets.  An automaton whose pairs each have one meet set is
+written as ``Rabin``, any other as ``generalized-Rabin``.  The reader only
+understands that shape (plus whitespace slack); it exists for round-trip
+checks and for feeding previously exported automata back into the
+membership checker.  It also reads ``Buchi`` and ``co-Buchi``, as one pair.
 """
 
 from __future__ import annotations
@@ -18,19 +20,28 @@ from .automata import OmegaAutomaton
 def _acc_header(pairs):
     if not pairs:
         return "acc-name: Rabin 0\nAcceptance: 0 f"
-    terms = ["(Fin(%d)&Inf(%d))" % (2 * i, 2 * i + 1)
-             for i in range(len(pairs))]
-    return "acc-name: Rabin %d\nAcceptance: %d %s" % (
-        len(pairs), 2 * len(pairs), " | ".join(terms))
+    terms, k = [], 0
+    for _, meets in pairs:
+        terms.append("(%s)" % "&".join(
+            ["Fin(%d)" % k] + ["Inf(%d)" % (k + 1 + m)
+                               for m in range(len(meets))]))
+        k += 1 + len(meets)
+    if all(len(meets) == 1 for _, meets in pairs):
+        name = "Rabin %d" % len(pairs)
+    else:
+        name = "generalized-Rabin %d %s" % (
+            len(pairs), " ".join(str(len(meets)) for _, meets in pairs))
+    return "acc-name: %s\nAcceptance: %d %s" % (name, k, " | ".join(terms))
 
 
 def _state_sets(pairs, q):
-    out = []
-    for i, (avoid, meet) in enumerate(pairs):
+    """The acceptance sets of state ``q``, in ascending order."""
+    out, k = [], 0
+    for avoid, meets in pairs:
         if q in avoid:
-            out.append(2 * i)
-        if q in meet:
-            out.append(2 * i + 1)
+            out.append(k)
+        out.extend(k + 1 + m for m, meet in enumerate(meets) if q in meet)
+        k += 1 + len(meets)
     return out
 
 
@@ -88,6 +99,7 @@ def export_dot(auto):
 _HOA_STATE_RE = re.compile(
     r'State:\s*(\d+)(?:\s+"((?:[^"\\]|\\.)*)")?(?:\s*\{([\d\s]*)\})?\s*$')
 _HOA_EDGE_RE = re.compile(r"\[([^\]]*)\]\s*(\d+)\s*$")
+_HOA_LITERAL_RE = re.compile(r"!?[0-9]+")
 _INCOMPLETE = ("HOA transition table is incomplete: only complete automata "
                "with one edge per letter are supported")
 
@@ -121,7 +133,7 @@ def parse_hoa(text):
     if len(ap) != int(apm.group(1)):
         raise ValueError("HOA AP: line announces %s propositions, names %d"
                          % (apm.group(1), len(ap)))
-    accm = _header_line(r"acc-name:\s*(\S+)(?:\s+(\d+))?", header,
+    accm = _header_line(r"acc-name:[ \t]*(\S+)((?:[ \t]+\d+)*)", header,
                         "acc-name:")
     width = 1 << len(ap)
     lines = [line for line in map(str.strip, body.splitlines()) if line]
@@ -157,17 +169,28 @@ def parse_hoa(text):
     def marked(i):
         return frozenset(q for q in range(n) if i in sets[q])
 
-    name = accm.group(1)
+    name, counts = accm.group(1), [int(x) for x in accm.group(2).split()]
     if name == "Buchi":
-        pairs = ((frozenset(), marked(0)),)
+        pairs = ((frozenset(), (marked(0),)),)
     elif name == "co-Buchi":
-        pairs = ((marked(0), frozenset(range(n))),)
-    elif name == "Rabin" and accm.group(2):
-        pairs = tuple((marked(2 * i), marked(2 * i + 1))
-                      for i in range(int(accm.group(2))))
+        pairs = ((marked(0), ()),)
     else:
-        raise ValueError("unsupported acceptance %r" % name)
-    return OmegaAutomaton(ap, init, trans, labels, ("rabin", pairs))
+        if name == "Rabin" and len(counts) == 1:
+            widths = [1] * counts[0]
+        elif name == "generalized-Rabin" and counts \
+                and len(counts) == counts[0] + 1:
+            widths = counts[1:]
+        else:
+            raise ValueError("unsupported HOA acceptance %r"
+                             % " ".join([name] + accm.group(2).split()))
+        pairs, k = [], 0
+        for m in widths:
+            pairs.append((marked(k),
+                          tuple(marked(k + 1 + j) for j in range(m))))
+            k += 1 + m
+        pairs = tuple(pairs)
+    return OmegaAutomaton(ap, init, trans, labels,
+                          ("generalized-rabin", pairs))
 
 
 def _expr_letter_index(expr, nap):
@@ -177,7 +200,10 @@ def _expr_letter_index(expr, nap):
     tokens = [] if expr == "t" else [t.strip() for t in expr.split("&")]
     li = named = 0
     for token in tokens:
-        j = int(token[1:] if token.startswith("!") else token)
+        if _HOA_LITERAL_RE.fullmatch(token) is None:
+            raise ValueError("HOA edge label [%s] is not a conjunction of "
+                             "literals such as [0 & !1]" % expr)
+        j = int(token.lstrip("!"))
         if not 0 <= j < nap:
             raise ValueError("HOA proposition %d out of range (AP: %d)"
                              % (j, nap))

@@ -1,4 +1,4 @@
-"""Translation of formulas to deterministic Rabin automata.
+"""Translation of formulas to deterministic generalized Rabin automata.
 
 The construction is the product of a single shared bed automaton -- which
 tracks, per enumerated past set, the weakening conditions under which that
@@ -6,9 +6,10 @@ set is the current one, from ``tt`` at the all-weak set (the formula's own
 derivative is the safety runner's ``psi``) -- with one branch per guess
 (M, N) of the least-fixpoint subformulas that recur and the
 greatest-fixpoint subformulas that eventually hold forever.  Each branch
-contributes one Rabin pair and intersects a few component runners: the
-safety runner of M, a ``G`` runner per (psi, M) and an ``F`` runner per
-(psi, N).  Components are shared across guesses, so each distinct one is
+contributes one generalized Rabin pair and intersects a few component
+runners: the safety runner of M, a ``G`` runner per (psi, M) and an ``F``
+runner per (psi, N).  The pair avoids the co-Büchi sets of the first two
+kinds and has one meet set per ``F`` runner.  Components are shared across guesses, so each distinct one is
 built, stepped and labelled once, and :func:`~pastdra.automata.cascade`
 explores the bed, the components and the branches in one product, so the
 bed is never duplicated.  The branches, and so the pairs, come M-major: M
@@ -149,9 +150,10 @@ def build_safety_runner(ctx, M):
 
 
 def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
-    """Deterministic Rabin automaton for ``phi``; one pair per (M, N) guess,
-    M-major, each of M and N in subset order (by size, then lexicographic
-    over ``ctx.mu`` or ``ctx.nu``).
+    """Deterministic generalized Rabin automaton for ``phi``; one pair per
+    (M, N) guess, M-major, each of M and N in subset order (by size, then
+    lexicographic over ``ctx.mu`` or ``ctx.nu``).
+    :func:`~pastdra.automata.degeneralize` gives the plain Rabin automaton.
 
     Raises :class:`StateLimitExceeded` when exploration would pass the cap.
     """

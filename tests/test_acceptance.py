@@ -19,7 +19,7 @@ import pytest
 from pastdra import formula as F
 from pastdra import proplogic as P
 from pastdra.after import af_ext
-from pastdra.automata import accepts
+from pastdra.automata import accepts, degeneralize
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.lasso import holds, naive_holds
 from pastdra.rewrites import (compose_sequence, enumerate_past_sets,
@@ -108,84 +108,155 @@ def test_translation_end_to_end(corpus_automata):
     rng = random.Random(104)
     for text, auto in corpus_automata.items():
         f = parse(text)
+        rabin = degeneralize(auto)
         for _ in range(200):
             w = random_lasso(rng, AP3, max_prefix=4, max_cycle=4)
-            assert accepts(auto, w) == holds(f, w, 0), (text, w)
+            assert accepts(auto, w) == holds(f, w, 0) == accepts(rabin, w), (
+                text, w)
     assert time.monotonic() - start < 600
 
 
-CORPUS_HOA_SHA256 = (
-    "e84fd6a78d302f2e1b714f5f5bb00ced644b6c8ff963233cd20446f301737023")
-CORPUS_HOA_BYTES = 436205
-# The same text with every state label dropped: states, edges and Rabin
-# pairs.  A change that only edits labels leaves these two as they are.
-CORPUS_STRUCTURE_SHA256 = (
-    "af8a21b77722740b07584baa75dbf16cb1738fc3bec4348d88fc22373394da50")
-CORPUS_STRUCTURE_BYTES = 260746
+def test_negated_future_spec_translates():
+    # 64 guesses with up to 6 recurrence runners each.  One counter per
+    # guess in the product multiplied past the default state cap; without
+    # them the product has 1,422 states.
+    f = parse("!(%s)" % FUTURE_HISTORY_SPEC)
+    auto = translate(f, list(AP3))
+    auto.audit()
+    assert auto.n_states() == 1422 and len(auto.acc[1]) == 64
+    assert max(len(meets) for _, meets in auto.acc[1]) == 6
+    rng = random.Random(106)
+    for _ in range(200):
+        w = random_lasso(rng, AP3, max_prefix=4, max_cycle=4)
+        assert accepts(auto, w) == holds(f, w, 0), w
 
-_CORPUS_HOA_SCRIPT = """
-import json, sys
-from pastdra import export_hoa, parse, translate
-sys.stdout.buffer.write("".join(
-    export_hoa(translate(parse(t), %r, max_states=200000), name=str(parse(t)))
-    for t in json.load(sys.stdin)).encode())
-""" % (list(AP3),)
+
+# The generalized Rabin automata that ``translate`` returns.
+CORPUS_HOA_SHA256 = (
+    "a5581e1f525dac0f19d62496b7df8b57cb2546121e0b05223eded3635cdcf0de")
+CORPUS_HOA_BYTES = 339281
+# The same text with every state label dropped: states, edges and
+# acceptance.  A change that only edits labels leaves these two as they are.
+CORPUS_STRUCTURE_SHA256 = (
+    "cda48944c4b2be46be0f097bb43f848cb5a28e553e6361dc4d9a7a77004bf9c2")
+CORPUS_STRUCTURE_BYTES = 184412
+# Their plain Rabin form, ``degeneralize(translate(phi))``.
+CORPUS_RABIN_HOA_SHA256 = (
+    "e84fd6a78d302f2e1b714f5f5bb00ced644b6c8ff963233cd20446f301737023")
+CORPUS_RABIN_HOA_BYTES = 436205
+CORPUS_RABIN_STRUCTURE_SHA256 = (
+    "af8a21b77722740b07584baa75dbf16cb1738fc3bec4348d88fc22373394da50")
+CORPUS_RABIN_STRUCTURE_BYTES = 260746
+
+# Each script prints a JSON list of two texts: the HOA of every automaton,
+# then the HOA of its degeneralization.  ``degeneralize`` interns nothing,
+# so the first text is what translating alone writes.
+_HOA_SCRIPT = """
+import json, random, sys
+from pastdra import degeneralize, export_hoa, parse, translate
+from pastdra.gen import random_formula_bounded
+out = []
+for phi in %s:
+    auto = translate(phi, %r, max_states=200000)
+    out.append((export_hoa(auto, name=str(phi)),
+                export_hoa(degeneralize(auto), name=str(phi))))
+sys.stdout.write(json.dumps(["".join(form) for form in zip(*out)]))
+"""
+_CORPUS_HOA_SCRIPT = _HOA_SCRIPT % ("map(parse, json.load(sys.stdin))",
+                                    list(AP3))
 
 
 def _hoa_in_fresh_interpreter(script, stdin=b""):
-    """HOA text written by ``script`` in a new interpreter, and that text
-    with every state label dropped."""
+    """The two HOA texts written by ``script`` in a new interpreter, each
+    as (text, that text with every state label dropped)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
-    text = subprocess.run(
+    out = subprocess.run(
         [sys.executable, "-c", script], input=stdin, capture_output=True,
         check=True, env=dict(os.environ, PYTHONPATH=src), timeout=600).stdout
-    return text, re.sub(rb'^(State: \d+) "[^"\n]*"', rb"\1", text, flags=re.M)
+    return [(text, re.sub(rb'^(State: \d+) "[^"\n]*"', rb"\1", text,
+                          flags=re.M))
+            for text in (t.encode() for t in json.loads(out))]
 
 
-def test_corpus_hoa_is_golden():
+def _assert_golden(pair, structure_bytes, structure_sha, text_bytes,
+                   text_sha):
+    text, structure = pair
+    assert len(structure) == structure_bytes
+    assert hashlib.sha256(structure).hexdigest() == structure_sha
+    assert len(text) == text_bytes
+    assert hashlib.sha256(text).hexdigest() == text_sha
+
+
+@pytest.fixture(scope="module")
+def corpus_hoa():
+    # The corpus is translated in a fresh interpreter: interning order
+    # steers the BDD variable order and with it the state labels, and the
+    # tests that run before this one intern formulas of their own.
+    return _hoa_in_fresh_interpreter(_CORPUS_HOA_SCRIPT,
+                                     json.dumps(CORPUS).encode())
+
+
+def test_corpus_hoa_is_golden(corpus_hoa):
     # Refactors must leave the automata byte-identical; a change that alters
-    # them on purpose updates the constants above and says why.  The
-    # corpus is translated in a fresh interpreter: interning order steers
-    # the BDD variable order and with it the state labels, and the tests
-    # that run before this one intern formulas of their own.
-    text, structure = _hoa_in_fresh_interpreter(
-        _CORPUS_HOA_SCRIPT, json.dumps(CORPUS).encode())
-    assert len(structure) == CORPUS_STRUCTURE_BYTES
-    assert hashlib.sha256(structure).hexdigest() == CORPUS_STRUCTURE_SHA256
-    assert len(text) == CORPUS_HOA_BYTES
-    assert hashlib.sha256(text).hexdigest() == CORPUS_HOA_SHA256
+    # them on purpose updates the constants above and says why.
+    _assert_golden(corpus_hoa[0], CORPUS_STRUCTURE_BYTES,
+                   CORPUS_STRUCTURE_SHA256, CORPUS_HOA_BYTES,
+                   CORPUS_HOA_SHA256)
+
+
+def test_corpus_rabin_hoa_is_golden(corpus_hoa):
+    _assert_golden(corpus_hoa[1], CORPUS_RABIN_STRUCTURE_BYTES,
+                   CORPUS_RABIN_STRUCTURE_SHA256, CORPUS_RABIN_HOA_BYTES,
+                   CORPUS_RABIN_HOA_SHA256)
 
 
 RANDOM_HOA_SHA256 = (
-    "2274f643d44599d965d510296739da048e2a3c8d4751215d0d03cb0b4c5c5830")
-RANDOM_HOA_BYTES = 789639
+    "e00200c6d2c644a404054128656504ec69851abb239d11ab5c36d1e779ea9380")
+RANDOM_HOA_BYTES = 756875
 RANDOM_STRUCTURE_SHA256 = (
+    "b5e7839206e5e604b0f1edf9547473b03e50e6c7050ccb560615fede8abaa7c6")
+RANDOM_STRUCTURE_BYTES = 575214
+RANDOM_RABIN_HOA_SHA256 = (
+    "2274f643d44599d965d510296739da048e2a3c8d4751215d0d03cb0b4c5c5830")
+RANDOM_RABIN_HOA_BYTES = 789639
+RANDOM_RABIN_STRUCTURE_SHA256 = (
     "0554652493f014b93f94c35b4fc197bf912d3b04f1dad0bb633819986de068e7")
-RANDOM_STRUCTURE_BYTES = 597641
+RANDOM_RABIN_STRUCTURE_BYTES = 597641
 
-_RANDOM_HOA_SCRIPT = """
-import random, sys
-from pastdra import export_hoa, translate
-from pastdra.gen import random_formula_bounded
-out = []
-for seed in (1, 2):
-    rng = random.Random(seed)
-    for _ in range(300):
-        phi = random_formula_bounded(rng, %r, max_size=6, max_past=2)
-        out.append(export_hoa(translate(phi, %r), name=str(phi)))
-sys.stdout.buffer.write("".join(out).encode())
-""" % (AP3, list(AP3))
+# 600 seeded random formulas with up to two past operators each, drawn
+# lazily, so that each is translated before the next is drawn: the atoms of
+# one translation precede the next.
+_RANDOM_FORMULAS = (
+    "(random_formula_bounded(rng, %r, max_size=6, max_past=2)"
+    " for rng in (random.Random(1), random.Random(2)) for _ in range(300))"
+    % (AP3,))
+_RANDOM_HOA_SCRIPT = _HOA_SCRIPT % (_RANDOM_FORMULAS, list(AP3))
 
 
-def test_random_hoa_is_golden():
-    # As the corpus golden, for 600 seeded random formulas with up to two
-    # past operators each, translated one after another in one fresh
-    # interpreter, so that the atoms of one translation precede the next.
-    text, structure = _hoa_in_fresh_interpreter(_RANDOM_HOA_SCRIPT)
-    assert len(structure) == RANDOM_STRUCTURE_BYTES
-    assert hashlib.sha256(structure).hexdigest() == RANDOM_STRUCTURE_SHA256
-    assert len(text) == RANDOM_HOA_BYTES
-    assert hashlib.sha256(text).hexdigest() == RANDOM_HOA_SHA256
+@pytest.fixture(scope="module")
+def random_hoa():
+    return _hoa_in_fresh_interpreter(_RANDOM_HOA_SCRIPT)
+
+
+def test_random_hoa_is_golden(random_hoa):
+    _assert_golden(random_hoa[0], RANDOM_STRUCTURE_BYTES,
+                   RANDOM_STRUCTURE_SHA256, RANDOM_HOA_BYTES,
+                   RANDOM_HOA_SHA256)
+
+
+def test_random_rabin_hoa_is_golden(random_hoa):
+    _assert_golden(random_hoa[1], RANDOM_RABIN_STRUCTURE_BYTES,
+                   RANDOM_RABIN_STRUCTURE_SHA256, RANDOM_RABIN_HOA_BYTES,
+                   RANDOM_RABIN_HOA_SHA256)
+
+
+def test_golden_automata_are_no_larger_than_degeneralized(corpus_hoa,
+                                                          random_hoa):
+    for (general, _), (rabin, _) in (corpus_hoa, random_hoa):
+        sizes = [[int(n) for n in re.findall(rb"^States: (\d+)", text, re.M)]
+                 for text in (general, rabin)]
+        assert len(sizes[0]) == len(sizes[1])
+        assert all(g <= r for g, r in zip(*sizes)), sizes
 
 
 def test_past_and_pure_future_phrasings_agree(corpus_automata):

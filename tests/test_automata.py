@@ -2,7 +2,7 @@ import pytest
 
 from pastdra.automata import (BedAutomaton, OmegaAutomaton, Runner,
                               StateLimitExceeded, accepts, cascade,
-                              letters_for)
+                              degeneralize, letters_for)
 from pastdra.hoa import parse_hoa
 from pastdra.lasso import parse_word
 
@@ -39,13 +39,24 @@ def _p_tracker_hoa(acc_name, acceptance):
         'State: 1 "p" {0}', "[!0] 0", "[0] 1", "--END--"]))
 
 
-INF_P = ("rabin", [(frozenset(), frozenset({1}))])
+INF_P = ("generalized-rabin", ((frozenset(), (frozenset({1}),)),))
 
 
 def test_audit_accepts_wellformed():
     assert _p_tracker(INF_P).audit()
-    assert _mod_counter(("p",), 3, ("rabin",
-                                    [(frozenset({0}), frozenset({1}))])).audit()
+    assert _mod_counter(("p",), 3, ("generalized-rabin", (
+        (frozenset({0}), (frozenset({1}), frozenset({2}))),
+        (frozenset({1}), ())))).audit()
+
+
+@pytest.mark.parametrize("acc", [
+    ("rabin", ((frozenset(), frozenset({1})),)),        # the old pair form
+    ("generalized-rabin", ((frozenset(), frozenset({1})),)),
+    ("generalized-rabin", ((frozenset(), (frozenset({2}),)),)),
+])
+def test_audit_rejects_bad_acceptance(acc):
+    with pytest.raises(AssertionError):
+        _p_tracker(acc).audit()
 
 
 def test_audit_rejects_bad_transition():
@@ -57,7 +68,7 @@ def test_audit_rejects_bad_transition():
 
 def test_accepts_buchi():
     a = _p_tracker_hoa("Buchi", "1 Inf(0)")
-    assert a.acc == ("rabin", ((frozenset(), frozenset({1})),))
+    assert a.acc == ("generalized-rabin", ((frozenset(), (frozenset({1}),)),))
     a.audit()
     assert accepts(a, parse_word("; {p}"))
     assert accepts(a, parse_word("; {p},{}"))
@@ -66,7 +77,7 @@ def test_accepts_buchi():
 
 def test_accepts_cobuchi():
     a = _p_tracker_hoa("co-Buchi", "1 Fin(0)")
-    assert a.acc == ("rabin", ((frozenset({1}), frozenset({0, 1})),))
+    assert a.acc == ("generalized-rabin", ((frozenset({1}), ()),))
     a.audit()
     assert not accepts(a, parse_word("; {p},{}"))
     assert accepts(a, parse_word("{p},{p} ; {}"))
@@ -74,9 +85,38 @@ def test_accepts_cobuchi():
 
 def test_accepts_rabin():
     # avoid state 1 while meeting state 0 infinitely often
-    a = _p_tracker(("rabin", [(frozenset({1}), frozenset({0}))]))
+    a = _p_tracker_hoa("Rabin 1", "2 Fin(1)&Inf(0)")
+    a.acc = ("generalized-rabin", ((frozenset({1}), (frozenset({0}),)),))
+    a.audit()
     assert accepts(a, parse_word("{p} ; {}"))
     assert not accepts(a, parse_word("; {}, {p}"))
+
+
+def _last_letter_tracker(acc):
+    # state 1 iff the last letter was {p}, 2 iff it was {q}, else 0
+    return OmegaAutomaton(
+        ap=("p", "q"), init=0, trans=[[0, 1, 2, 0]] * 3,
+        labels=["-", "p", "q"], acc=acc)
+
+
+def test_accepts_two_meet_sets():
+    # one pair: {p} and {q} both recur
+    both = (frozenset(), (frozenset({1}), frozenset({2})))
+    a = _last_letter_tracker(("generalized-rabin", (both,)))
+    a.audit()
+    assert accepts(a, parse_word("; {p},{q}"))
+    assert accepts(a, parse_word("{p} ; {q},{},{p,q},{p}"))
+    assert not accepts(a, parse_word("; {p}"))
+    assert not accepts(a, parse_word("{p} ; {q}"))
+    # avoiding state 0 as well
+    a.acc = ("generalized-rabin", ((frozenset({0}), both[1]),))
+    assert accepts(a, parse_word("{} ; {p},{q}"))
+    assert not accepts(a, parse_word("; {p},{q},{}"))
+    # a second pair, co-Büchi on {q}, accepts what the first one does not
+    a.acc = ("generalized-rabin", (both, (frozenset({2}), ())))
+    assert accepts(a, parse_word("; {p}"))
+    assert accepts(a, parse_word("; {p},{q}"))
+    assert not accepts(a, parse_word("; {q}"))
 
 
 def test_accepts_ignores_foreign_props():
@@ -118,8 +158,10 @@ def test_rabin_union_is_language_union():
     assert len(steps) == u.n_states() * 2
     inf_p = cascade(bed, [last_p], [([], [0])])
     fin_p = cascade(bed, [last_p], [([0], [])])
-    # one Büchi component: its counter stays 0, so the component alone
+    # one Büchi component: the pair meets its set, so the component alone
     assert inf_p.n_states() == 2
+    assert inf_p.acc[1] == ((frozenset(), (frozenset({1}),)),)
+    assert fin_p.acc[1] == ((frozenset({1}), ()),)
     assert not accepts(inf_p, parse_word("{p} ; {}"))
     assert not accepts(fin_p, parse_word("; {p},{}"))
     for w in words:
@@ -133,18 +175,28 @@ def test_rabin_conjunction_single_pair():
     cob = _last_letter("q")
     a = cascade(bed, [cob, buchi], [([0], [1])])
     a.audit()
-    assert a.acc[0] == "rabin" and len(a.acc[1]) == 1
+    assert a.acc[0] == "generalized-rabin" and len(a.acc[1]) == 1
     assert a.labels[0] == "!q; !p | -"
     assert accepts(a, parse_word("; {p}"))
     assert accepts(a, parse_word("{q} ; {p},{}"))
     assert not accepts(a, parse_word("; {p,q}"))
     assert not accepts(a, parse_word("; {}"))
-    # two Büchi components are watched in turn
+    # two Büchi components: one meet set each, no counter in the product
     both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])])
-    # 2 x 2 component states x 2 counter values, no tick
-    assert both.n_states() == 8
-    assert accepts(both, parse_word("; {p},{q}"))
-    assert not accepts(both, parse_word("{q} ; {p}"))
+    assert both.n_states() == 4
+    assert [len(meets) for _, meets in both.acc[1]] == [2]
+    # degeneralized, they are watched in turn: 2 x 2 component states x 2
+    # counter values
+    rabin = degeneralize(both)
+    rabin.audit()
+    assert rabin.n_states() == 8
+    assert [len(meets) for _, meets in rabin.acc[1]] == [1]
+    assert set(rabin.labels) == set(both.labels)
+    for w in ("; {p},{q}", "; {p,q}", "{q} ; {p}", "; {q},{},{p}", "; {}"):
+        w = parse_word(w)
+        recur = set().union(*w.period)
+        assert accepts(rabin, w) == accepts(both, w) == (
+            {"p", "q"} <= recur), w
 
 
 def test_cascade_runner_sees_reached_bed_state():
@@ -165,3 +217,12 @@ def test_cascade_state_limit():
                  accepting=lambda q: False)
     with pytest.raises(StateLimitExceeded):
         cascade(bed, [run], [], max_states=10)
+
+
+def test_degeneralize_state_limit():
+    bed = _one_state_bed(("p", "q"))
+    both = cascade(bed, [_last_letter("p"), _last_letter("q")],
+                   [([], [0, 1])])
+    assert degeneralize(both, max_states=8).n_states() == 8
+    with pytest.raises(StateLimitExceeded):
+        degeneralize(both, max_states=7)

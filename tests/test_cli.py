@@ -90,12 +90,29 @@ def test_translate_rejects_unnameable_ap(capsys, ap):
 
 
 def test_translate_output_round_trips_through_check(capsys, tmp_path):
-    code, hoa, _ = run(capsys, "translate", "G(p -> O q)", "--ap", "r")
-    assert code == 0
-    path = tmp_path / "out.hoa"
-    path.write_text(hoa)
-    code, out, err = run(capsys, "check", str(path), "; {p,q}")
-    assert code == 0 and out.strip() == "accepts" and not err
+    for acceptance, name in (("generalized", "generalized-Rabin 2 0 0"),
+                             ("rabin", "Rabin 2")):
+        code, hoa, _ = run(capsys, "translate", "G(p -> O q)", "--ap", "r",
+                           "--acceptance", acceptance)
+        assert code == 0 and "acc-name: %s\n" % name in hoa
+        path = tmp_path / "out.hoa"
+        path.write_text(hoa)
+        code, out, err = run(capsys, "check", str(path), "; {p,q}")
+        assert code == 0 and out.strip() == "accepts" and not err
+
+
+def test_translate_rabin_state_cap(capsys):
+    # The negated future history spec has 1,422 generalized states; one
+    # counter per pair multiplies them past 10,000.
+    spec = ("!(((!p & !q) W (r & ((!p & !q) W (p & q)))"
+            " | (!p & !r) W (q & ((!p & !r) W (p & r)))) & G(p -> X G p))")
+    code, out, err = run(capsys, "translate", spec, "--max-states", "10000",
+                         "--stats")
+    assert code == 0 and "states=1422 pairs=64" in err
+    code, out, err = run(capsys, "translate", spec, "--max-states", "10000",
+                         "--acceptance", "rabin")
+    assert code == 2 and not out
+    assert err.strip() == "error: state cap 10000 exceeded"
 
 
 def test_check_formula(capsys):
@@ -189,6 +206,13 @@ def test_check_hoa_incomplete_table(capsys, old, new):
     assert "incomplete" in _check_hoa(capsys, text)
 
 
+@pytest.mark.parametrize("label", ["0 | !0", "", "!!0", "0 & p"])
+def test_check_hoa_unsupported_edge_label(capsys, label):
+    text = _fq_hoa(capsys).replace("[0] 2\n", "[%s] 2\n" % label, 1)
+    err = _check_hoa(capsys, text)
+    assert "edge label [%s]" % label in err, err
+
+
 @pytest.mark.parametrize("old,new", [
     ("[0] 2\n", "[0] 5\n"),                  # successor past the last state
     ("Start: 0\n", "Start: 5\n"),
@@ -221,6 +245,21 @@ def test_usage_errors_exit_1(capsys):
     for argv in (["eval", "p"], ["translate", "->p"], ["selftest", "nosuch"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out and "error" in err, argv
+
+
+def test_formula_that_starts_with_a_dash(capsys):
+    # argparse reads "->p" as an option: the usage error says to put "--"
+    # first, and with it the formula reaches the parser
+    for argv in (["translate", "->p"], ["eval", "->p", "; {}"],
+                 ["check", "->p", "; {}"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and "usage" in err, argv
+        assert "put '--' before" in err, argv
+        code, out, err = run(capsys, argv[0], "--", *argv[1:])
+        assert code == 1 and not out, argv
+        assert err.startswith("error: expected a formula"), (argv, err)
+    code, _, err = run(capsys, "selftest", "nosuch")
+    assert code == 1 and "put '--'" not in err
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "usage" in out
 

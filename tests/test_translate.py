@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from test_acceptance import FUTURE_HISTORY_SPEC
 
 from pastdra import formula as F
-from pastdra.automata import StateLimitExceeded, accepts
+from pastdra.automata import StateLimitExceeded, accepts, degeneralize
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import holds, parse_word
@@ -91,7 +92,7 @@ def test_state_limit():
 def test_rabin_component_is_one_witness():
     auto = translate(parse("F p"))
     # branches come in subset order: pair 1 is the guess M = {F p}, N = {}
-    comp = replace(auto, acc=("rabin", auto.acc[1][1:2]))
+    comp = replace(auto, acc=("generalized-rabin", auto.acc[1][1:2]))
     comp.audit()
     # the full-M branch accepts exactly the words where p recurs
     assert accepts(comp, parse_word("; {p}"))
@@ -128,21 +129,39 @@ def test_labels_name_each_component_once():
 
 
 def test_hoa_round_trip():
-    auto = translate(parse("G(p -> O q)"))
-    text = export_hoa(auto, name="x")
-    back = parse_hoa(text)
-    assert back.n_states() == auto.n_states()
-    assert back.ap == auto.ap and back.acc[0] == auto.acc[0]
-    for w in WORDS:
-        assert accepts(back, parse_word(w)) == accepts(auto, parse_word(w))
+    # both forms read back as they were written, acceptance sets included;
+    # the second formula has pairs with two meet sets
+    for f in ("G(p -> O q)", "G(F p & F q)"):
+        auto = translate(parse(f))
+        for a in (auto, degeneralize(auto)):
+            back = parse_hoa(export_hoa(a, name="x"))
+            assert (back.ap, back.init, back.trans, back.labels,
+                    back.acc) == (a.ap, a.init, a.trans, a.labels, a.acc)
+            for w in WORDS:
+                w = parse_word(w)
+                assert accepts(back, w) == accepts(auto, w)
 
 
 def test_hoa_header():
+    # Rabin when every pair has one meet set, else generalized Rabin: a
+    # pair with no meet set is one Fin, one with two meet sets Fin&Inf&Inf
     auto = translate(parse("G p"))
     lines = export_hoa(auto).splitlines()
     assert lines[0] == "HOA: v1"
+    assert "acc-name: generalized-Rabin 2 0 0" in lines
+    assert "Acceptance: 2 (Fin(0)) | (Fin(1))" in lines
+    lines = export_hoa(degeneralize(auto)).splitlines()
     assert "acc-name: Rabin 2" in lines
     assert "Acceptance: 4 (Fin(0)&Inf(1)) | (Fin(2)&Inf(3))" in lines
+    lines = export_hoa(translate(parse("G(F p & F q)"))).splitlines()
+    assert "acc-name: generalized-Rabin 8 0 0 1 1 1 1 2 2" in lines
+    assert ("Acceptance: 16 (Fin(0)) | (Fin(1)) | (Fin(2)&Inf(3)) | "
+            "(Fin(4)&Inf(5)) | (Fin(6)&Inf(7)) | (Fin(8)&Inf(9)) | "
+            "(Fin(10)&Inf(11)&Inf(12)) | (Fin(13)&Inf(14)&Inf(15))") in lines
+    marks = [[int(k) for k in re.findall(r"\d+", m)]
+             for m in re.findall(r"^State: .*\{([\d ]*)\}$",
+                                 "\n".join(lines), re.M)]
+    assert marks and all(m == sorted(m) for m in marks)
 
 
 def test_dot_export_mentions_all_states():
