@@ -276,6 +276,12 @@ def size(f):
 
 
 @_memoized
+def past_depth(f):
+    """The number of past operators on the deepest path of ``f``."""
+    return f.is_past + max(map(past_depth, f.children()), default=0)
+
+
+@_memoized
 def tree_size(f):
     """Total syntax-tree node count, with multiplicity."""
     return 1 + sum(tree_size(c) for c in f.children())

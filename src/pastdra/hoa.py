@@ -8,6 +8,8 @@ written as ``Rabin``, any other as ``generalized-Rabin``.  The reader only
 understands that shape (plus whitespace slack); it exists for round-trip
 checks and for feeding previously exported automata back into the
 membership checker.  It also reads ``Buchi`` and ``co-Buchi``, as one pair.
+The set count on the ``Acceptance:`` line and every state mark must agree
+with the sets that ``acc-name:`` declares.
 """
 
 from __future__ import annotations
@@ -135,6 +137,25 @@ def parse_hoa(text):
                          % (apm.group(1), len(ap)))
     accm = _header_line(r"acc-name:[ \t]*(\S+)((?:[ \t]+\d+)*)", header,
                         "acc-name:")
+    name, counts = accm.group(1), [int(x) for x in accm.group(2).split()]
+    if name == "Buchi":
+        widths = None                   # one meet set, numbered 0
+    elif name == "co-Buchi":
+        widths = [0]
+    elif name == "Rabin" and len(counts) == 1:
+        widths = [1] * counts[0]
+    elif name == "generalized-Rabin" and counts \
+            and len(counts) == counts[0] + 1:
+        widths = counts[1:]
+    else:
+        raise ValueError("unsupported HOA acceptance %r"
+                         % " ".join([name] + accm.group(2).split()))
+    nsets = 1 if widths is None else sum(1 + m for m in widths)
+    announced = int(_header_line(r"Acceptance:[ \t]*(\d+)", header,
+                                 "Acceptance:").group(1))
+    if announced != nsets:
+        raise ValueError("HOA Acceptance: line has %d sets, acc-name: "
+                         "declares %d" % (announced, nsets))
     width = 1 << len(ap)
     lines = [line for line in map(str.strip, body.splitlines()) if line]
     # One edge line per state and letter: count them before the table is
@@ -151,8 +172,11 @@ def parse_hoa(text):
         if m:
             cur = _state(m.group(1), n)
             labels[cur] = m.group(2) or ""
-            if m.group(3):
-                sets[cur] = [int(x) for x in m.group(3).split()]
+            sets[cur] = [int(x) for x in (m.group(3) or "").split()]
+            if sets[cur] and max(sets[cur]) >= nsets:
+                raise ValueError("HOA state %d marks set %d, but acc-name: "
+                                 "declares %d sets"
+                                 % (cur, max(sets[cur]), nsets))
             continue
         m = _HOA_EDGE_RE.match(line)
         if m and cur is not None:
@@ -169,20 +193,9 @@ def parse_hoa(text):
     def marked(i):
         return frozenset(q for q in range(n) if i in sets[q])
 
-    name, counts = accm.group(1), [int(x) for x in accm.group(2).split()]
-    if name == "Buchi":
+    if widths is None:
         pairs = ((frozenset(), (marked(0),)),)
-    elif name == "co-Buchi":
-        pairs = ((marked(0), ()),)
     else:
-        if name == "Rabin" and len(counts) == 1:
-            widths = [1] * counts[0]
-        elif name == "generalized-Rabin" and counts \
-                and len(counts) == counts[0] + 1:
-            widths = counts[1:]
-        else:
-            raise ValueError("unsupported HOA acceptance %r"
-                             % " ".join([name] + accm.group(2).split()))
         pairs, k = [], 0
         for m in widths:
             pairs.append((marked(k),

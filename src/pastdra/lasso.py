@@ -2,11 +2,35 @@
 
 A :class:`LassoWord` is ``u v^omega`` with ``u`` a finite prefix and ``v`` a
 nonempty cycle of letters (sets of proposition names).  The truth value of a
-formula along such a word is itself an ultimately periodic bit sequence, which
-:func:`eval_seq` computes bottom-up: past operators run a forward recurrence
-(whose carried bit stabilizes after at most two extra cycles, as the update is
-monotone in the carried bit), future operators solve their fixpoint on the
-cycle by iteration and propagate backwards through the prefix.
+formula along such a word is itself an ultimately periodic bit sequence,
+which the evaluator computes bottom-up for all positions at once.
+
+The frame.  Let ``T = |u| + d|v|``, where ``d`` counts the past operators on
+the deepest path of the formula (:func:`formula.past_depth`).  From ``T`` on
+every subformula repeats with period ``|v|``: propositions repeat from
+``|u|``, a future operator repeats from where its operands do, and a past
+operator at most one lap later, because its update is monotone in the
+carried bit.  The evaluator covers positions ``0 .. L - 1`` with
+``L = T + 2|v|``, and a subformula's truth there is one int whose bit ``t``
+is position ``t``.  Each operator is a few operations on those ints:
+
+- ``&``, ``|`` and a negated proposition are ``&``, ``|`` and ``full ^ x``;
+- ``X`` is a right shift that wraps position ``L - 1`` to ``T + |v|``;
+- ``Y``/``wY`` is a left shift that ORs in the initial bit;
+- ``S``/``wS`` is one addition: ``s[t] = b[t] | (a[t] & s[t-1])`` is the
+  carry chain of ``(a | b) + b + init``.  ``B``/``wB`` is its dual on the
+  complements;
+- ``U``/``W`` (and ``R``/``M``, their duals) run the same carry backwards,
+  on bit-reversed masks, from position ``L - 1`` with the initial bit: false
+  for the least fixpoint, true for the greatest.  Every position of the
+  first lap from ``T`` sees a whole lap ahead, so the first lap and the
+  prefix before it are exact; the second lap is overwritten with the first.
+
+The second lap is the stabilization lap: where the two laps of a past
+operator differ, the evaluator raises AssertionError, explicitly, so the
+check also holds under ``python -O``.  :func:`holds` reads its bit straight
+off the frame; :func:`eval_seq` returns the canonical
+:class:`PeriodicBitSeq` and memoizes it.
 
 ``naive_holds`` is a deliberately independent implementation that unfolds the
 defining quantifiers up to a sufficient horizon; it shares no code with
@@ -18,7 +42,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from math import gcd
 
 from . import formula as F
 
@@ -149,150 +172,118 @@ def _canonical_tpb(threshold, period, bits):
     return threshold, period, bits[:threshold + period]
 
 
-# Internal evaluation works on raw (threshold, period, bits-list) triples all
-# sharing the word's cycle length as period; canonicalization happens once at
-# the end.
-
-def _raw_value(raw, t):
-    threshold, period, bits = raw
-    if t < threshold:
-        return bits[t]
-    return bits[threshold + (t - threshold) % period]
+def _since(a, b, init):
+    """``s[t] = b[t] | (a[t] & s[t-1])`` with ``s[-1] = init``, at every
+    ``t`` at once: bit ``t + 1`` of the carries of ``(a | b) + b + init``,
+    since the carry out of a bit is ``b | (a & carry in)``."""
+    x = a | b
+    return ((x + b + init) ^ x ^ b) >> 1
 
 
-def _align(raws):
-    """Common (threshold, period) cover of several raw triples."""
-    threshold = max(r[0] for r in raws)
-    period = 1
-    for r in raws:
-        period = period * r[1] // gcd(period, r[1])
-    return threshold, period
+def _reverse(x, width):
+    """The low ``width`` bits of ``x`` in reverse order."""
+    return int(bin(x | 1 << width)[:2:-1], 2)
 
 
-def _pointwise(op, raws):
-    threshold, period = _align(raws)
-    bits = [op(*(_raw_value(r, t) for r in raws))
-            for t in range(threshold + period)]
-    return (threshold, period, bits)
+def _frame_start(f, w):
+    """``T``: from there on every subformula of ``f`` repeats with ``|v|``."""
+    return len(w.prefix) + F.past_depth(f) * len(w.period)
 
 
-def _forward(raws, step, init):
-    """Run ``state = step(state, *inputs(t))`` forward; output is the state.
-
-    The update is monotone in the carried state, so the boundary state is
-    stable after one extra cycle; a second extra cycle is computed to check
-    that (raising AssertionError explicitly, so it also checks under ``-O``).
-    """
-    threshold, period = _align(raws)
-    state = init
-    bits = []
-    for t in range(threshold + 3 * period):
-        state = step(state, *(_raw_value(r, t) for r in raws))
-        bits.append(state)
-    if bits[threshold + period:threshold + 2 * period] != \
-            bits[threshold + 2 * period:threshold + 3 * period]:
-        raise AssertionError("forward state did not stabilize")
-    return (threshold + period, period, bits[:threshold + 2 * period])
+_programs = F.memo()
 
 
-def _backward(raws, step, init):
-    """Solve ``val(t) = step(nxt=val(t+1), *inputs(t))`` on the cycle, taking
-    the fixpoint selected by ``init`` (False: least, True: greatest), then
-    propagate through the prefix.
-    """
-    threshold, period = _align(raws)
-    ring = [init] * period
-    for _ in range(period + 1):
-        changed = False
-        for i in reversed(range(period)):
-            v = step(ring[(i + 1) % period],
-                     *(_raw_value(r, threshold + i) for r in raws))
-            if v != ring[i]:
-                ring[i] = v
-                changed = True
-        if not changed:
-            break
-    bits = [False] * threshold + ring
-    for t in reversed(range(threshold)):
-        nxt = bits[t + 1] if t + 1 < threshold else ring[0]
-        bits[t] = step(nxt, *(_raw_value(r, t) for r in raws))
-    return (threshold, period, bits)
+def _program(f):
+    """The distinct subformulas of ``f`` in postorder, each as ``(kind,
+    name, left index, right index)``."""
+    steps = _programs.get(f)
+    if steps is None:
+        index, steps = {}, []
+
+        def walk(g):
+            if g not in index:
+                i = walk(g.left) if g.left is not None else None
+                j = walk(g.right) if g.right is not None else None
+                index[g] = len(steps)
+                steps.append((g.kind, g.name, i, j))
+            return index[g]
+        walk(f)
+        _programs[f] = steps
+    return steps
 
 
-def _eval_raw(f, w, memo):
-    out = memo.get(f)
-    if out is not None:
+def _frame(f, w, T):
+    """The truth of ``f`` at positions ``0 .. T + 2|v| - 1`` of ``w``, for
+    ``T`` at least :func:`_frame_start`; see the module docstring."""
+    n, P = len(w.prefix), len(w.period)
+    L = T + 2 * P
+    full, lap, head = (1 << L) - 1, (1 << P) - 1, (1 << T + P) - 1
+    tile = (full >> n) // lap  # one bit at the start of every lap
+    masks = {}
+
+    def letters(name):
+        out = masks.get(name)
+        if out is None:
+            pre = cyc = 0
+            for t, s in enumerate(w.prefix):
+                if name in s:
+                    pre |= 1 << t
+            for t, s in enumerate(w.period):
+                if name in s:
+                    cyc |= 1 << t
+            out = masks[name] = pre | cyc * tile << n
         return out
-    k = f.kind
-    P = len(w.period)
-    if k == F.TRUE:
-        out = (0, 1, [True])
-    elif k == F.FALSE:
-        out = (0, 1, [False])
-    elif k in (F.PROP, F.NPROP):
-        want = k == F.PROP
-        bits = [(f.name in w.letter(t)) == want
-                for t in range(len(w.prefix) + P)]
-        out = (len(w.prefix), P, bits)
-    elif k == F.AND:
-        out = _pointwise(lambda a, b: a and b,
-                         (_eval_raw(f.left, w, memo),
-                          _eval_raw(f.right, w, memo)))
-    elif k == F.OR:
-        out = _pointwise(lambda a, b: a or b,
-                         (_eval_raw(f.left, w, memo),
-                          _eval_raw(f.right, w, memo)))
-    elif k == F.NEXT:
-        sub = _eval_raw(f.left, w, memo)
-        threshold, period = _align((sub,))
-        bits = [_raw_value(sub, t + 1) for t in range(threshold)]
-        bits += [_raw_value(sub, threshold + (i + 1) % period)
-                 for i in range(period)]
-        out = (threshold, period, bits)
-    elif k in (F.YESTERDAY, F.WYESTERDAY):
-        sub = _eval_raw(f.left, w, memo)
-        out = _yesterday_raw(sub, k == F.WYESTERDAY)
-    elif k in (F.SINCE, F.WSINCE):
-        out = _forward((_eval_raw(f.left, w, memo),
-                        _eval_raw(f.right, w, memo)),
-                       lambda prev, a, b: b or (a and prev),
-                       k == F.WSINCE)
-    elif k in (F.BACK, F.WBACK):
-        out = _forward((_eval_raw(f.left, w, memo),
-                        _eval_raw(f.right, w, memo)),
-                       lambda prev, a, b: b and (a or prev),
-                       k == F.WBACK)
-    elif k in (F.UNTIL, F.WUNTIL):
-        out = _backward((_eval_raw(f.left, w, memo),
-                         _eval_raw(f.right, w, memo)),
-                        lambda nxt, a, b: b or (a and nxt),
-                        k == F.WUNTIL)
-    elif k in (F.SRELEASE, F.RELEASE):
-        out = _backward((_eval_raw(f.left, w, memo),
-                         _eval_raw(f.right, w, memo)),
-                        lambda nxt, a, b: b and (a or nxt),
-                        k == F.RELEASE)
-    else:
-        raise AssertionError(k)
-    memo[f] = out
+
+    def future(a, b, init):
+        # val(L) = init; the second lap becomes a copy of the exact first
+        r = _reverse(_since(_reverse(a, L), _reverse(b, L), init), L)
+        return r & head | (r >> T & lap) << T + P
+
+    vals = []
+    for k, name, i, j in _program(f):
+        if k == F.AND:
+            out = vals[i] & vals[j]
+        elif k == F.OR:
+            out = vals[i] | vals[j]
+        elif k == F.PROP:
+            out = letters(name)
+        elif k == F.NPROP:
+            out = full ^ letters(name)
+        elif k == F.TRUE:
+            out = full
+        elif k == F.FALSE:
+            out = 0
+        elif k == F.NEXT:
+            out = vals[i] >> 1 | (vals[i] >> T + P & 1) << L - 1
+        elif k in (F.UNTIL, F.WUNTIL):
+            out = future(vals[i], vals[j], k == F.WUNTIL)
+        elif k in (F.SRELEASE, F.RELEASE):
+            # val = b & (a | next): the complement of an until
+            out = full ^ future(full ^ vals[i], full ^ vals[j],
+                                k == F.SRELEASE)
+        else:
+            if k in (F.YESTERDAY, F.WYESTERDAY):
+                out = vals[i] << 1 & full | (k == F.WYESTERDAY)
+            elif k in (F.SINCE, F.WSINCE):
+                out = _since(vals[i], vals[j], k == F.WSINCE)
+            elif k in (F.BACK, F.WBACK):
+                out = full ^ _since(full ^ vals[i], full ^ vals[j],
+                                    k == F.BACK)
+            else:
+                raise AssertionError(k)
+            if out >> T & lap != out >> T + P & lap:
+                raise AssertionError("%s did not stabilize by position %d"
+                                     % (k, T))
+        vals.append(out)
     return out
-
-
-def _yesterday_raw(sub, initial):
-    # Yesterday just shifts the operand right by one position.
-    threshold, period = _align((sub,))
-    bits = [initial] + [_raw_value(sub, t) for t in range(threshold + period)]
-    return (threshold + 1, period, bits)
 
 
 @functools.lru_cache(maxsize=1 << 14)
 def eval_seq(f, w):
     """The truth bit sequence of ``f`` along ``w``, canonical."""
-    memo = {}
-    raw = _eval_raw(f, w, memo)
-    threshold, period, bits = raw
-    full = [_raw_value(raw, t) for t in range(threshold + period)]
-    return PeriodicBitSeq(threshold, period, full)
+    T, P = _frame_start(f, w), len(w.period)
+    bits = _frame(f, w, T)
+    return PeriodicBitSeq(T, P, [bits >> t & 1 for t in range(T + P)])
 
 
 def _check_position(t):
@@ -303,7 +294,10 @@ def _check_position(t):
 def holds(f, w, t=0):
     """Whether ``(w, t)`` satisfies ``f``; ``t < 0`` raises ValueError."""
     _check_position(t)
-    return eval_seq(f, w).value(t)
+    T = _frame_start(f, w)
+    if t >= T:
+        t = T + (t - T) % len(w.period)
+    return bool(_frame(f, w, T) >> t & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,7 @@ def test_out_of_memory_exit_code(capsys, monkeypatch):
 def _check_hoa(capsys, text):
     code, out, err = run(capsys, "check", text, "; {q}")
     assert code == 1 and not out and err.startswith("error: HOA"), err
+    assert err.count("\n") == 1, err
     return err
 
 
@@ -188,11 +189,31 @@ def _fq_hoa(capsys):
     return text
 
 
-@pytest.mark.parametrize("line", ["States:", "Start:", "AP:", "acc-name:"])
+@pytest.mark.parametrize("line", ["States:", "Start:", "AP:", "acc-name:",
+                                  "Acceptance:"])
 def test_check_hoa_missing_header_line(capsys, line):
     text = "".join(s for s in _fq_hoa(capsys).splitlines(keepends=True)
                    if not s.startswith(line))
     assert line in _check_hoa(capsys, text)
+
+
+@pytest.mark.parametrize("argv,marks,nsets", [
+    ((), "{0}", 3),                          # generalized-Rabin 2 0 1
+    (("--acceptance", "rabin"), "{0 1}", 4),  # Rabin 2
+])
+def test_check_hoa_acceptance_sets_agree_with_acc_name(capsys, argv, marks,
+                                                       nsets):
+    # a state mark past the declared sets, or an Acceptance: count that
+    # differs from them, is an error; the text as written still reads
+    code, text, _ = run(capsys, "translate", "F q", *argv)
+    assert code == 0 and "\nAcceptance: %d " % nsets in text
+    err = _check_hoa(capsys, text.replace(marks, "{%d}" % nsets, 1))
+    assert "state 0 marks set %d" % nsets in err, err
+    err = _check_hoa(capsys, text.replace(
+        "Acceptance: %d " % nsets, "Acceptance: %d " % (nsets + 1), 1))
+    assert "Acceptance: line has %d sets" % (nsets + 1) in err, err
+    code, out, _ = run(capsys, "check", text, "; {q}")
+    assert code == 0 and out.strip() == "accepts"
 
 
 @pytest.mark.parametrize("old,new", [

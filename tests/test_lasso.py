@@ -1,12 +1,13 @@
+import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pastdra import formula as F
 from pastdra.gen import random_formula_bounded, random_lasso
-from pastdra.lasso import (LassoWord, PeriodicBitSeq, _forward, eval_seq,
+from pastdra.lasso import (LassoWord, PeriodicBitSeq, _frame, eval_seq,
                            format_word, holds, naive_holds, parse_word)
 
 parse = F.parse
@@ -152,7 +153,64 @@ def test_word_is_hashable_and_frozen():
 
 
 def test_forward_rejects_unstable_state():
-    # a toggling update is not monotone, so its state never stabilizes; the
-    # check raises explicitly and so also holds under ``python -O``
+    # p S q on {q} ; {p},{} is 1,1,0 then 0 forever: a frame that starts at
+    # position 1, before the since has settled, sees laps 10 and 00.  The
+    # check raises explicitly and so also holds under ``python -O``.
+    f, w = parse("p S q"), parse_word("{q} ; {p},{}")
     with pytest.raises(AssertionError):
-        _forward(((0, 1, [True]),), lambda prev, a: not prev, False)
+        _frame(f, w, 1)
+    assert _frame(f, w, 3) == 0b11
+
+
+def test_eval_seq_golden():
+    # the canonical sequences of 2,000 seeded (formula, word) pairs, with up
+    # to three past subformulas, prefixes up to 4 and cycles up to 5 letters
+    rng = random.Random(12)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        f = random_formula_bounded(rng, ("p", "q", "r"), max_size=10,
+                                   max_past=3, depth=4)
+        w = random_lasso(rng, ("p", "q", "r"), max_prefix=4, max_cycle=5)
+        digest.update(("%r\n" % eval_seq(f, w)).encode())
+    assert digest.hexdigest() == (
+        "bcfc828eae9b6f003dfb48e1c77137f9bdd9748e503554655b19ec330d3a315f")
+
+
+_LEAVES = (F.true(), F.false(), F.prop("p"), F.nprop("p"), F.prop("q"),
+           F.nprop("q"))
+_BINARY = (F.conj, F.disj, F.until, F.wuntil, F.release, F.srelease,
+           F.since, F.wsince, F.back, F.wback)
+
+
+def _nested_past(rng, depth=4, past=4):
+    """A formula of syntax depth at most ``depth``, counting a chain of
+    unary operators such as ``Y Y Y`` once, with at most ``past`` past
+    operators on any path."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_LEAVES)
+    if rng.random() < 0.5:
+        chain = []
+        for _ in range(rng.randint(1, 3)):
+            chain.append(rng.choice(
+                (F.nxt, F.yesterday, F.wyesterday) if past else (F.nxt,)))
+            past -= chain[-1] is not F.nxt
+        g = _nested_past(rng, depth - 1, past)
+        for op in chain:
+            g = op(g)
+        return g
+    op = rng.choice(_BINARY if past else _BINARY[:6])
+    past -= op in _BINARY[6:]
+    return op(_nested_past(rng, depth - 1, past),
+              _nested_past(rng, depth - 1, past))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_holds_agrees_with_naive_on_deep_past(seed):
+    # past depth up to 4 puts the frame's start T up to |u| + 4|v|, and a
+    # position up to |u| + 3|v| reads past T + 2|v| when the depth is 0
+    rng = random.Random(seed)
+    f = _nested_past(rng)
+    w = random_lasso(rng, ("p", "q"), max_prefix=4, max_cycle=6)
+    t = rng.randint(0, len(w.prefix) + 3 * len(w.period))
+    assert holds(f, w, t) == naive_holds(f, w, t)
