@@ -2,7 +2,9 @@
 
 States are integers in discovery order; the alphabet is the powerset of the
 atomic propositions, with letter index ``i`` setting proposition ``ap[j]``
-iff bit ``j`` of ``i`` is set.  Acceptance has one form, generalized Rabin,
+iff bit ``j`` of ``i`` is set.  An automaton builds its letter table once:
+``letters[i]`` is letter ``i`` as a frozenset, ``letter_index`` maps it back
+to ``i``.  Acceptance has one form, generalized Rabin,
 ``("generalized-rabin", pairs)``: a pair ``(avoid, meets)`` is a set and a
 tuple of sets, and the automaton accepts iff for some pair Inf avoids
 ``avoid`` and meets every set in ``meets``.  A Büchi set S is the one pair
@@ -14,7 +16,8 @@ the bed successor and steps each distinct component runner once, then reads
 the state labels and one generalized pair per branch off the explored
 states.  A label names each component once, however many branches share
 it.  :func:`degeneralize` turns the result into a plain Rabin automaton
-with one counter per pair.
+with one counter per pair.  :func:`accepts` reads a lasso word's letters
+through the letter table and walks its cycle one lap at a time.
 """
 
 from __future__ import annotations
@@ -23,22 +26,25 @@ from dataclasses import dataclass
 
 
 def letters_for(ap):
-    ap = tuple(ap)
     return [frozenset(p for j, p in enumerate(ap) if i >> j & 1)
             for i in range(1 << len(ap))]
 
 
+class _Alphabet:
+    """The letter table over ``ap``, built when the automaton is."""
+
+    def __post_init__(self):
+        self.letters = letters_for(self.ap)
+        self.letter_index = {s: i for i, s in enumerate(self.letters)}
+
+
 @dataclass
-class OmegaAutomaton:
+class OmegaAutomaton(_Alphabet):
     ap: tuple                 # sorted proposition names
     init: int
     trans: list               # trans[state][letter_index] -> state
     labels: list              # human-readable state annotations
     acc: tuple                # ("generalized-rabin", pairs) as above
-
-    @property
-    def letters(self):
-        return letters_for(self.ap)
 
     def n_states(self):
         return len(self.trans)
@@ -66,7 +72,7 @@ class OmegaAutomaton:
 
 
 @dataclass
-class BedAutomaton:
+class BedAutomaton(_Alphabet):
     """The acceptance-free component the runners observe; starts in 0."""
     ap: tuple
     trans: list
@@ -97,12 +103,8 @@ def _explore(ap, init_state, succ, max_states=None):
     """Deterministic BFS materialization: the states in discovery order and
     the transition table over their indices."""
     letters = letters_for(ap)
-    index = {init_state: 0}
-    order = [init_state]
-    trans = []
-    i = 0
-    while i < len(order):
-        q = order[i]
+    index, order, trans = {init_state: 0}, [init_state], []
+    for q in order:             # grows as states are discovered
         row = []
         for sigma in letters:
             q2 = succ(q, sigma)
@@ -115,7 +117,6 @@ def _explore(ap, init_state, succ, max_states=None):
                 order.append(q2)
             row.append(j)
         trans.append(row)
-        i += 1
     return order, trans
 
 
@@ -133,11 +134,9 @@ def cascade(bed, components, branches, max_states=None):
     the pairs come in branch order.  Raises :class:`StateLimitExceeded`
     when exploration would pass ``max_states``.
     """
-    letter_index = {sigma: i for i, sigma in enumerate(letters_for(bed.ap))}
-
     def succ(state, sigma):
         qs, s = state
-        s2 = bed.trans[s][letter_index[sigma]]
+        s2 = bed.trans[s][bed.letter_index[sigma]]
         obj = bed.state_objs[s2]
         return (tuple(c.step(q, obj, sigma) for c, q in zip(components, qs)),
                 s2)
@@ -169,8 +168,7 @@ def degeneralize(auto, max_states=None):
     meet sets).  Raises :class:`StateLimitExceeded` when exploration would
     pass ``max_states``.
     """
-    pairs = auto.acc[1]
-    letter_index = {sigma: i for i, sigma in enumerate(auto.letters)}
+    pairs, letter_index = auto.acc[1], auto.letter_index
 
     def succ(state, sigma):
         q, rs = state
@@ -193,28 +191,29 @@ def degeneralize(auto, max_states=None):
 def accepts(auto, word):
     """Whether the automaton accepts the lasso word.
 
-    Letters are restricted to the automaton's propositions; the run is
-    followed until the (state, word-phase) pair repeats, which delimits the
-    set of states visited infinitely often.
+    Letters are read through the letter table; one missing from it (naming
+    propositions outside the AP, or not a frozenset) is restricted to the
+    AP first.  After the prefix the run walks whole laps of the cycle until
+    a lap-start state repeats: the laps from its first visit on are those
+    the run goes round forever, and their states are the ones in Inf.
     """
-    bit = {p: 1 << j for j, p in enumerate(auto.ap)}
-    letters = [sum(bit.get(p, 0) for p in sigma)
-               for sigma in word.prefix + word.period]
-    n, loop = len(letters), len(word.prefix)
-    trans = auto.trans
-    q, i, t = auto.init, 0, 0
-    seen = {}
-    trace = []
-    while True:
-        key = q * n + i
-        if key in seen:
-            inf = set(trace[seen[key]:])
-            break
-        seen[key] = t
-        trace.append(q)
-        q = trans[q][letters[i]]
-        i = i + 1 if i + 1 < n else loop
-        t += 1
-    return any(inf.isdisjoint(avoid)
-               and not any(inf.isdisjoint(meet) for meet in meets)
-               for avoid, meets in auto.acc[1])
+    index, trans, q = auto.letter_index, auto.trans, auto.init
+    try:
+        cols = [index[s] for s in word.prefix + word.period]
+    except (KeyError, TypeError):
+        ap = frozenset(auto.ap)
+        cols = [index[ap.intersection(s)] for s in word.prefix + word.period]
+    k = len(word.prefix)
+    for c in cols[:k]:
+        q = trans[q][c]
+    cycle, lap, trace = cols[k:], {}, []
+    while q not in lap:
+        lap[q] = len(trace)
+        for c in cycle:
+            trace.append(q)
+            q = trans[q][c]
+    inf = set(trace[lap[q]:])
+    for avoid, meets in auto.acc[1]:
+        if inf.isdisjoint(avoid) and not any(map(inf.isdisjoint, meets)):
+            return True
+    return False

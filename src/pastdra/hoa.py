@@ -8,8 +8,11 @@ written as ``Rabin``, any other as ``generalized-Rabin``.  The reader only
 understands that shape (plus whitespace slack); it exists for round-trip
 checks and for feeding previously exported automata back into the
 membership checker.  It also reads ``Buchi`` and ``co-Buchi``, as one pair.
-The set count on the ``Acceptance:`` line and every state mark must agree
-with the sets that ``acc-name:`` declares.
+The roles of the sets come from the ``Acceptance:`` condition, a
+disjunction of conjunctions of ``Fin(k)`` and ``Inf(k)`` (``f`` has no
+disjunct) that names every set once.  Its shape (disjuncts, and the Fin
+and Inf sets of each), its set count and every state mark must agree with
+``acc-name:``, which allows at most one Fin per disjunct.
 """
 
 from __future__ import annotations
@@ -135,27 +138,41 @@ def parse_hoa(text):
     if len(ap) != int(apm.group(1)):
         raise ValueError("HOA AP: line announces %s propositions, names %d"
                          % (apm.group(1), len(ap)))
+    for p in ap:
+        if ap.count(p) > 1:
+            raise ValueError("HOA AP: line names %r twice" % p)
     accm = _header_line(r"acc-name:[ \t]*(\S+)((?:[ \t]+\d+)*)", header,
                         "acc-name:")
     name, counts = accm.group(1), [int(x) for x in accm.group(2).split()]
+    # (number of Fin sets, number of Inf sets) of each disjunct
     if name == "Buchi":
-        widths = None                   # one meet set, numbered 0
+        shape = [(0, 1)]
     elif name == "co-Buchi":
-        widths = [0]
+        shape = [(1, 0)]
     elif name == "Rabin" and len(counts) == 1:
-        widths = [1] * counts[0]
+        shape = [(1, 1)] * counts[0]
     elif name == "generalized-Rabin" and counts \
             and len(counts) == counts[0] + 1:
-        widths = counts[1:]
+        shape = [(1, m) for m in counts[1:]]
     else:
         raise ValueError("unsupported HOA acceptance %r"
                          % " ".join([name] + accm.group(2).split()))
-    nsets = 1 if widths is None else sum(1 + m for m in widths)
-    announced = int(_header_line(r"Acceptance:[ \t]*(\d+)", header,
-                                 "Acceptance:").group(1))
-    if announced != nsets:
-        raise ValueError("HOA Acceptance: line has %d sets, acc-name: "
-                         "declares %d" % (announced, nsets))
+    nsets = sum(f + m for f, m in shape)
+    condm = _header_line(r"Acceptance:[ \t]*(\d+)(.*)", header,
+                         "Acceptance:")
+    if int(condm.group(1)) != nsets:
+        raise ValueError("HOA Acceptance: line has %s sets, acc-name: "
+                         "declares %d" % (condm.group(1), nsets))
+    disjuncts = _condition(condm.group(2))
+    if [(len(fins), len(infs)) for fins, infs in disjuncts] != shape:
+        raise ValueError("HOA Acceptance: condition %r does not have the "
+                         "shape that acc-name: declares"
+                         % condm.group(2).strip())
+    named = sorted(k for fins, infs in disjuncts for k in fins + infs)
+    if named != list(range(nsets)):
+        raise ValueError("HOA Acceptance: condition %r does not name each "
+                         "of its %d sets once"
+                         % (condm.group(2).strip(), nsets))
     width = 1 << len(ap)
     lines = [line for line in map(str.strip, body.splitlines()) if line]
     # One edge line per state and letter: count them before the table is
@@ -193,17 +210,32 @@ def parse_hoa(text):
     def marked(i):
         return frozenset(q for q in range(n) if i in sets[q])
 
-    if widths is None:
-        pairs = ((frozenset(), (marked(0),)),)
-    else:
-        pairs, k = [], 0
-        for m in widths:
-            pairs.append((marked(k),
-                          tuple(marked(k + 1 + j) for j in range(m))))
-            k += 1 + m
-        pairs = tuple(pairs)
+    pairs = tuple((frozenset().union(*map(marked, fins)),
+                   tuple(map(marked, infs))) for fins, infs in disjuncts)
     return OmegaAutomaton(ap, init, trans, labels,
                           ("generalized-rabin", pairs))
+
+
+def _condition(text):
+    """The disjuncts of an ``Acceptance:`` condition, each as its list of
+    Fin sets and its list of Inf sets; ``f`` has no disjunct and ``t`` is
+    one without sets."""
+    text, disjuncts = text.strip(), []
+    for term in [] if text == "f" else text.split("|"):
+        term = term.strip()
+        if term.startswith("(") and term.endswith(")"):
+            term = term[1:-1].strip()
+        atoms = [] if term == "t" else [
+            re.fullmatch(r"(Fin|Inf)\((\d+)\)", a.strip())
+            for a in term.split("&")]
+        if None in atoms:
+            raise ValueError("HOA Acceptance: condition %r is not a "
+                             "disjunction of conjunctions of Fin(k) and "
+                             "Inf(k)" % text)
+        disjuncts.append(tuple([int(m.group(2)) for m in atoms
+                                if m.group(1) == kind]
+                               for kind in ("Fin", "Inf")))
+    return disjuncts
 
 
 def _expr_letter_index(expr, nap):

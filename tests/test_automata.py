@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pastdra.automata import (BedAutomaton, OmegaAutomaton, Runner,
                               StateLimitExceeded, accepts, cascade,
                               degeneralize, letters_for)
 from pastdra.hoa import parse_hoa
-from pastdra.lasso import parse_word
+from pastdra.lasso import LassoWord, parse_word
 
 
 def test_letters_for_order():
@@ -30,13 +32,14 @@ def _p_tracker(acc):
         labels=["!p", "p"], acc=acc)
 
 
-def _p_tracker_hoa(acc_name, acceptance):
-    # the same tracker written as HOA, with state 1 in acceptance set 0
+def _p_tracker_hoa(acc_name, acceptance, marks=("", " {0}")):
+    # the same tracker written as HOA, by default with state 1 in acceptance
+    # set 0
     return parse_hoa("\n".join([
         "HOA: v1", "States: 2", "Start: 0", 'AP: 1 "p"',
         "acc-name: " + acc_name, "Acceptance: " + acceptance, "--BODY--",
-        'State: 0 "!p"', "[!0] 0", "[0] 1",
-        'State: 1 "p" {0}', "[!0] 0", "[0] 1", "--END--"]))
+        'State: 0 "!p"' + marks[0], "[!0] 0", "[0] 1",
+        'State: 1 "p"' + marks[1], "[!0] 0", "[0] 1", "--END--"]))
 
 
 INF_P = ("generalized-rabin", ((frozenset(), (frozenset({1}),)),))
@@ -84,9 +87,11 @@ def test_accepts_cobuchi():
 
 
 def test_accepts_rabin():
-    # avoid state 1 while meeting state 0 infinitely often
-    a = _p_tracker_hoa("Rabin 1", "2 Fin(1)&Inf(0)")
-    a.acc = ("generalized-rabin", ((frozenset({1}), (frozenset({0}),)),))
+    # avoid state 1 while meeting state 0 infinitely often; the condition,
+    # not acc-name:, says which set is which
+    a = _p_tracker_hoa("Rabin 1", "2 Fin(1)&Inf(0)", (" {0}", " {1}"))
+    assert a.acc == ("generalized-rabin",
+                     ((frozenset({1}), (frozenset({0}),)),))
     a.audit()
     assert accepts(a, parse_word("{p} ; {}"))
     assert not accepts(a, parse_word("; {}, {p}"))
@@ -122,6 +127,80 @@ def test_accepts_two_meet_sets():
 def test_accepts_ignores_foreign_props():
     a = _p_tracker(INF_P)
     assert accepts(a, parse_word("; {p,q}"))
+    # letters that are not frozensets are read the same way
+    assert accepts(a, LassoWord((), ({"p", "q"},)))
+    assert not accepts(a, LassoWord(({"p"},), ({"q"}, set())))
+    assert a.letter_index == {frozenset(): 0, frozenset({"p"}): 1}
+
+
+@pytest.mark.parametrize("period", ["{}", "{p},{}"])
+def test_accepts_walks_several_laps(period):
+    # a mod-5 counter on a cycle of one or two letters: the lap-start state
+    # first repeats after five laps, and every state recurs
+    meets = tuple(frozenset({q}) for q in range(5))
+    for prefix in ("", "{p}", "{},{},{}"):
+        w = parse_word(prefix + ";" + period)
+        for pair, want in (((frozenset(), meets[4:]), True),
+                           ((frozenset(), meets), True),
+                           ((frozenset({3}), meets[:1]), False)):
+            a = _mod_counter(("p",), 5, ("generalized-rabin", (pair,)))
+            assert accepts(a, w) == _reference_accepts(a, w) == want
+
+
+def _reference_accepts(auto, word):
+    # one step per position: the run is followed until the (state, position
+    # in the word) pair repeats
+    bit = {p: 1 << j for j, p in enumerate(auto.ap)}
+    letters = [sum(bit.get(p, 0) for p in sigma)
+               for sigma in word.prefix + word.period]
+    n, loop = len(letters), len(word.prefix)
+    q, i, seen, trace = auto.init, 0, {}, []
+    while (q, i) not in seen:
+        seen[q, i] = len(trace)
+        trace.append(q)
+        q = auto.trans[q][letters[i]]
+        i = i + 1 if i + 1 < n else loop
+    inf = set(trace[seen[q, i]:])
+    return any(inf.isdisjoint(avoid)
+               and not any(inf.isdisjoint(meet) for meet in meets)
+               for avoid, meets in auto.acc[1])
+
+
+def _random_case(rng):
+    # a complete automaton with 1-8 states over 0-3 propositions and 0-3
+    # pairs of 0-2 meet sets each, and lasso words whose letters may name a
+    # proposition outside the AP or be plain sets
+    ap = ("p", "q", "r")[:rng.randint(0, 3)]
+    n = rng.randint(1, 8)
+
+    def states():
+        return frozenset(q for q in range(n) if rng.random() < 0.3)
+
+    pairs = tuple((states(), tuple(states() for _ in range(rng.randint(0, 2))))
+                  for _ in range(rng.randint(0, 3)))
+    trans = [[rng.randrange(n) for _ in range(1 << len(ap))]
+             for _ in range(n)]
+    auto = OmegaAutomaton(ap, rng.randrange(n), trans,
+                          [str(q) for q in range(n)],
+                          ("generalized-rabin", pairs))
+
+    def letter():
+        names = {p for p in ap + ("z",) if rng.random() < 0.5}
+        return names if rng.random() < 0.3 else frozenset(names)
+
+    words = [LassoWord(tuple(letter() for _ in range(rng.randint(0, 4))),
+                       tuple(letter() for _ in range(rng.randint(1, 4))))
+             for _ in range(5)]
+    return auto, words
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=True))
+def test_accepts_matches_step_per_position(rng):
+    auto, words = _random_case(rng)
+    auto.audit()
+    for w in words:
+        assert accepts(auto, w) == _reference_accepts(auto, w), (auto, w)
 
 
 def _one_state_bed(ap):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import tracemalloc
 
 import pytest
@@ -214,6 +215,62 @@ def test_check_hoa_acceptance_sets_agree_with_acc_name(capsys, argv, marks,
     assert "Acceptance: line has %d sets" % (nsets + 1) in err, err
     code, out, _ = run(capsys, "check", text, "; {q}")
     assert code == 0 and out.strip() == "accepts"
+
+
+def test_check_hoa_reads_set_roles_from_condition(capsys):
+    # Rabin 2 of F q with each pair's sets named the other way round: the
+    # condition alone gives every set the other role, and renumbering the
+    # state marks as well gives back the original automaton
+    code, text, _ = run(capsys, "translate", "F q", "--acceptance", "rabin")
+    cond = "Acceptance: 4 (Fin(0)&Inf(1)) | (Fin(2)&Inf(3))\n"
+    assert code == 0 and cond in text
+    swapped = text.replace(
+        cond, "Acceptance: 4 (Inf(0)&Fin(1)) | (Inf(2) & Fin(3))\n")
+    renumbered = re.sub(r"\{([\d ]*)\}", lambda m: "{%s}" % " ".join(
+        str(int(k) ^ 1) for k in m.group(1).split()), swapped)
+    for hoa, verdicts in ((text, ["accepts", "rejects"]),
+                          (swapped, ["rejects", "rejects"]),
+                          (renumbered, ["accepts", "rejects"])):
+        for word, want in zip(("; {q},{}", "; {}"), verdicts):
+            code, out, err = run(capsys, "check", hoa, word)
+            assert code == 0 and out.strip() == want and not err, word
+
+
+@pytest.mark.parametrize("cond,message", [
+    ("(Fin(0)&Fin(1)) | (Fin(2)&Inf(3))", "shape that acc-name: declares"),
+    ("(Fin(0)&Inf(0)) | (Fin(2)&Inf(3))", "name each of its 4 sets once"),
+    ("(Fin(0)&Inf(1)) | (Fin(3)&Inf(3))", "name each of its 4 sets once"),
+    ("(Fin(0)&Inf(1)&Inf(2)) | Fin(3)", "shape that acc-name: declares"),
+    ("(Inf(1)) | (Fin(2)&Inf(3)) | Fin(0)", "shape that acc-name: declares"),
+    ("(Fin(0)|Inf(1)) & (Fin(2)|Inf(3))", "not a disjunction"),
+    ("(Fin(0)&!Inf(1)) | (Fin(2)&Inf(3))", "not a disjunction"),
+    ("t", "shape that acc-name: declares"),
+    ("", "not a disjunction"),
+])
+def test_check_hoa_bad_acceptance_condition(capsys, cond, message):
+    code, text, _ = run(capsys, "translate", "F q", "--acceptance", "rabin")
+    err = _check_hoa(capsys, text.replace(
+        "(Fin(0)&Inf(1)) | (Fin(2)&Inf(3))", cond, 1))
+    assert message in err, err
+
+
+def test_check_hoa_duplicate_proposition(capsys):
+    code, text, _ = run(capsys, "translate", "p & X q")
+    assert code == 0 and '\nAP: 2 "p" "q"\n' in text
+    err = _check_hoa(capsys, text.replace('AP: 2 "p" "q"', 'AP: 2 "p" "p"'))
+    assert "AP: line names 'p' twice" in err, err
+
+
+def test_check_hoa_ignores_foreign_propositions(capsys, tmp_path):
+    # a word may name propositions that the automaton does not read
+    code, hoa, _ = run(capsys, "translate", "G(p -> O q)")
+    path = tmp_path / "out.hoa"
+    path.write_text(hoa)
+    for plain, foreign, want in (("; {p,q}", "; {p,q,z}", "accepts"),
+                                 ("{p} ; {}", "{p,z} ; {z}", "rejects")):
+        code, out, err = run(capsys, "check", str(path), plain)
+        assert code == 0 and out.strip() == want and not err
+        assert run(capsys, "check", str(path), foreign) == (code, out, err)
 
 
 @pytest.mark.parametrize("old,new", [
