@@ -26,25 +26,23 @@ from dataclasses import dataclass
 
 
 def letters_for(ap):
-    return [frozenset(p for j, p in enumerate(ap) if i >> j & 1)
-            for i in range(1 << len(ap))]
-
-
-class _Alphabet:
-    """The letter table over ``ap``, built when the automaton is."""
-
-    def __post_init__(self):
-        self.letters = letters_for(self.ap)
-        self.letter_index = {s: i for i, s in enumerate(self.letters)}
+    letters = [frozenset()]
+    for p in ap:                # letters with bit j set follow the others
+        letters += [s | {p} for s in letters]
+    return letters
 
 
 @dataclass
-class OmegaAutomaton(_Alphabet):
+class OmegaAutomaton:
     ap: tuple                 # sorted proposition names
     init: int
     trans: list               # trans[state][letter_index] -> state
     labels: list              # human-readable state annotations
     acc: tuple                # ("generalized-rabin", pairs) as above
+
+    def __post_init__(self):
+        self.letters = letters_for(self.ap)
+        self.letter_index = {s: i for i, s in enumerate(self.letters)}
 
     def n_states(self):
         return len(self.trans)
@@ -72,7 +70,7 @@ class OmegaAutomaton(_Alphabet):
 
 
 @dataclass
-class BedAutomaton(_Alphabet):
+class BedAutomaton:
     """The acceptance-free component the runners observe; starts in 0."""
     ap: tuple
     trans: list
@@ -134,27 +132,28 @@ def cascade(bed, components, branches, max_states=None):
     the pairs come in branch order.  Raises :class:`StateLimitExceeded`
     when exploration would pass ``max_states``.
     """
+    auto = OmegaAutomaton(bed.ap, 0, [], [], ("generalized-rabin", ()))
+
     def succ(state, sigma):
         qs, s = state
-        s2 = bed.trans[s][bed.letter_index[sigma]]
+        s2 = bed.trans[s][auto.letter_index[sigma]]
         obj = bed.state_objs[s2]
         return (tuple(c.step(q, obj, sigma) for c, q in zip(components, qs)),
                 s2)
 
     init = (tuple(c.init for c in components), 0)
-    order, trans = _explore(bed.ap, init, succ, max_states)
-    labels = []
+    order, auto.trans = _explore(bed.ap, init, succ, max_states)
     for qs, s in order:
         parts = [c.label(q) for c, q in zip(components, qs)]
-        labels.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
+        auto.labels.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
     marked = [frozenset(i for i, (qs, _) in enumerate(order)
                         if c.accepting(qs[j]))
               for j, c in enumerate(components)]
-    acc = ("generalized-rabin", tuple(
+    auto.acc = ("generalized-rabin", tuple(
         (frozenset().union(*(marked[j] for j in co)),
          tuple(marked[j] for j in bu))
         for co, bu in branches))
-    return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
+    return auto
 
 
 def degeneralize(auto, max_states=None):
@@ -194,9 +193,8 @@ def accepts(auto, word):
     Letters are read through the letter table; one missing from it (naming
     propositions outside the AP, or not a frozenset) is restricted to the
     AP first.  After the prefix the run walks whole laps of the cycle until
-    a lap-start state repeats: the laps from its first visit on are those
-    the run goes round forever, and their states are the ones in Inf.
-    """
+    a lap-start state repeats; the laps since its first visit repeat
+    forever and visit exactly the states in Inf."""
     index, trans, q = auto.letter_index, auto.trans, auto.init
     try:
         cols = [index[s] for s in word.prefix + word.period]

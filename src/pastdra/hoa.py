@@ -218,16 +218,14 @@ def parse_hoa(text):
 
 def _condition(text):
     """The disjuncts of an ``Acceptance:`` condition, each as its list of
-    Fin sets and its list of Inf sets; ``f`` has no disjunct and ``t`` is
-    one without sets."""
+    Fin sets and its list of Inf sets; ``f`` has no disjunct."""
     text, disjuncts = text.strip(), []
     for term in [] if text == "f" else text.split("|"):
         term = term.strip()
         if term.startswith("(") and term.endswith(")"):
             term = term[1:-1].strip()
-        atoms = [] if term == "t" else [
-            re.fullmatch(r"(Fin|Inf)\((\d+)\)", a.strip())
-            for a in term.split("&")]
+        atoms = [re.fullmatch(r"(Fin|Inf)\((\d+)\)", a.strip())
+                 for a in term.split("&")]
         if None in atoms:
             raise ValueError("HOA Acceptance: condition %r is not a "
                              "disjunction of conjunctions of Fin(k) and "

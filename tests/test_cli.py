@@ -244,7 +244,7 @@ def test_check_hoa_reads_set_roles_from_condition(capsys):
     ("(Inf(1)) | (Fin(2)&Inf(3)) | Fin(0)", "shape that acc-name: declares"),
     ("(Fin(0)|Inf(1)) & (Fin(2)|Inf(3))", "not a disjunction"),
     ("(Fin(0)&!Inf(1)) | (Fin(2)&Inf(3))", "not a disjunction"),
-    ("t", "shape that acc-name: declares"),
+    ("t", "not a disjunction"),
     ("", "not a disjunction"),
 ])
 def test_check_hoa_bad_acceptance_condition(capsys, cond, message):
