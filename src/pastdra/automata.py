@@ -2,22 +2,23 @@
 
 States are integers in discovery order; the alphabet is the powerset of the
 atomic propositions, with letter index ``i`` setting proposition ``ap[j]``
-iff bit ``j`` of ``i`` is set.  An automaton builds its letter table once:
-``letters[i]`` is letter ``i`` as a frozenset, ``letter_index`` maps it back
-to ``i``.  Acceptance has one form, generalized Rabin,
-``("generalized-rabin", pairs)``: a pair ``(avoid, meets)`` is a set and a
-tuple of sets, and the automaton accepts iff for some pair Inf avoids
-``avoid`` and meets every set in ``meets``.  A Büchi set S is the one pair
-(∅, (S,)), a co-Büchi set S the one pair (S, ()), and a plain Rabin pair
-has one meet set.
+iff bit ``j`` of ``i`` is set.  :func:`_explore` steps on these columns, so
+each automaton builds one letter table: ``letters[i]`` is letter ``i`` as a
+frozenset, ``letter_index`` maps it back to ``i``.  Acceptance has one form,
+generalized Rabin, ``("generalized-rabin", pairs)``: a pair ``(avoid,
+meets)`` is a set and a tuple of sets, and the automaton accepts iff for
+some pair Inf avoids ``avoid`` and meets every set in ``meets``.  A Büchi
+set S is the one pair (∅, (S,)), a co-Büchi set S the one pair (S, ()), and
+a plain Rabin pair has one meet set.
 
-Translation has one product step: per transition, :func:`cascade` looks up
-the bed successor and steps each distinct component runner once, then reads
-the state labels and one generalized pair per branch off the explored
-states.  A label names each component once, however many branches share
-it.  :func:`degeneralize` turns the result into a plain Rabin automaton
-with one counter per pair.  :func:`accepts` reads a lasso word's letters
-through the letter table and walks its cycle one lap at a time.
+Translation has one product step: per column, :func:`cascade` reads the bed
+successor off the bed's table and steps each distinct component runner once
+on the bed's letter, then reads the state labels and one generalized pair
+per branch off the explored states.  A label names each component once,
+however many branches share it.  :func:`degeneralize` turns the result into
+a plain Rabin automaton with one counter per pair.  :func:`accepts` reads a
+lasso word's letters through the letter table and walks its cycle one lap
+at a time.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class OmegaAutomaton:
 class BedAutomaton:
     """The acceptance-free component the runners observe; starts in 0."""
     ap: tuple
+    letters: list             # letters_for(ap), the table it was explored on
     trans: list
     labels: list
     state_objs: list          # opaque payload per state, passed to runners
@@ -97,15 +99,15 @@ class StateLimitExceeded(Exception):
     pass
 
 
-def _explore(ap, init_state, succ, max_states=None):
+def _explore(width, init_state, succ, max_states=None):
     """Deterministic BFS materialization: the states in discovery order and
-    the transition table over their indices."""
-    letters = letters_for(ap)
+    the transition table over their indices, ``succ(q, i)`` stepping on
+    column ``i`` for ``i < width``; no letter is built here."""
     index, order, trans = {init_state: 0}, [init_state], []
     for q in order:             # grows as states are discovered
         row = []
-        for sigma in letters:
-            q2 = succ(q, sigma)
+        for i in range(width):
+            q2 = succ(q, i)
             j = index.get(q2)
             if j is None:
                 j = len(order)
@@ -132,28 +134,27 @@ def cascade(bed, components, branches, max_states=None):
     the pairs come in branch order.  Raises :class:`StateLimitExceeded`
     when exploration would pass ``max_states``.
     """
-    auto = OmegaAutomaton(bed.ap, 0, [], [], ("generalized-rabin", ()))
-
-    def succ(state, sigma):
+    def succ(state, i):
         qs, s = state
-        s2 = bed.trans[s][auto.letter_index[sigma]]
-        obj = bed.state_objs[s2]
+        s2 = bed.trans[s][i]
+        obj, sigma = bed.state_objs[s2], bed.letters[i]
         return (tuple(c.step(q, obj, sigma) for c, q in zip(components, qs)),
                 s2)
 
     init = (tuple(c.init for c in components), 0)
-    order, auto.trans = _explore(bed.ap, init, succ, max_states)
+    order, trans = _explore(len(bed.letters), init, succ, max_states)
+    labels = []
     for qs, s in order:
         parts = [c.label(q) for c, q in zip(components, qs)]
-        auto.labels.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
+        labels.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
     marked = [frozenset(i for i, (qs, _) in enumerate(order)
                         if c.accepting(qs[j]))
               for j, c in enumerate(components)]
-    auto.acc = ("generalized-rabin", tuple(
+    acc = ("generalized-rabin", tuple(
         (frozenset().union(*(marked[j] for j in co)),
          tuple(marked[j] for j in bu))
         for co, bu in branches))
-    return auto
+    return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 
 def degeneralize(auto, max_states=None):
@@ -167,16 +168,16 @@ def degeneralize(auto, max_states=None):
     meet sets).  Raises :class:`StateLimitExceeded` when exploration would
     pass ``max_states``.
     """
-    pairs, letter_index = auto.acc[1], auto.letter_index
+    pairs = auto.acc[1]
 
-    def succ(state, sigma):
+    def succ(state, i):
         q, rs = state
         rs = tuple((r + 1) % len(meets) if meets and q in meets[r] else r
                    for (_, meets), r in zip(pairs, rs))
-        return auto.trans[q][letter_index[sigma]], rs
+        return auto.trans[q][i], rs
 
-    order, trans = _explore(auto.ap, (auto.init, (0,) * len(pairs)), succ,
-                            max_states)
+    order, trans = _explore(len(auto.letters), (auto.init, (0,) * len(pairs)),
+                            succ, max_states)
     acc = ("generalized-rabin", tuple(
         (frozenset(i for i, (q, _) in enumerate(order) if q in avoid),
          (frozenset(i for i, (q, rs) in enumerate(order)

@@ -144,6 +144,13 @@ def cmd_selftest(args):
     return 3 if failed else 0
 
 
+def _positive_int(text):
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors say how to pass an argument that starts with ``-``, as
     the formula ``->p`` does: argparse reads it as an unknown option."""
@@ -153,7 +160,7 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
-        if any(a.startswith("-") and a != "--"
+        if any(a.startswith("-") and a != "--" and not a[1:].isdigit()
                and a.split("=")[0] not in self._option_string_actions
                for a in self._argv):
             message += ("; put '--' before a formula or word that starts "
@@ -179,7 +186,8 @@ def build_parser():
                         "added by degeneralization)")
     t.add_argument("--stats", action="store_true",
                    help="print size statistics to stderr")
-    t.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    t.add_argument("--max-states", type=_positive_int,
+                   default=DEFAULT_MAX_STATES)
     t.add_argument("--ap", help="comma-separated extra proposition names")
     t.set_defaults(fn=cmd_translate)
 
@@ -194,14 +202,15 @@ def build_parser():
                             "(or a HOA file) and report acceptance")
     c.add_argument("target", help="formula, HOA text, or path to a HOA file")
     c.add_argument("word")
-    c.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    c.add_argument("--max-states", type=_positive_int,
+                   default=DEFAULT_MAX_STATES)
     c.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("selftest", help="seeded randomized consistency suites")
     s.add_argument("suite", choices=tuple(_SUITES) + ("all",),
                    nargs="?", default="all")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--count", type=int, default=50)
+    s.add_argument("--count", type=_positive_int, default=50)
     s.set_defaults(fn=cmd_selftest)
     return p
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from . import formula as F
 
-_LEAF_W = 3
-
 
 def random_letter(rng, ap):
     return frozenset(p for p in ap if rng.random() < 0.5)

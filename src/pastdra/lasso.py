@@ -28,18 +28,17 @@ is position ``t``.  Each operator is a few operations on those ints:
 
 The second lap is the stabilization lap: where the two laps of a past
 operator differ, the evaluator raises AssertionError, explicitly, so the
-check also holds under ``python -O``.  :func:`holds` reads its bit straight
-off the frame; :func:`eval_seq` returns the canonical
-:class:`PeriodicBitSeq` and memoizes it.
+check also holds under ``python -O``.  :func:`holds` is the one reader of
+the frame: it folds a position past ``T`` into the first lap and reads its
+bit.
 
 ``naive_holds`` is a deliberately independent implementation that unfolds the
 defining quantifiers up to a sufficient horizon; it shares no code with
-:func:`eval_seq` and exists to cross-check it.
+:func:`holds` and exists to cross-check it.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -86,7 +85,8 @@ def format_word(w):
                         ",".join(_format_letter(s) for s in w.period))
 
 
-_LETTER_RE = re.compile(r"\{([a-zA-Z0-9_,\s]*)\}")
+_NAME = r"\s*[a-zA-Z0-9_]+\s*"
+_LETTER_RE = re.compile(r"\{(%s(?:,%s)*|\s*)\}" % (_NAME, _NAME))
 
 
 def _parse_side(text):
@@ -114,62 +114,6 @@ def parse_word(text):
         raise ValueError("a lasso word is 'prefix ; cycle' with one ';'")
     pre, per = text.split(";")
     return LassoWord(_parse_side(pre), _parse_side(per))
-
-
-# ---------------------------------------------------------------------------
-# Ultimately periodic bit sequences.
-
-class PeriodicBitSeq:
-    """A bit sequence that from ``threshold`` on repeats with ``period``.
-
-    Stored canonically: the period is the least one of the tail and the
-    threshold is the least index from which that period holds.
-    """
-
-    __slots__ = ("threshold", "period", "bits")
-
-    def __init__(self, threshold, period, bits):
-        bits = tuple(bool(b) for b in bits)
-        if period <= 0 or len(bits) != threshold + period:
-            raise ValueError("need threshold + period bits")
-        threshold, period, bits = _canonical_tpb(threshold, period, bits)
-        self.threshold = threshold
-        self.period = period
-        self.bits = bits
-
-    def value(self, t):
-        if t < self.threshold:
-            return self.bits[t]
-        return self.bits[self.threshold + (t - self.threshold) % self.period]
-
-    def __eq__(self, other):
-        return (isinstance(other, PeriodicBitSeq)
-                and self.threshold == other.threshold
-                and self.period == other.period
-                and self.bits == other.bits)
-
-    def __hash__(self):
-        return hash((self.threshold, self.period, self.bits))
-
-    def __repr__(self):
-        pre = "".join("1" if b else "0" for b in self.bits[:self.threshold])
-        cyc = "".join("1" if b else "0" for b in self.bits[self.threshold:])
-        return "PeriodicBitSeq(%s;%s)" % (pre, cyc)
-
-
-def _canonical_tpb(threshold, period, bits):
-    tail = bits[threshold:]
-    # Least period of the tail, then least threshold for that period.
-    best = period
-    for d in range(1, period):
-        if period % d == 0 and all(tail[i] == tail[i % d]
-                                   for i in range(period)):
-            best = d
-            break
-    period = best
-    while threshold > 0 and bits[threshold - 1] == bits[threshold - 1 + period]:
-        threshold -= 1
-    return threshold, period, bits[:threshold + period]
 
 
 def _since(a, b, init):
@@ -276,14 +220,6 @@ def _frame(f, w, T):
                                      % (k, T))
         vals.append(out)
     return out
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def eval_seq(f, w):
-    """The truth bit sequence of ``f`` along ``w``, canonical."""
-    T, P = _frame_start(f, w), len(w.period)
-    bits = _frame(f, w, T)
-    return PeriodicBitSeq(T, P, [bits >> t & 1 for t in range(T + P)])
 
 
 def _check_position(t):

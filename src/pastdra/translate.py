@@ -22,7 +22,7 @@ from __future__ import annotations
 from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
-from .automata import BedAutomaton, Runner, cascade
+from .automata import BedAutomaton, Runner, cascade, letters_for
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, subsets,
                        wc)
@@ -81,11 +81,13 @@ def _bed_label(state):
 def build_wc_automaton(ctx):
     """The bed: one weakening-obligation track per enumerated past set."""
     init = (P.TRUE_B,) + (P.FALSE_B,) * (ctx.k - 1)
+    letters = letters_for(ctx.ap)
     # Looked up at call time so that a wrapper installed on
     # ``automata._explore`` (the benchmark's tracer) sees the bed too.
     from .automata import _explore
-    order, trans = _explore(ctx.ap, init, ctx.rc, ctx.max_states)
-    return BedAutomaton(ctx.ap, trans,
+    order, trans = _explore(len(letters), init,
+                            lambda q, i: ctx.rc(q, letters[i]), ctx.max_states)
+    return BedAutomaton(ctx.ap, letters, trans,
                         [_bed_label(s) for s in order], list(order))
 
 

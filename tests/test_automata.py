@@ -204,7 +204,8 @@ def test_accepts_matches_step_per_position(rng):
 
 
 def _one_state_bed(ap):
-    return BedAutomaton(ap=tuple(ap), trans=[[0] * (1 << len(ap))],
+    return BedAutomaton(ap=tuple(ap), letters=letters_for(ap),
+                        trans=[[0] * (1 << len(ap))],
                         labels=["-"], state_objs=[None])
 
 
@@ -280,7 +281,8 @@ def test_rabin_conjunction_single_pair():
 
 def test_cascade_runner_sees_reached_bed_state():
     # bed flips between two states on p; the runner copies what it observes
-    bed = BedAutomaton(ap=("p",), trans=[[0, 1], [1, 0]], labels=["a", "b"],
+    bed = BedAutomaton(ap=("p",), letters=letters_for(("p",)),
+                       trans=[[0, 1], [1, 0]], labels=["a", "b"],
                        state_objs=["a", "b"])
     run = Runner(init="a", step=lambda q, obj, s: obj,
                  accepting=lambda q: q == "b")

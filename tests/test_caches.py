@@ -2,11 +2,12 @@
 
 Hash-consing tables (``formula._interned``, ``proplogic._nodes``) live as
 long as the process; every other module-level table is made by
-``formula.memo()`` and emptied when a translation starts; the only
-``lru_cache`` is the evaluator's ``lasso.eval_seq``.
+``formula.memo()`` and emptied when a translation starts; there is no
+``lru_cache``.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import pastdra
@@ -45,8 +46,8 @@ def test_growing_tables_are_hash_consing_or_translation_memos():
     assert not tables["pastdra.after", "_afloc_memo"]
 
 
-def test_only_the_evaluator_has_an_lru_cache():
-    cached = {"%s.%s" % (obj.__module__, obj.__qualname__)
-              for mod in _modules() for obj in vars(mod).values()
-              if callable(obj) and hasattr(obj, "cache_info")}
-    assert cached == {"pastdra.lasso.eval_seq"}
+def test_no_lru_cache():
+    for mod in _modules():
+        assert "lru_cache" not in inspect.getsource(mod), mod.__name__
+        assert not [name for name, obj in vars(mod).items()
+                    if callable(obj) and hasattr(obj, "cache_info")]

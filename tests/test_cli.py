@@ -65,6 +65,14 @@ def test_bad_word_exit_code(capsys):
     assert code == 1 and err
 
 
+@pytest.mark.parametrize("word", ["; {p q}", "; {p,,q}", "{p,} ; {}"])
+def test_malformed_letter_exit_code(capsys, word):
+    # "{p q}" is not the proposition "p q", and an empty entry is no name
+    code, out, err = run(capsys, "eval", "p", word)
+    assert code == 1 and not out and err.startswith("error: bad letter"), word
+    assert err.count("\n") == 1
+
+
 def test_translate_hoa(capsys):
     code, out, err = run(capsys, "translate", "G p", "--stats")
     assert code == 0
@@ -320,9 +328,18 @@ def test_check_hoa_short_body_is_rejected_before_allocating(capsys):
 
 def test_usage_errors_exit_1(capsys):
     # argparse's own code, 2, is the state cap's
-    for argv in (["eval", "p"], ["translate", "->p"], ["selftest", "nosuch"]):
+    for argv in (["eval", "p"], ["translate", "->p"], ["selftest", "nosuch"],
+                 ["translate", "p", "--max-states", "-3"],
+                 ["translate", "p", "--max-states", "0"],
+                 ["check", "p", "; {p}", "--max-states", "0"],
+                 ["selftest", "oracle", "--count", "-5"],
+                 ["selftest", "oracle", "--count", "0"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out and "error" in err, argv
+    # a negative number is a value, not a formula that needs "--" before it
+    code, _, err = run(capsys, "translate", "p", "--max-states", "-3")
+    assert "expected a positive integer, got '-3'" in err
+    assert "put '--'" not in err
 
 
 def test_formula_that_starts_with_a_dash(capsys):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from pastdra import formula as F
 from pastdra.gen import random_formula_bounded, random_lasso
-from pastdra.lasso import (LassoWord, PeriodicBitSeq, _frame, eval_seq,
-                           format_word, holds, naive_holds, parse_word)
+from pastdra.lasso import (LassoWord, _frame, format_word, holds,
+                           naive_holds, parse_word)
 
 parse = F.parse
 
@@ -30,6 +30,20 @@ def test_parse_word_rejects_empty_period():
         parse_word("{p} ;")
 
 
+@pytest.mark.parametrize("text", [
+    "; {p q}", "; {p,,q}", "; {p,}", "; {,}", "{,p} ; {}", "{p},{q r} ; {}"])
+def test_parse_word_rejects_malformed_names(text):
+    # an empty entry or a space inside a name is not one proposition
+    with pytest.raises(ValueError, match="bad letter"):
+        parse_word(text)
+
+
+def test_parse_word_names_and_empty_letters():
+    w = parse_word("{ P , q_1 },{} ; { }")
+    assert w.prefix == (frozenset({"P", "q_1"}), frozenset())
+    assert w.period == (frozenset(),)
+
+
 def test_letter_and_suffix():
     w = parse_word("{p} ; {q},{}")
     assert w.letter(0) == frozenset({"p"})
@@ -48,31 +62,10 @@ def test_phase_identifies_positions_with_equal_futures():
     assert w.phase(1) != w.phase(2)
 
 
-def test_bitseq_canonical():
-    # a constant dressed up with a long period collapses
-    a = PeriodicBitSeq(3, 2, (True, True, True, True, True))
-    b = PeriodicBitSeq(0, 1, (True,))
-    assert a == b and hash(a) == hash(b)
-    c = PeriodicBitSeq(0, 4, (True, False, True, False))
-    d = PeriodicBitSeq(0, 2, (True, False))
-    assert c == d
-    assert [c.value(t) for t in range(5)] == [True, False, True, False, True]
-
-
-def test_eval_seq_frozen_example():
+def test_holds_frozen_example():
     w = parse_word("{p},{p} ; {q},{}")
-    seq = eval_seq(parse("p U q"), w)
-    assert [seq.value(t) for t in range(6)] == [
+    assert [holds(parse("p U q"), w, t) for t in range(6)] == [
         True, True, True, False, True, False]
-    assert seq.period == 2
-
-
-def test_eval_seq_period_divides_cycle():
-    rng = random.Random(3)
-    for _ in range(100):
-        f = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
-        w = random_lasso(rng, ("p", "q"))
-        assert len(w.period) % eval_seq(f, w).period == 0
 
 
 @pytest.mark.parametrize("text,word,t,expect", [
@@ -122,19 +115,6 @@ def test_holds_agrees_with_naive():
         assert holds(f, w, t) == naive_holds(f, w, t), (f, w, t)
 
 
-@given(st.integers(0, 6), st.integers(1, 5), st.data())
-def test_bitseq_canonicalization_preserves_values(threshold, period, data):
-    bits = data.draw(st.lists(st.booleans(), min_size=threshold + period,
-                              max_size=threshold + period))
-    seq = PeriodicBitSeq(threshold, period, tuple(bits))
-    for t in range(threshold + 3 * period):
-        assert seq.value(t) == bits[t if t < threshold
-                                    else threshold + (t - threshold) % period]
-    # minimality of the canonical form
-    assert seq.period <= period
-    assert seq.threshold <= threshold
-
-
 _letters = st.frozensets(st.sampled_from(["p", "q"]))
 
 
@@ -162,18 +142,21 @@ def test_forward_rejects_unstable_state():
     assert _frame(f, w, 3) == 0b11
 
 
-def test_eval_seq_golden():
-    # the canonical sequences of 2,000 seeded (formula, word) pairs, with up
-    # to three past subformulas, prefixes up to 4 and cycles up to 5 letters
+def test_holds_golden():
+    # the truth of 2,000 seeded (formula, word) pairs, with up to three past
+    # subformulas, prefixes up to 4 and cycles up to 5 letters, at positions
+    # t < |u| + 4|v|: the frame start |u| + past_depth * |v| plus one lap
     rng = random.Random(12)
     digest = hashlib.sha256()
     for _ in range(2000):
         f = random_formula_bounded(rng, ("p", "q", "r"), max_size=10,
                                    max_past=3, depth=4)
         w = random_lasso(rng, ("p", "q", "r"), max_prefix=4, max_cycle=5)
-        digest.update(("%r\n" % eval_seq(f, w)).encode())
+        bits = [holds(f, w, t)
+                for t in range(len(w.prefix) + 4 * len(w.period))]
+        digest.update(("%s\n" % "".join("01"[b] for b in bits)).encode())
     assert digest.hexdigest() == (
-        "bcfc828eae9b6f003dfb48e1c77137f9bdd9748e503554655b19ec330d3a315f")
+        "4f595da7db05f232e118707dd3beced79db2e372530e14f6f569c1435cd53d92")
 
 
 _LEAVES = (F.true(), F.false(), F.prop("p"), F.nprop("p"), F.prop("q"),

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from test_acceptance import FUTURE_HISTORY_SPEC
 
+from pastdra import automata
 from pastdra import formula as F
 from pastdra.automata import StateLimitExceeded, accepts, degeneralize
 from pastdra.gen import random_formula_bounded, random_lasso
@@ -118,6 +119,24 @@ def test_components_are_stepped_once(monkeypatch):
     assert len(auto.acc[1]) == 64
     transitions = auto.n_states() * len(auto.letters)
     assert len(calls) <= 8 * transitions
+
+
+def test_one_letter_table_per_automaton(monkeypatch):
+    # exploration steps on columns, so only the bed and the product build a
+    # letter table during a translation, and degeneralize only its output
+    letters_for, calls = automata.letters_for, []
+
+    def counted(ap):
+        calls.append(ap)
+        return letters_for(ap)
+
+    for module in (automata, sys.modules["pastdra.translate"]):
+        monkeypatch.setattr(module, "letters_for", counted)
+    auto = translate(parse("G(p -> O q) & GF r"))
+    assert calls == [("p", "q", "r")] * 2
+    del calls[:]
+    degeneralize(auto)
+    assert calls == [("p", "q", "r")]
 
 
 def test_labels_name_each_component_once():
