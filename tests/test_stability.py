@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 from pastdra import formula as F
 from pastdra.gen import random_formula_bounded, random_lasso
-from pastdra.lasso import holds, parse_word
+from pastdra.lasso import holds, naive_holds, parse_word
 from pastdra.rewrites import compose_sequence, rewrite_under
 from pastdra.stability import (check_master, entailed_seq, limit_sets,
                                stability_index)
@@ -91,3 +92,29 @@ def test_check_master_random():
         rep = check_master(f, w)
         assert rep.consistent, (f, w)
         assert rep.satisfied == holds(f, w, 0)
+
+
+def _names(formulas):
+    return ",".join(sorted(map(str, formulas)))
+
+
+def test_reference_layer_golden():
+    # 2,000 seeded (formula, word) pairs, with up to three past subformulas:
+    # each check_master report (witness sets sorted by text), the entailed
+    # past sets at instants 0..6 and naive_holds at positions 0..5
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        f = random_formula_bounded(rng, ("p", "q"), max_size=8, max_past=3,
+                                   depth=4)
+        w = random_lasso(rng, ("p", "q"), max_prefix=3, max_cycle=4)
+        rep = check_master(f, w)
+        witness = "-" if rep.witness is None else \
+            "%s|%s" % tuple(map(_names, rep.witness))
+        seq = ";".join(map(_names, entailed_seq(f, w, 6)))
+        bits = "".join("01"[naive_holds(f, w, t)] for t in range(6))
+        digest.update(("%d %d %s %d %s %s\n"
+                       % (rep.satisfied, rep.stability, witness,
+                          rep.consistent, seq, bits)).encode())
+    assert digest.hexdigest() == (
+        "0485d4434914fbd0def5bb108b38c0863c0bb87045a9c929028e388edb7b10e8")
