@@ -109,10 +109,19 @@ _INCOMPLETE = ("HOA transition table is incomplete: only complete automata "
                "with one edge per letter are supported")
 
 
-def _header_line(pattern, header, name):
-    m = re.search(pattern, header)
-    if m is None:
+def _header_line(header, name, pattern):
+    """The match of ``name`` and then ``pattern`` against the one header
+    line that starts with ``name``, up to the end of that line."""
+    lines = [line.strip() for line in header.splitlines()
+             if line.strip().startswith(name)]
+    if not lines:
         raise ValueError("HOA header has no %r line" % name)
+    if len(lines) > 1:
+        raise ValueError("HOA header has %d %r lines, not one"
+                         % (len(lines), name))
+    m = re.fullmatch(name + pattern, lines[0])
+    if m is None:
+        raise ValueError("HOA header line %r is not supported" % lines[0])
     return m
 
 
@@ -130,10 +139,9 @@ def parse_hoa(text):
     """
     header, _, body = text.partition("--BODY--")
     body = body.split("--END--")[0]
-    n = int(_header_line(r"States:\s*(\d+)", header, "States:").group(1))
-    init = _state(_header_line(r"Start:\s*(\d+)", header, "Start:").group(1),
-                  n)
-    apm = _header_line(r'AP:\s*(\d+)((?:\s+"[^"]*")*)', header, "AP:")
+    n = int(_header_line(header, "States:", r"\s*(\d+)").group(1))
+    init = _state(_header_line(header, "Start:", r"\s*(\d+)").group(1), n)
+    apm = _header_line(header, "AP:", r'\s*(\d+)((?:\s+"[^"]*")*)')
     ap = tuple(re.findall(r'"([^"]*)"', apm.group(2)))
     if len(ap) != int(apm.group(1)):
         raise ValueError("HOA AP: line announces %s propositions, names %d"
@@ -141,8 +149,7 @@ def parse_hoa(text):
     for p in ap:
         if ap.count(p) > 1:
             raise ValueError("HOA AP: line names %r twice" % p)
-    accm = _header_line(r"acc-name:[ \t]*(\S+)((?:[ \t]+\d+)*)", header,
-                        "acc-name:")
+    accm = _header_line(header, "acc-name:", r"[ \t]*(\S+)((?:[ \t]+\d+)*)")
     name, counts = accm.group(1), [int(x) for x in accm.group(2).split()]
     # (number of Fin sets, number of Inf sets) of each disjunct
     if name == "Buchi":
@@ -158,8 +165,7 @@ def parse_hoa(text):
         raise ValueError("unsupported HOA acceptance %r"
                          % " ".join([name] + accm.group(2).split()))
     nsets = sum(f + m for f, m in shape)
-    condm = _header_line(r"Acceptance:[ \t]*(\d+)(.*)", header,
-                         "Acceptance:")
+    condm = _header_line(header, "Acceptance:", r"[ \t]*(\d+)(.*)")
     if int(condm.group(1)) != nsets:
         raise ValueError("HOA Acceptance: line has %s sets, acc-name: "
                          "declares %d" % (condm.group(1), nsets))

@@ -34,7 +34,10 @@ bit.
 
 ``naive_holds`` is a deliberately independent implementation that unfolds the
 defining quantifiers up to a sufficient horizon; it shares no code with
-:func:`holds` and exists to cross-check it.
+:func:`holds` and exists to cross-check it.  Its eight binary temporal
+operators are one first-witness scan, :func:`_scan`, which differs only in
+direction (forward for ``U``/``W``/``M``/``R``, backward to position 0 for
+``S``/``wS``/``B``/``wB``) and in the truth value it stops on.
 """
 
 from __future__ import annotations
@@ -66,12 +69,6 @@ class LassoWord:
         d = (t - len(self.prefix)) % len(self.period)
         return LassoWord((), self.period[d:] + self.period[:d])
 
-    def phase(self, t):
-        """Identifier of the position class of ``t`` (prefix index or cycle slot)."""
-        if t < len(self.prefix):
-            return t
-        return len(self.prefix) + (t - len(self.prefix)) % len(self.period)
-
     def __str__(self):
         return format_word(self)
 
@@ -86,26 +83,18 @@ def format_word(w):
 
 
 _NAME = r"\s*[a-zA-Z0-9_]+\s*"
-_LETTER_RE = re.compile(r"\{(%s(?:,%s)*|\s*)\}" % (_NAME, _NAME))
+_LETTER = r"\{(?:%s(?:,%s)*|\s*)\}" % (_NAME, _NAME)
+_SIDE_RE = re.compile(r"(?:%s(?:\s*,\s*%s)*)?" % (_LETTER, _LETTER))
 
 
 def _parse_side(text):
+    """The letters of one side of a lasso word, such as ``{p},{},{p,q}``."""
     text = text.strip()
-    letters = []
-    pos = 0
-    while pos < len(text):
-        m = _LETTER_RE.match(text, pos)
-        if m is None:
-            raise ValueError("bad letter at %r" % text[pos:])
-        names = [x.strip() for x in m.group(1).split(",") if x.strip()]
-        letters.append(frozenset(names))
-        pos = m.end()
-        if pos < len(text):
-            if text[pos] != ",":
-                raise ValueError("expected ',' between letters in %r" % text)
-            pos += 1
-            pos += len(text[pos:]) - len(text[pos:].lstrip())
-    return tuple(letters)
+    if _SIDE_RE.fullmatch(text) is None:
+        raise ValueError("bad letter in %r: expected letters such as {p,q} "
+                         "separated by ','" % text)
+    return tuple(frozenset(re.findall(r"[a-zA-Z0-9_]+", names))
+                 for names in re.findall(r"\{([^}]*)\}", text))
 
 
 def parse_word(text):
@@ -275,21 +264,19 @@ def naive_holds(f, w, t=0):
             out = ev(g.left, s) or ev(g.right, s)
         elif k == F.NEXT:
             out = ev(g.left, s + 1)
-        elif k in (F.UNTIL, F.WUNTIL):
-            out = _scan_until(ev, g, s, max(s, horizon) + period,
-                              weak=(k == F.WUNTIL))
-        elif k in (F.SRELEASE, F.RELEASE):
-            out = _scan_srelease(ev, g, s, max(s, horizon) + period,
-                                 weak=(k == F.RELEASE))
+        elif k in (F.UNTIL, F.WUNTIL, F.SRELEASE, F.RELEASE):
+            out = _scan(ev, g, range(s, max(s, horizon) + period),
+                        stop=k in (F.UNTIL, F.WUNTIL),
+                        weak=k in (F.WUNTIL, F.RELEASE))
         elif k == F.YESTERDAY:
             out = s > 0 and ev(g.left, s - 1)
         elif k == F.WYESTERDAY:
             out = s == 0 or ev(g.left, s - 1)
-        elif k in (F.SINCE, F.WSINCE):
-            out = _scan_since(ev, g, s, weak=(k == F.WSINCE))
-        elif k in (F.BACK, F.WBACK):
+        elif k in (F.SINCE, F.WSINCE, F.BACK, F.WBACK):
             # a B b == b S (a & b); weak variant seeds history true.
-            out = _scan_back(ev, g, s, weak=(k == F.WBACK))
+            out = _scan(ev, g, range(s, -1, -1),
+                        stop=k in (F.SINCE, F.WSINCE),
+                        weak=k in (F.WSINCE, F.WBACK))
         else:
             raise AssertionError(k)
         memo[key] = out
@@ -298,37 +285,14 @@ def naive_holds(f, w, t=0):
     return ev(f, t)
 
 
-def _scan_until(ev, g, s, bound, weak):
-    for r in range(s, bound):
-        if ev(g.right, r):
-            return True
-        if not ev(g.left, r):
-            return False
-    return weak
-
-
-def _scan_srelease(ev, g, s, bound, weak):
-    for r in range(s, bound):
-        if not ev(g.right, r):
-            return False
-        if ev(g.left, r):
-            return True
-    return weak
-
-
-def _scan_since(ev, g, s, weak):
-    for r in range(s, -1, -1):
-        if ev(g.right, r):
-            return True
-        if not ev(g.left, r):
-            return False
-    return weak
-
-
-def _scan_back(ev, g, s, weak):
-    for r in range(s, -1, -1):
-        if not ev(g.right, r):
-            return False
-        if ev(g.left, r):
-            return True
+def _scan(ev, g, positions, stop, weak):
+    """Walk ``positions`` to the first that decides ``g``: there ``g.right``
+    equal to ``stop`` gives ``stop``, else ``g.left`` unequal to it gives
+    the opposite.  Until and since stop on true, strong release and back on
+    false; a walk that nothing decides gives ``weak``."""
+    for r in positions:
+        if ev(g.right, r) == stop:
+            return stop
+        if ev(g.left, r) != stop:
+            return not stop
     return weak

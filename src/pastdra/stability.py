@@ -5,11 +5,20 @@ hold in the weak sense; later instants are computed against the formula
 rewritten under the composition of all earlier sets, and the weakening
 condition of a candidate is evaluated on the suffix starting at the previous
 instant.
+
+One walk, :func:`_walk`, computes these sets.  It carries the chained
+rewrite of each past subformula, so each instant costs one rewrite per past
+subformula.  :func:`entailed_seq` is a slice of the walk, and the master
+check reads it until its state, the pair (chain, suffix), repeats.  The
+master check computes premise one's inputs once per word: the entailed sets
+up to the stability index, their composition and the derivative of the
+prefix.  Only the final mu-limit rewrite depends on the guess M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 from . import formula as F
 from .lasso import holds
@@ -19,44 +28,42 @@ from .rewrites import (compose_sequence, is_weak, rewrite_mu_limit,
 from .after import af_loc_ext
 
 
-def entailed_seq(f, w, t):
-    """The entailed past sets of ``f`` along ``w`` at instants 0..t."""
-    seq = [frozenset(p for p in F.psf(f) if is_weak(p))]
-    for s in range(1, t + 1):
-        comp = compose_sequence(f, seq)
-        rewritten = rewrite_under(f, comp)
-        tail = w.suffix(s - 1)
-        seq.append(frozenset(p for p in F.psf(rewritten)
-                             if holds(wc(p), tail, 0)))
-    return seq
+def _walk(f, w):
+    """The entailed-set walk of ``f`` along ``w``.
 
-
-def _composed_cycle(f, w):
-    """All composed entailed sets until the (state, phase) pair repeats.
-
-    Returns ``(composed_list, lo, hi)`` where the composed sets (and with
-    them every per-instant construction derived from them) repeat with the
-    cycle ``[lo, hi)`` from ``lo`` on.
+    At each instant ``t = 0, 1, ...`` it yields the entailed past set, the
+    composition of the sets up to ``t``, and the state key ``(chain,
+    w.suffix(t))``, where ``chain`` holds the chained rewrite of each past
+    subformula.  The key is the walk's whole state: the next entailed set
+    reads only the composed set and the suffix.
     """
     ps = F.sorted_set(F.psf(f))
-    chain = tuple(ps)  # current chained rewrite of each past subformula
-    seq = [frozenset(p for p in F.psf(f) if is_weak(p))]
-    chain = tuple(rewrite_under(p, seq[0]) for p in chain)
-    composed = [frozenset(p for p, c in zip(ps, chain) if is_weak(c))]
-    seen = {(chain, w.phase(0)): 0}
-    t = 0
-    while True:
-        t += 1
-        comp = composed[-1]
-        rewritten = rewrite_under(f, comp)
-        tail = w.suffix(t - 1)
-        c_t = frozenset(p for p in F.psf(rewritten) if holds(wc(p), tail, 0))
-        chain = tuple(rewrite_under(c, c_t) for c in chain)
-        composed.append(frozenset(p for p, c in zip(ps, chain) if is_weak(c)))
-        key = (chain, w.phase(t))
+    chain = tuple(ps)
+    entailed = frozenset(p for p in ps if is_weak(p))
+    for t in count():
+        chain = tuple(rewrite_under(c, entailed) for c in chain)
+        composed = frozenset(p for p, c in zip(ps, chain) if is_weak(c))
+        tail = w.suffix(t)
+        yield entailed, composed, (chain, tail)
+        entailed = frozenset(p for p in F.psf(rewrite_under(f, composed))
+                             if holds(wc(p), tail, 0))
+
+
+def entailed_seq(f, w, t):
+    """The entailed past sets of ``f`` along ``w`` at instants 0..t."""
+    return [entailed for entailed, _, _ in islice(_walk(f, w), t + 1)]
+
+
+def _cycle(f, w):
+    """The walk's states as (composed set, suffix) pairs, up to the first
+    repeated key, and the index of the state it repeats: the states repeat
+    from there on."""
+    states, seen = [], {}
+    for _, composed, key in _walk(f, w):
         if key in seen:
-            return composed, seen[key], t
-        seen[key] = t
+            return states, seen[key]
+        seen[key] = len(states)
+        states.append((composed, key[1]))
 
 
 @dataclass(frozen=True)
@@ -105,34 +112,19 @@ class MasterReport:
     consistent: bool       # premises met iff the word satisfies the formula
 
 
-def _premise_one(f, w, r, M):
-    seq = entailed_seq(f, w, r)
-    comp = compose_sequence(f, seq)
-    chi = af_loc_ext(f, [w.letter(i) for i in range(r)], seq)
-    chi = rewrite_mu_limit(chi, rewrite_set(M, comp))
-    return holds(chi, w.suffix(r), 0)
-
-
-def _premise_two(cycle, w, psi, N):
-    composed, lo, hi = cycle
-    return any(_eventually_holds(psi, N, composed[t], w, t, weak=False)
-               for t in range(lo, hi))
-
-
-def _premise_three(cycle, w, psi, M):
-    composed, lo, hi = cycle
-    return any(_eventually_holds(psi, M, composed[t], w, t, weak=True)
-               for t in range(hi))
-
-
-def _eventually_holds(psi, S, comp, w, t, weak):
-    core = rewrite_under(psi, comp)
-    rw_set = rewrite_set(S, comp)
-    if weak:
-        goal = F.alw(rewrite_mu_limit(core, rw_set))
-    else:
-        goal = F.ev(rewrite_nu_limit(core, rw_set))
-    return holds(goal, w.suffix(t), 0)
+def _eventually_holds(psi, S, states, weak):
+    """Whether the limit rewrite of ``psi`` under ``S`` holds, always
+    (``weak``) or eventually, on the suffix of some state of ``states``."""
+    for comp, tail in states:
+        core = rewrite_under(psi, comp)
+        rw_set = rewrite_set(S, comp)
+        if weak:
+            goal = F.alw(rewrite_mu_limit(core, rw_set))
+        else:
+            goal = F.ev(rewrite_nu_limit(core, rw_set))
+        if holds(goal, tail, 0):
+            return True
+    return False
 
 
 def check_master(f, w):
@@ -145,14 +137,22 @@ def check_master(f, w):
     r = stability_index(f, w)
     mu = F.sorted_set(F.mu_subformulas(f))
     nu = F.sorted_set(F.nu_subformulas(f))
-    cycle = _composed_cycle(f, w)
+    # premise one: of the derivative chi of f along the prefix up to r,
+    # only the mu-limit reads M
+    seq = entailed_seq(f, w, r)
+    comp = compose_sequence(f, seq)
+    chi = af_loc_ext(f, [w.letter(i) for i in range(r)], seq)
+    tail = w.suffix(r)
+    states, lo = _cycle(f, w)
     witness = None
     for M in map(frozenset, subsets(mu)):
-        if not _premise_one(f, w, r, M):
+        if not holds(rewrite_mu_limit(chi, rewrite_set(M, comp)), tail, 0):
             continue
         for N in map(frozenset, subsets(nu)):
-            if all(_premise_two(cycle, w, psi, N) for psi in M) and \
-                    all(_premise_three(cycle, w, psi, M) for psi in N):
+            if all(_eventually_holds(psi, N, states[lo:], weak=False)
+                   for psi in M) and \
+                    all(_eventually_holds(psi, M, states, weak=True)
+                        for psi in N):
                 witness = (M, N)
                 break
         if witness is not None:

@@ -65,7 +65,8 @@ def test_bad_word_exit_code(capsys):
     assert code == 1 and err
 
 
-@pytest.mark.parametrize("word", ["; {p q}", "; {p,,q}", "{p,} ; {}"])
+@pytest.mark.parametrize("word", ["; {p q}", "; {p,,q}", "{p,} ; {}",
+                                  "{p}, ; {q}", "{p} ; {q},"])
 def test_malformed_letter_exit_code(capsys, word):
     # "{p q}" is not the proposition "p q", and an empty entry is no name
     code, out, err = run(capsys, "eval", "p", word)
@@ -204,6 +205,39 @@ def test_check_hoa_missing_header_line(capsys, line):
     text = "".join(s for s in _fq_hoa(capsys).splitlines(keepends=True)
                    if not s.startswith(line))
     assert line in _check_hoa(capsys, text)
+
+
+@pytest.mark.parametrize("line", ["States:", "Start:", "AP:", "acc-name:",
+                                  "Acceptance:"])
+def test_check_hoa_repeated_header_line(capsys, line):
+    # a second Start: line is a second initial state, and a second line of
+    # any other item is a conflicting declaration
+    text = "".join(s * (1 + s.startswith(line)) for s in
+                   _fq_hoa(capsys).splitlines(keepends=True))
+    assert "2 %r lines" % line in _check_hoa(capsys, text)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("Start: 0\n", "Start: 0&1\n"),         # an alternating conjunction
+    ("Start: 0\n", "Start: 0 1\n"),
+    ("States: 5\n", "States: 5 6\n"),
+    ('AP: 1 "q"\n', 'AP: 1 "q" 0\n'),
+    ("acc-name: generalized-Rabin 2 0 1\n",
+     "acc-name: generalized-Rabin 2 0 1 x\n"),
+])
+def test_check_hoa_header_line_has_nothing_after_its_value(capsys, old, new):
+    text = _fq_hoa(capsys).replace(old, new, 1)
+    assert "not supported" in _check_hoa(capsys, text)
+
+
+def test_check_hoa_reads_header_items_at_line_start_only(capsys):
+    # "Start: 3" inside another item's string is not the initial state;
+    # from state 3 the automaton of F q would accept "; {}"
+    text = _fq_hoa(capsys).replace(
+        "Start: 0\n", 'tool: "x" "Start: 3"\nStart: 0\n', 1)
+    for word, want in (("; {}", "rejects"), ("; {q}", "accepts")):
+        code, out, err = run(capsys, "check", text, word)
+        assert code == 0 and out.strip() == want and not err, word
 
 
 @pytest.mark.parametrize("argv,marks,nsets", [

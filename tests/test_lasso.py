@@ -31,9 +31,11 @@ def test_parse_word_rejects_empty_period():
 
 
 @pytest.mark.parametrize("text", [
-    "; {p q}", "; {p,,q}", "; {p,}", "; {,}", "{,p} ; {}", "{p},{q r} ; {}"])
+    "; {p q}", "; {p,,q}", "; {p,}", "; {,}", "{,p} ; {}", "{p},{q r} ; {}",
+    "{p}, ; {q}", "{p} ; {q},", "{p} ; {q} ,", "{p},{q}, ; {}"])
 def test_parse_word_rejects_malformed_names(text):
-    # an empty entry or a space inside a name is not one proposition
+    # an empty entry or a space inside a name is not one proposition, and
+    # a comma between letters must have a letter after it
     with pytest.raises(ValueError, match="bad letter"):
         parse_word(text)
 
@@ -55,11 +57,13 @@ def test_letter_and_suffix():
     assert s.letter(1) == frozenset({"q"})
 
 
-def test_phase_identifies_positions_with_equal_futures():
+def test_suffix_identifies_positions_with_equal_futures():
+    # equal suffixes are equal keys of the entailed-set walk
     w = parse_word("{p} ; {q},{}")
-    assert w.phase(1) == w.phase(3) == w.phase(5)
-    assert w.phase(0) != w.phase(1)
-    assert w.phase(1) != w.phase(2)
+    assert w.suffix(1) == w.suffix(3) == w.suffix(5)
+    assert hash(w.suffix(1)) == hash(w.suffix(5))
+    assert w.suffix(0) != w.suffix(1)
+    assert w.suffix(1) != w.suffix(2)
 
 
 def test_holds_frozen_example():
