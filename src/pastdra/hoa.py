@@ -105,6 +105,8 @@ _HOA_STATE_RE = re.compile(
     r'State:\s*(\d+)(?:\s+"((?:[^"\\]|\\.)*)")?(?:\s*\{([\d\s]*)\})?\s*$')
 _HOA_EDGE_RE = re.compile(r"\[([^\]]*)\]\s*(\d+)\s*$")
 _HOA_LITERAL_RE = re.compile(r"!?[0-9]+")
+# A header line: newlines inside a quoted string do not end it.
+_HOA_LINE_RE = re.compile(r'(?:[^"\n]|"(?:[^"\\]|\\.)*")+')
 _INCOMPLETE = ("HOA transition table is incomplete: only complete automata "
                "with one edge per letter are supported")
 
@@ -112,7 +114,7 @@ _INCOMPLETE = ("HOA transition table is incomplete: only complete automata "
 def _header_line(header, name, pattern):
     """The match of ``name`` and then ``pattern`` against the one header
     line that starts with ``name``, up to the end of that line."""
-    lines = [line.strip() for line in header.splitlines()
+    lines = [line.strip() for line in _HOA_LINE_RE.findall(header)
              if line.strip().startswith(name)]
     if not lines:
         raise ValueError("HOA header has no %r line" % name)

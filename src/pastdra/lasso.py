@@ -28,9 +28,18 @@ is position ``t``.  Each operator is a few operations on those ints:
 
 The second lap is the stabilization lap: where the two laps of a past
 operator differ, the evaluator raises AssertionError, explicitly, so the
-check also holds under ``python -O``.  :func:`holds` is the one reader of
-the frame: it folds a position past ``T`` into the first lap and reads its
-bit.
+check also holds under ``python -O``.
+
+The program.  :func:`_program` flattens ``f`` once per translation into
+``(past depth, names, steps)``: the distinct proposition names, and each
+distinct subformula, children first, as a step ``(opcode, operand, left
+index, right index)``.  Opcodes are small ints tried in order of frequency;
+U/W, R/M, Y/wY, S/wS and B/wB each share one, with the initial bit as
+operand, and a proposition's operand is its index in ``names``.  Per word
+the evaluator builds one letter mask per name, in a list indexed like
+``names``, and runs the steps in one loop with every carry chain and bit
+reversal inline.  :func:`holds` looks the program up once, folds a
+position past ``T`` into the first lap and reads its bit.
 
 ``naive_holds`` is a deliberately independent implementation that unfolds the
 defining quantifiers up to a sufficient horizon; it shares no code with
@@ -105,108 +114,117 @@ def parse_word(text):
     return LassoWord(_parse_side(pre), _parse_side(per))
 
 
-def _since(a, b, init):
-    """``s[t] = b[t] | (a[t] & s[t-1])`` with ``s[-1] = init``, at every
-    ``t`` at once: bit ``t + 1`` of the carries of ``(a | b) + b + init``,
-    since the carry out of a bit is ``b | (a & carry in)``."""
-    x = a | b
-    return ((x + b + init) ^ x ^ b) >> 1
-
-
-def _reverse(x, width):
-    """The low ``width`` bits of ``x`` in reverse order."""
-    return int(bin(x | 1 << width)[:2:-1], 2)
-
-
-def _frame_start(f, w):
-    """``T``: from there on every subformula of ``f`` repeats with ``|v|``."""
-    return len(w.prefix) + F.past_depth(f) * len(w.period)
-
+# Opcodes, the most frequent in the corpus first, and the kinds whose
+# initial bit is 1; see the module docstring.
+(_PROP, _UNTIL, _FALSE, _TRUE, _OR, _NPROP, _AND, _NEXT, _RELEASE,
+ _SINCE, _YESTERDAY, _BACK) = range(12)
+_OPCODES = {
+    F.PROP: _PROP, F.NPROP: _NPROP, F.TRUE: _TRUE, F.FALSE: _FALSE,
+    F.AND: _AND, F.OR: _OR, F.NEXT: _NEXT, F.UNTIL: _UNTIL, F.WUNTIL: _UNTIL,
+    F.SRELEASE: _RELEASE, F.RELEASE: _RELEASE, F.SINCE: _SINCE,
+    F.WSINCE: _SINCE, F.YESTERDAY: _YESTERDAY, F.WYESTERDAY: _YESTERDAY,
+    F.BACK: _BACK, F.WBACK: _BACK,
+}
+_WEAK = frozenset((F.WUNTIL, F.RELEASE, F.WYESTERDAY, F.WSINCE, F.WBACK))
 
 _programs = F.memo()
 
 
 def _program(f):
-    """The distinct subformulas of ``f`` in postorder, each as ``(kind,
-    name, left index, right index)``."""
-    steps = _programs.get(f)
-    if steps is None:
-        index, steps = {}, []
+    """``(past depth, names, steps)`` for ``f``; see the module docstring."""
+    program = _programs.get(f)
+    if program is None:
+        index, names, steps = {}, {}, []
 
         def walk(g):
             if g not in index:
                 i = walk(g.left) if g.left is not None else None
                 j = walk(g.right) if g.right is not None else None
                 index[g] = len(steps)
-                steps.append((g.kind, g.name, i, j))
+                steps.append((_OPCODES[g.kind],
+                              names.setdefault(g.name, len(names))
+                              if g.name is not None else g.kind in _WEAK,
+                              i, j))
             return index[g]
         walk(f)
-        _programs[f] = steps
-    return steps
+        program = _programs[f] = F.past_depth(f), tuple(names), steps
+    return program
 
 
 def _frame(f, w, T):
     """The truth of ``f`` at positions ``0 .. T + 2|v| - 1`` of ``w``, for
-    ``T`` at least :func:`_frame_start`; see the module docstring."""
+    ``T`` at least ``|u| + past_depth(f) |v|``; see the module docstring."""
+    return _run(_program(f), w, T)
+
+
+def _run(program, w, T):
+    _, names, steps = program
     n, P = len(w.prefix), len(w.period)
-    L = T + 2 * P
-    full, lap, head = (1 << L) - 1, (1 << P) - 1, (1 << T + P) - 1
-    tile = (full >> n) // lap  # one bit at the start of every lap
-    masks = {}
-
-    def letters(name):
-        out = masks.get(name)
-        if out is None:
-            pre = cyc = 0
-            for t, s in enumerate(w.prefix):
-                if name in s:
-                    pre |= 1 << t
-            for t, s in enumerate(w.period):
-                if name in s:
-                    cyc |= 1 << t
-            out = masks[name] = pre | cyc * tile << n
-        return out
-
-    def future(a, b, init):
-        # val(L) = init; the second lap becomes a copy of the exact first
-        r = _reverse(_since(_reverse(a, L), _reverse(b, L), init), L)
-        return r & head | (r >> T & lap) << T + P
+    TP = T + P
+    L = TP + P
+    full, lap, head = (1 << L) - 1, (1 << P) - 1, (1 << TP) - 1
+    masks = []
+    for name in names:
+        m = 0
+        for s in reversed(w.period):
+            m = m << 1 | (name in s)
+        m *= (full >> n) // lap  # one bit at the start of every lap
+        for s in reversed(w.prefix):
+            m = m << 1 | (name in s)
+        masks.append(m)
 
     vals = []
-    for k, name, i, j in _program(f):
-        if k == F.AND:
-            out = vals[i] & vals[j]
-        elif k == F.OR:
-            out = vals[i] | vals[j]
-        elif k == F.PROP:
-            out = letters(name)
-        elif k == F.NPROP:
-            out = full ^ letters(name)
-        elif k == F.TRUE:
-            out = full
-        elif k == F.FALSE:
+    for op, arg, i, j in steps:
+        if op == _PROP:
+            out = masks[arg]
+        elif op == _UNTIL or op == _RELEASE:
+            # S/wS's carry (below) on bit-reversed masks, so it runs from
+            # position L - 1; R/M are W/U on the complements.  Reversing
+            # ``a << L | b`` reverses both operands at once.
+            ab = vals[i] << L | vals[j]
+            if op == _RELEASE:
+                ab ^= full << L | full
+                arg ^= 1
+            ab = int(bin(ab | 1 << 2 * L)[:2:-1], 2)
+            b = ab >> L
+            x = ab & full | b
+            r = int(bin(((x + b + arg) ^ x ^ b) >> 1 | 1 << L)[:2:-1], 2)
+            # the second lap becomes a copy of the exact first
+            out = r & head | (r >> T & lap) << TP
+            if op == _RELEASE:
+                out ^= full
+        elif op == _FALSE:
             out = 0
-        elif k == F.NEXT:
-            out = vals[i] >> 1 | (vals[i] >> T + P & 1) << L - 1
-        elif k in (F.UNTIL, F.WUNTIL):
-            out = future(vals[i], vals[j], k == F.WUNTIL)
-        elif k in (F.SRELEASE, F.RELEASE):
-            # val = b & (a | next): the complement of an until
-            out = full ^ future(full ^ vals[i], full ^ vals[j],
-                                k == F.SRELEASE)
+        elif op == _TRUE:
+            out = full
+        elif op == _OR:
+            out = vals[i] | vals[j]
+        elif op == _NPROP:
+            out = full ^ masks[arg]
+        elif op == _AND:
+            out = vals[i] & vals[j]
+        elif op == _NEXT:
+            a = vals[i]
+            out = a >> 1 | (a >> TP & 1) << L - 1
         else:
-            if k in (F.YESTERDAY, F.WYESTERDAY):
-                out = vals[i] << 1 & full | (k == F.WYESTERDAY)
-            elif k in (F.SINCE, F.WSINCE):
-                out = _since(vals[i], vals[j], k == F.WSINCE)
-            elif k in (F.BACK, F.WBACK):
-                out = full ^ _since(full ^ vals[i], full ^ vals[j],
-                                    k == F.BACK)
+            a = vals[i]
+            if op == _YESTERDAY:
+                out = a << 1 & full | arg
             else:
-                raise AssertionError(k)
-            if out >> T & lap != out >> T + P & lap:
-                raise AssertionError("%s did not stabilize by position %d"
-                                     % (k, T))
+                # s[t] = b[t] | (a[t] & s[t-1]) with s[-1] = init is bit
+                # t + 1 of the carries of (a | b) + b + init, since the
+                # carry out of a bit is b | (a & carry in); B/wB are S/wS
+                # on the complements
+                b = vals[j]
+                if op == _BACK:
+                    a, b, arg = full ^ a, full ^ b, arg ^ 1
+                x = a | b
+                out = ((x + b + arg) ^ x ^ b) >> 1
+                if op == _BACK:
+                    out ^= full
+            if out >> T & lap != out >> TP & lap:
+                raise AssertionError("a past operator did not stabilize by "
+                                     "position %d" % T)
         vals.append(out)
     return out
 
@@ -218,11 +236,13 @@ def _check_position(t):
 
 def holds(f, w, t=0):
     """Whether ``(w, t)`` satisfies ``f``; ``t < 0`` raises ValueError."""
-    _check_position(t)
-    T = _frame_start(f, w)
+    if t < 0:
+        raise ValueError("position must be non-negative, got %d" % t)
+    program = _program(f)
+    T = len(w.prefix) + program[0] * len(w.period)
     if t >= T:
         t = T + (t - T) % len(w.period)
-    return bool(_frame(f, w, T) >> t & 1)
+    return bool(_run(program, w, T) >> t & 1)
 
 
 # ---------------------------------------------------------------------------

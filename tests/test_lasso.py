@@ -169,26 +169,26 @@ _BINARY = (F.conj, F.disj, F.until, F.wuntil, F.release, F.srelease,
            F.since, F.wsince, F.back, F.wback)
 
 
-def _nested_past(rng, depth=4, past=4):
-    """A formula of syntax depth at most ``depth``, counting a chain of
-    unary operators such as ``Y Y Y`` once, with at most ``past`` past
-    operators on any path."""
+def _nested_past(rng, depth=4, past=4, leaves=_LEAVES, chain=3):
+    """A formula of syntax depth at most ``depth``, counting a chain of up
+    to ``chain`` unary operators such as ``Y Y Y`` once, with at most
+    ``past`` past operators on any path."""
     if depth == 0 or rng.random() < 0.25:
-        return rng.choice(_LEAVES)
+        return rng.choice(leaves)
     if rng.random() < 0.5:
-        chain = []
-        for _ in range(rng.randint(1, 3)):
-            chain.append(rng.choice(
+        ops = []
+        for _ in range(rng.randint(1, chain)):
+            ops.append(rng.choice(
                 (F.nxt, F.yesterday, F.wyesterday) if past else (F.nxt,)))
-            past -= chain[-1] is not F.nxt
-        g = _nested_past(rng, depth - 1, past)
-        for op in chain:
+            past -= ops[-1] is not F.nxt
+        g = _nested_past(rng, depth - 1, past, leaves, chain)
+        for op in ops:
             g = op(g)
         return g
     op = rng.choice(_BINARY if past else _BINARY[:6])
     past -= op in _BINARY[6:]
-    return op(_nested_past(rng, depth - 1, past),
-              _nested_past(rng, depth - 1, past))
+    return op(_nested_past(rng, depth - 1, past, leaves, chain),
+              _nested_past(rng, depth - 1, past, leaves, chain))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -200,4 +200,23 @@ def test_holds_agrees_with_naive_on_deep_past(seed):
     f = _nested_past(rng)
     w = random_lasso(rng, ("p", "q"), max_prefix=4, max_cycle=6)
     t = rng.randint(0, len(w.prefix) + 3 * len(w.period))
+    assert holds(f, w, t) == naive_holds(f, w, t)
+
+
+# Eight propositions, some named like the evaluator's own variables: names
+# are data, never looked up as anything else.
+_WIDE = ("full", "lap", "head", "masks", "x0", "x1", "vals", "names")
+_WIDE_LEAVES = tuple(map(F.prop, _WIDE)) + tuple(map(F.nprop, _WIDE))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_holds_agrees_with_naive_deep_and_wide(seed):
+    # Y/wY/X chains of up to six reach past depth 6, so the frame starts at
+    # up to |u| + 6|v|; positions go a lap beyond its end T + 2|v|
+    rng = random.Random(seed)
+    f = _nested_past(rng, past=6, leaves=_WIDE_LEAVES, chain=6)
+    w = random_lasso(rng, _WIDE, max_prefix=4, max_cycle=6)
+    T = len(w.prefix) + F.past_depth(f) * len(w.period)
+    t = rng.randint(0, T + 3 * len(w.period))
     assert holds(f, w, t) == naive_holds(f, w, t)

@@ -1,12 +1,17 @@
 import hashlib
 import random
+from dataclasses import replace
+
+from test_acceptance import AP3, CORPUS, FUTURE_HISTORY_SPEC
 
 from pastdra import formula as F
+from pastdra.automata import accepts
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.lasso import holds, naive_holds, parse_word
-from pastdra.rewrites import compose_sequence, rewrite_under
+from pastdra.rewrites import compose_sequence, rewrite_under, subsets
 from pastdra.stability import (check_master, entailed_seq, limit_sets,
                                stability_index)
+from pastdra.translate import translate
 
 parse = F.parse
 
@@ -118,3 +123,31 @@ def test_reference_layer_golden():
                           rep.consistent, seq, bits)).encode())
     assert digest.hexdigest() == (
         "0485d4434914fbd0def5bb108b38c0863c0bb87045a9c929028e388edb7b10e8")
+
+
+def test_master_witness_pair_accepts():
+    # whenever check_master reports a witness (M, N), the automaton's pair
+    # for that guess accepts the word by itself.  The converse fails: for
+    # F p on {p} ; {q,r},{p} pair 0 (M = {}) accepts, since the automaton
+    # may discharge F p before the stability index check_master reads, but
+    # the witness is M = {F p}.  Pairs come in check_master's order.
+    rng = random.Random(26)
+    witnessed = 0
+    for text in CORPUS:
+        if text == FUTURE_HISTORY_SPEC:
+            continue
+        f = parse(text)
+        auto = translate(f, AP3)
+        guesses = [(frozenset(M), frozenset(N))
+                   for M in subsets(F.sorted_set(F.mu_subformulas(f)))
+                   for N in subsets(F.sorted_set(F.nu_subformulas(f)))]
+        assert len(guesses) == len(auto.acc[1])
+        for _ in range(40):
+            w = random_lasso(rng, AP3, max_prefix=4, max_cycle=4)
+            witness = check_master(f, w).witness
+            if witness is not None:
+                pair = auto.acc[1][guesses.index(witness)]
+                assert accepts(replace(auto, acc=(auto.acc[0], (pair,))), w), \
+                    (text, w, witness)
+                witnessed += 1
+    assert witnessed > 1000

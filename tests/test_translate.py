@@ -161,6 +161,17 @@ def test_hoa_round_trip():
                 assert accepts(back, w) == accepts(auto, w)
 
 
+def test_hoa_string_may_span_header_lines():
+    # the name string holds a line "Start: 3", which is part of the string
+    # and not a second initial state
+    auto = translate(parse("F q"))
+    text = export_hoa(auto, name="F q\nStart: 3")
+    assert '\nStart: 3"\n' in text
+    back = parse_hoa(text)
+    assert (back.init, back.trans, back.acc) == (auto.init, auto.trans,
+                                                 auto.acc)
+
+
 def test_hoa_header():
     # Rabin when every pair has one meet set, else generalized Rabin: a
     # pair with no meet set is one Fin, one with two meet sets Fin&Inf&Inf
