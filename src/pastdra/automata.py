@@ -16,14 +16,17 @@ successor off the bed's table and steps each distinct component runner once
 on the bed's letter, then reads the state labels and one generalized pair
 per branch off the explored states.  A label names each component once,
 however many branches share it.  :func:`degeneralize` turns the result into
-a plain Rabin automaton with one counter per pair.  :func:`accepts` reads a
-lasso word's letters through the letter table and walks its cycle one lap
-at a time.
+a plain Rabin automaton with one counter per pair; both stop at
+``max_states``, ``DEFAULT_MAX_STATES`` unless given.  :func:`accepts` reads
+a lasso word through the letter table and walks its cycle a lap at a time.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+
+DEFAULT_MAX_STATES = 200000
 
 
 def letters_for(ap):
@@ -80,26 +83,20 @@ class BedAutomaton:
     state_objs: list          # opaque payload per state, passed to runners
 
 
-class Runner:
-    """A Büchi or co-Büchi component that also observes the bed state.
+Runner = namedtuple("Runner", "init step accepting label", defaults=(str,))
+Runner.__doc__ = """\
+A Büchi or co-Büchi component that also observes the bed state.
 
-    ``step(q, bed_obj, sigma)`` sees the bed state *reached* on the current
-    letter, ``accepting(q)`` marks the states of its set and ``label(q)``
-    names a state.
-    """
-
-    def __init__(self, init, step, accepting, label=str):
-        self.init = init
-        self.step = step
-        self.accepting = accepting
-        self.label = label
+``step(q, bed_obj, sigma)`` sees the bed state *reached* on the current
+letter, ``accepting(q)`` marks the states of its set and ``label(q)`` names
+a state."""
 
 
 class StateLimitExceeded(Exception):
     pass
 
 
-def _explore(width, init_state, succ, max_states=None):
+def _explore(width, init_state, succ, max_states):
     """Deterministic BFS materialization: the states in discovery order and
     the transition table over their indices, ``succ(q, i)`` stepping on
     column ``i`` for ``i < width``; no letter is built here."""
@@ -111,7 +108,7 @@ def _explore(width, init_state, succ, max_states=None):
             j = index.get(q2)
             if j is None:
                 j = len(order)
-                if max_states is not None and j >= max_states:
+                if j >= max_states:
                     raise StateLimitExceeded(max_states)
                 index[q2] = j
                 order.append(q2)
@@ -120,7 +117,7 @@ def _explore(width, init_state, succ, max_states=None):
     return order, trans
 
 
-def cascade(bed, components, branches, max_states=None):
+def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES):
     """Generalized Rabin automaton of the union over the branches of the
     intersection of their components, all observing the bed.
 
@@ -157,7 +154,7 @@ def cascade(bed, components, branches, max_states=None):
     return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 
-def degeneralize(auto, max_states=None):
+def degeneralize(auto, max_states=DEFAULT_MAX_STATES):
     """The plain Rabin automaton (one meet set per pair) of a generalized
     Rabin automaton, with the same labels and pairs in the same order.
 

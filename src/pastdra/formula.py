@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import NamedTuple
 
 # Node kinds.
 TRUE = "tt"
@@ -258,21 +257,17 @@ def props(f):
     return frozenset(out)
 
 
-class SizeMetrics(NamedTuple):
-    n: int  # future-temporal plus proposition-literal nodes, with multiplicity
-    m: int  # past-temporal nodes, with multiplicity
-
-
 @_memoized
 def size(f):
-    """Syntax-tree node counts (shared subtrees count once per occurrence)."""
+    """Node counts ``(n, m)`` with multiplicity: ``n`` future-temporal plus
+    proposition-literal nodes, ``m`` past-temporal nodes."""
     n = 1 if (f.kind in FUTURE_KINDS or f.kind in (PROP, NPROP)) else 0
     m = 1 if f.is_past else 0
     for c in f.children():
         cn, cm = size(c)
         n += cn
         m += cm
-    return SizeMetrics(n, m)
+    return n, m
 
 
 @_memoized

@@ -50,14 +50,18 @@ def _state_sets(pairs, q):
     return out
 
 
+def _quote(text):
+    """``text`` as an HOA string: quoted, with ``\\`` and ``"`` escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_hoa(auto, name=None):
     lines = ["HOA: v1"]
     if name:
-        lines.append('name: "%s"' % name.replace('"', "'"))
+        lines.append("name: " + _quote(name))
     lines.append("States: %d" % auto.n_states())
     lines.append("Start: %d" % auto.init)
-    lines.append("AP: %d %s" % (len(auto.ap),
-                                " ".join('"%s"' % p for p in auto.ap)))
+    lines.append("AP: %d %s" % (len(auto.ap), " ".join(map(_quote, auto.ap))))
     lines.append(_acc_header(auto.acc[1]))
     lines.append("properties: trans-labels explicit-labels state-acc "
                  "deterministic complete")
@@ -68,8 +72,8 @@ def export_hoa(auto, name=None):
              for li in range(width)]
     for q in range(auto.n_states()):
         sets = _state_sets(auto.acc[1], q)
-        lines.append('State: %d "%s"%s' % (
-            q, auto.labels[q].replace('"', "'"),
+        lines.append("State: %d %s%s" % (
+            q, _quote(auto.labels[q]),
             " {%s}" % " ".join(map(str, sets)) if sets else ""))
         for li in range(width):
             lines.append("[%s] %d" % (exprs[li], auto.trans[q][li]))
@@ -196,7 +200,7 @@ def parse_hoa(text):
         m = _HOA_STATE_RE.match(line)
         if m:
             cur = _state(m.group(1), n)
-            labels[cur] = m.group(2) or ""
+            labels[cur] = re.sub(r"\\(.)", r"\1", m.group(2) or "")
             sets[cur] = [int(x) for x in (m.group(3) or "").split()]
             if sets[cur] and max(sets[cur]) >= nsets:
                 raise ValueError("HOA state %d marks set %d, but acc-name: "

@@ -151,13 +151,8 @@ def _program(f):
     return program
 
 
-def _frame(f, w, T):
-    """The truth of ``f`` at positions ``0 .. T + 2|v| - 1`` of ``w``, for
-    ``T`` at least ``|u| + past_depth(f) |v|``; see the module docstring."""
-    return _run(_program(f), w, T)
-
-
 def _run(program, w, T):
+    """The program's frame on ``w`` for ``T``; see the module docstring."""
     _, names, steps = program
     n, P = len(w.prefix), len(w.period)
     TP = T + P
@@ -236,8 +231,7 @@ def _check_position(t):
 
 def holds(f, w, t=0):
     """Whether ``(w, t)`` satisfies ``f``; ``t < 0`` raises ValueError."""
-    if t < 0:
-        raise ValueError("position must be non-negative, got %d" % t)
+    _check_position(t)
     program = _program(f)
     T = len(w.prefix) + program[0] * len(w.period)
     if t >= T:

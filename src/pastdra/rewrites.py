@@ -100,17 +100,14 @@ def enumerate_past_sets(f):
 
 
 def is_saturated(cj, ci, f):
-    """Whether ``ci`` is saturated with respect to ``cj`` over psf(f).
-
-    Saturation means the rewrite under ``ci`` cannot distinguish more
-    past subformulas than the rewrite under ``cj`` already merges.
+    """Whether ``ci`` is saturated with respect to ``cj`` over psf(f): the
+    rewrite under ``ci`` is a function of the rewrite under ``cj``, so it
+    merges every two past subformulas that the rewrite under ``cj`` merges.
     """
     ps = F.sorted_set(F.psf(f))
-    for a, b in combinations(ps, 2):
-        if rewrite_under(a, cj) is rewrite_under(b, cj) and \
-                rewrite_under(a, ci) is not rewrite_under(b, ci):
-            return False
-    return True
+    rj = [rewrite_under(p, cj) for p in ps]
+    ri = [rewrite_under(p, ci) for p in ps]
+    return len(set(zip(rj, ri))) == len(set(rj))
 
 
 def compose_sequence(f, sets):

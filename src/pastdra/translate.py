@@ -22,25 +22,23 @@ from __future__ import annotations
 from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
-from .automata import BedAutomaton, Runner, cascade, letters_for
+from .automata import (DEFAULT_MAX_STATES, BedAutomaton, Runner, cascade,
+                       letters_for)
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, subsets,
                        wc)
-
-DEFAULT_MAX_STATES = 200000
 
 
 class TranslationContext:
     """Shared tables for one formula: past sets, saturation, the bed step."""
 
-    def __init__(self, phi, ap=None, max_states=DEFAULT_MAX_STATES):
+    def __init__(self, phi, ap=None):
         F.clear_memos()
         self.phi = phi
         for name in ap or ():
             if not F.is_prop_name(name):
                 raise ValueError("not a proposition name: %r" % (name,))
         self.ap = tuple(sorted(set(F.props(phi)) | set(ap or ())))
-        self.max_states = max_states
         self.past_sets = enumerate_past_sets(phi)
         self.k = len(self.past_sets)
         # Saturation first, then one row per refining pair (i, j): j, C_i
@@ -78,15 +76,16 @@ def _bed_label(state):
     return "<%s>" % ", ".join(str(P.to_formula(b)) for b in state)
 
 
-def build_wc_automaton(ctx):
-    """The bed: one weakening-obligation track per enumerated past set."""
+def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
+    """The bed: one weakening-obligation track per enumerated past set;
+    raises :class:`StateLimitExceeded` past ``max_states``."""
     init = (P.TRUE_B,) + (P.FALSE_B,) * (ctx.k - 1)
     letters = letters_for(ctx.ap)
     # Looked up at call time so that a wrapper installed on
     # ``automata._explore`` (the benchmark's tracer) sees the bed too.
     from .automata import _explore
     order, trans = _explore(len(letters), init,
-                            lambda q, i: ctx.rc(q, letters[i]), ctx.max_states)
+                            lambda q, i: ctx.rc(q, letters[i]), max_states)
     return BedAutomaton(ctx.ap, letters, trans,
                         [_bed_label(s) for s in order], list(order))
 
@@ -159,7 +158,7 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
 
     Raises :class:`StateLimitExceeded` when exploration would pass the cap.
     """
-    ctx = TranslationContext(phi, ap, max_states)
+    ctx = TranslationContext(phi, ap)
     index = {}                # component key -> number, first appearance
     branches = []
     for M in subsets(ctx.mu):
@@ -173,7 +172,8 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
     # order and so the state labels.
     components = [build_safety_runner(ctx, key[1]) if key[0] == "S"
                   else _limit_runner(ctx, *key) for key in index]
-    return cascade(build_wc_automaton(ctx), components, branches, max_states)
+    return cascade(build_wc_automaton(ctx, max_states), components, branches,
+                   max_states)
 
 
 def translation_stats(phi, auto):

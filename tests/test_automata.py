@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pastdra.automata import (BedAutomaton, OmegaAutomaton, Runner,
-                              StateLimitExceeded, accepts, cascade,
-                              degeneralize, letters_for)
+from pastdra.automata import (DEFAULT_MAX_STATES, BedAutomaton,
+                              OmegaAutomaton, Runner, StateLimitExceeded,
+                              accepts, cascade, degeneralize, letters_for)
 from pastdra.hoa import parse_hoa
 from pastdra.lasso import LassoWord, parse_word
 
@@ -298,6 +298,16 @@ def test_cascade_state_limit():
                  accepting=lambda q: False)
     with pytest.raises(StateLimitExceeded):
         cascade(bed, [run], [], max_states=10)
+
+
+def test_cascade_stops_at_the_default_cap():
+    # no call runs uncapped: a runner that counts forever stops at the
+    # library default
+    run = Runner(init=0, step=lambda q, obj, s: q + 1,
+                 accepting=lambda q: False)
+    with pytest.raises(StateLimitExceeded) as info:
+        cascade(_one_state_bed(()), [run], [])
+    assert info.value.args == (DEFAULT_MAX_STATES,)
 
 
 def test_degeneralize_state_limit():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pastdra import formula as F
 from pastdra.gen import random_formula_bounded, random_lasso
-from pastdra.lasso import (LassoWord, _frame, format_word, holds,
+from pastdra.lasso import (LassoWord, _program, _run, format_word, holds,
                            naive_holds, parse_word)
 
 parse = F.parse
@@ -142,8 +142,8 @@ def test_forward_rejects_unstable_state():
     # check raises explicitly and so also holds under ``python -O``.
     f, w = parse("p S q"), parse_word("{q} ; {p},{}")
     with pytest.raises(AssertionError):
-        _frame(f, w, 1)
-    assert _frame(f, w, 3) == 0b11
+        _run(_program(f), w, 1)
+    assert _run(_program(f), w, 3) == 0b11
 
 
 def test_holds_golden():

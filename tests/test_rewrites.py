@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -84,6 +84,35 @@ def test_saturation_example():
     assert not R.is_saturated(frozenset(), frozenset({yp}), phi)
     assert R.is_saturated(frozenset(), frozenset({yp, wyp}), phi)
     assert R.is_saturated(frozenset({yp}), frozenset({yp}), phi)
+
+
+def _saturated_pairwise(cj, ci, f):
+    # the definition: every two past subformulas that the rewrite under cj
+    # merges are merged by the rewrite under ci
+    return all(R.rewrite_under(a, ci) is R.rewrite_under(b, ci)
+               for a, b in combinations(F.sorted_set(F.psf(f)), 2)
+               if R.rewrite_under(a, cj) is R.rewrite_under(b, cj))
+
+
+def test_is_saturated_matches_pairwise_definition():
+    # strength twins make the rewrites merge past subformulas: each random
+    # formula is conjoined with its all-weak twin
+    rng = random.Random(17)
+    formulas = [F.parse(t) for t in ("Y p & wY p", "(p S q) & (p wS q)",
+                                     "Y(p S q) & wY(p wS q)")]
+    while len(formulas) < 203:
+        g = random_formula(rng, ("p", "q"), depth=3)
+        f = F.conj(g, R.rewrite_under(g, F.psf(g)))
+        if 0 < len(F.psf(f)) <= 4:
+            formulas.append(f)
+    verdicts = []
+    for f in formulas:
+        sets = R.enumerate_past_sets(f)
+        for cj, ci in product(sets, repeat=2):
+            verdict = R.is_saturated(cj, ci, f)
+            assert verdict == _saturated_pairwise(cj, ci, f), (f, cj, ci)
+            verdicts.append(verdict)
+    assert 0 < verdicts.count(False) < len(verdicts)
 
 
 def test_rewrite_indices_reflexive():

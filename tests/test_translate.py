@@ -172,6 +172,18 @@ def test_hoa_string_may_span_header_lines():
                                                  auto.acc)
 
 
+def test_hoa_strings_are_escaped():
+    # a backslash or a quote in the name or a label is escaped, so the name
+    # cannot swallow the header and a label reads back exactly
+    auto = translate(parse("F q"))
+    text = export_hoa(auto, name="x\\")
+    assert 'name: "x\\\\"\n' in text
+    assert parse_hoa(text).trans == auto.trans
+    auto.labels[0] = 'a "b" \\c'
+    back = parse_hoa(export_hoa(auto, name='"'))
+    assert back.labels == auto.labels
+
+
 def test_hoa_header():
     # Rabin when every pair has one meet set, else generalized Rabin: a
     # pair with no meet set is one Fin, one with two meet sets Fin&Inf&Inf
