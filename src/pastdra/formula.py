@@ -2,10 +2,10 @@
 
 Formulas are hash-consed: structurally equal trees are the same object, so
 ``is`` / ``==`` / dict keys all behave identically and every formula carries a
-stable ``uid`` reflecting first-construction order.  All constructors produce
-negation normal form only; negation exists solely on propositions.  The parser
-accepts the usual sugar (``!``, ``->``, ``<->``, ``F``, ``G``, ``O``, ``H``)
-and eliminates it on the fly.
+stable ``uid`` reflecting first-construction order.  :func:`make` builds every
+node, in negation normal form only: negation exists solely on propositions.
+The parser accepts the usual sugar (``!``, ``->``, ``<->``, ``F``, ``G``,
+``O``, ``H``) and eliminates it on the fly.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ LEAF_KINDS = frozenset((TRUE, FALSE, PROP, NPROP))
 
 
 class Formula:
-    """An interned formula node.  Use the module-level constructors."""
+    """An interned formula node, built by :func:`make` or :func:`parse`."""
 
     __slots__ = ("kind", "name", "left", "right", "uid")
 
@@ -81,7 +81,11 @@ _uid_counter = [0]
 
 
 def make(kind, left=None, right=None, name=None):
-    """Intern and return the formula with the given root and children."""
+    """Intern and return the formula with the given root and children.
+
+    The one constructor: ``make(AND, a, b)``, ``make(NEXT, a)``,
+    ``make(TRUE)``, ``make(PROP, name="p")``.
+    """
     key = (kind, name,
            left.uid if left is not None else -1,
            right.uid if right is not None else -1)
@@ -96,90 +100,23 @@ def make(kind, left=None, right=None, name=None):
     return f
 
 
-def true():
-    return make(TRUE)
-
-
-def false():
-    return make(FALSE)
-
-
-def prop(name):
-    return make(PROP, name=name)
-
-
-def nprop(name):
-    return make(NPROP, name=name)
-
-
-def conj(a, b):
-    return make(AND, a, b)
-
-
-def disj(a, b):
-    return make(OR, a, b)
-
-
-def nxt(a):
-    return make(NEXT, a)
-
-
-def until(a, b):
-    return make(UNTIL, a, b)
-
-
-def wuntil(a, b):
-    return make(WUNTIL, a, b)
-
-
-def release(a, b):
-    return make(RELEASE, a, b)
-
-
-def srelease(a, b):
-    return make(SRELEASE, a, b)
-
-
-def yesterday(a):
-    return make(YESTERDAY, a)
-
-
-def wyesterday(a):
-    return make(WYESTERDAY, a)
-
-
-def since(a, b):
-    return make(SINCE, a, b)
-
-
-def wsince(a, b):
-    return make(WSINCE, a, b)
-
-
-def back(a, b):
-    return make(BACK, a, b)
-
-
-def wback(a, b):
-    return make(WBACK, a, b)
-
-
 # Derived operators, eliminated at construction time.
 
 def ev(a):
     """F a == tt U a."""
-    return until(true(), a)
+    return make(UNTIL, make(TRUE), a)
 
 
 def alw(a):
     """G a == a W ff."""
-    return wuntil(a, false())
+    return make(WUNTIL, a, make(FALSE))
 
 
 # ---------------------------------------------------------------------------
 # The dual of each operator, which the parser uses to push negations down.
 
 _DUAL_KIND = {
+    TRUE: FALSE, FALSE: TRUE,
     AND: OR, OR: AND,
     NEXT: NEXT,
     UNTIL: RELEASE, RELEASE: UNTIL,
@@ -400,20 +337,10 @@ def _nnf(node, neg, memo):
     if key in memo:
         return memo[key][1]
     op = node[0]
-    if op == "tt":
-        out = false() if neg else true()
-    elif op == "ff":
-        out = true() if neg else false()
-    elif op == "prop":
-        out = nprop(node[1]) if neg else prop(node[1])
+    if op == "prop":
+        out = make(NPROP if neg else PROP, name=node[1])
     elif op == "not":
         out = _nnf(node[1], not neg, memo)
-    elif op == "and":
-        a, b = _nnf(node[1], neg, memo), _nnf(node[2], neg, memo)
-        out = disj(a, b) if neg else conj(a, b)
-    elif op == "or":
-        a, b = _nnf(node[1], neg, memo), _nnf(node[2], neg, memo)
-        out = conj(a, b) if neg else disj(a, b)
     elif op == "imp":
         # a -> b == !a | b
         out = _nnf(("or", ("not", node[1]), node[2]), neg, memo)
@@ -421,8 +348,6 @@ def _nnf(node, neg, memo):
         # a <-> b == (a -> b) & (b -> a)
         out = _nnf(("and", ("imp", node[1], node[2]),
                     ("imp", node[2], node[1])), neg, memo)
-    elif op == "X":
-        out = nxt(_nnf(node[1], neg, memo))
     elif op == "F":
         out = _nnf(("U", ("tt",), node[1]), neg, memo)
     elif op == "G":
@@ -431,11 +356,12 @@ def _nnf(node, neg, memo):
         out = _nnf(("S", ("tt",), node[1]), neg, memo)
     elif op == "H":
         out = _nnf(("wS", node[1], ("ff",)), neg, memo)
-    elif op in _BINARY_WORDS:
-        a, b = _nnf(node[1], neg, memo), _nnf(node[2], neg, memo)
-        out = make(_DUAL_KIND[op] if neg else op, a, b)
-    elif op in ("Y", "wY"):
-        out = make(_DUAL_KIND[op] if neg else op, _nnf(node[1], neg, memo))
+    elif op in _DUAL_KIND:
+        # Every other raw op is a node kind; plain calls, not a
+        # comprehension, keep it at one frame per nesting level.
+        l = _nnf(node[1], neg, memo) if len(node) > 1 else None
+        r = _nnf(node[2], neg, memo) if len(node) > 2 else None
+        out = make(_DUAL_KIND[op] if neg else op, l, r)
     else:
         raise AssertionError("unhandled node %r" % (op,))
     memo[key] = (node, out)

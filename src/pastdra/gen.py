@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from . import formula as F
+from .lasso import LassoWord
 
 
 def random_letter(rng, ap):
@@ -12,13 +13,12 @@ def random_letter(rng, ap):
 def random_lasso(rng, ap, max_prefix=3, max_cycle=3):
     u = tuple(random_letter(rng, ap) for _ in range(rng.randint(0, max_prefix)))
     v = tuple(random_letter(rng, ap) for _ in range(rng.randint(1, max_cycle)))
-    from .lasso import LassoWord
     return LassoWord(u, v)
 
 
-_UNARY = (F.nxt, F.yesterday, F.wyesterday)
-_BINARY = (F.conj, F.disj, F.until, F.wuntil, F.release, F.srelease,
-           F.since, F.wsince, F.back, F.wback)
+_UNARY = (F.NEXT, F.YESTERDAY, F.WYESTERDAY)
+_BINARY = (F.AND, F.OR, F.UNTIL, F.WUNTIL, F.RELEASE, F.SRELEASE,
+           F.SINCE, F.WSINCE, F.BACK, F.WBACK)
 
 
 def random_formula(rng, ap, depth=3):
@@ -26,16 +26,15 @@ def random_formula(rng, ap, depth=3):
     if depth <= 0 or rng.random() < 0.25:
         r = rng.random()
         if r < 0.05:
-            return F.true()
+            return F.make(F.TRUE)
         if r < 0.1:
-            return F.false()
+            return F.make(F.FALSE)
         name = rng.choice(ap)
-        return F.prop(name) if rng.random() < 0.6 else F.nprop(name)
+        return F.make(F.PROP if rng.random() < 0.6 else F.NPROP, name=name)
     if rng.random() < 0.35:
-        return rng.choice(_UNARY)(random_formula(rng, ap, depth - 1))
-    op = rng.choice(_BINARY)
-    return op(random_formula(rng, ap, depth - 1),
-              random_formula(rng, ap, depth - 1))
+        return F.make(rng.choice(_UNARY), random_formula(rng, ap, depth - 1))
+    return F.make(rng.choice(_BINARY), random_formula(rng, ap, depth - 1),
+                  random_formula(rng, ap, depth - 1))
 
 
 def random_formula_bounded(rng, ap, max_size=6, max_past=2, depth=3):
@@ -45,4 +44,4 @@ def random_formula_bounded(rng, ap, max_size=6, max_past=2, depth=3):
         n, m = F.size(f)
         if n + m <= max_size and len(F.psf(f)) <= max_past:
             return f
-    return F.prop(ap[0])
+    return F.make(F.PROP, name=ap[0])

@@ -50,9 +50,14 @@ def _state_sets(pairs, q):
     return out
 
 
+def _escape(text):
+    """``text`` inside an HOA or DOT string: ``\\`` and ``"`` escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(text):
-    """``text`` as an HOA string: quoted, with ``\\`` and ``"`` escaped."""
-    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+    """``text`` as an HOA string."""
+    return '"%s"' % _escape(text)
 
 
 def export_hoa(auto, name=None):
@@ -90,8 +95,7 @@ def export_dot(auto):
         extra = " [%s]" % ",".join(map(str, sets)) if sets else ""
         shape = "doublecircle" if sets else "circle"
         out.append('  q%d [shape=%s,label="%d%s\\n%s"];'
-                   % (q, shape, q, extra,
-                      auto.labels[q].replace('"', "'")))
+                   % (q, shape, q, extra, _escape(auto.labels[q])))
     letters = auto.letters
     for q in range(auto.n_states()):
         grouped = {}

@@ -159,13 +159,14 @@ def to_formula(b):
     """
     if b._rep is None:
         if b is TRUE_B:
-            rep = F.true()
+            rep = F.make(F.TRUE)
         elif b is FALSE_B:
-            rep = F.false()
+            rep = F.make(F.FALSE)
         else:
-            rep = b.var if b.hi is TRUE_B else F.conj(b.var, to_formula(b.hi))
+            rep = (b.var if b.hi is TRUE_B
+                   else F.make(F.AND, b.var, to_formula(b.hi)))
             if b.lo is not FALSE_B:
-                rep = F.disj(rep, to_formula(b.lo))
+                rep = F.make(F.OR, rep, to_formula(b.lo))
         b._rep = rep
     return b._rep
 

@@ -72,9 +72,9 @@ def wc(f):
     if f.kind == F.SINCE:
         return f.right
     if f.kind == F.WSINCE:
-        return F.disj(f.left, f.right)
+        return F.make(F.OR, f.left, f.right)
     if f.kind == F.BACK:
-        return F.conj(f.left, f.right)
+        return F.make(F.AND, f.left, f.right)
     if f.kind == F.WBACK:
         return f.right
     raise ValueError("wc is only defined on past-rooted formulas: %s" % f)
@@ -149,7 +149,7 @@ def rewrite_mu_limit(f, M):
             l = rewrite_mu_limit(f.left, M) if f.left is not None else None
             r = rewrite_mu_limit(f.right, M) if f.right is not None else None
             if f.kind in _LIMIT_WEAK_OF and f not in M:
-                out = F.false()
+                out = F.make(F.FALSE)
             else:
                 out = F.make(_LIMIT_WEAK_OF.get(f.kind, f.kind), l, r)
         _mu_limit_memo[f, M] = out
@@ -166,7 +166,7 @@ def rewrite_nu_limit(f, N):
         if f.is_leaf:
             out = f
         elif f.kind in _LIMIT_STRONG_OF and f in N:
-            out = F.true()
+            out = F.make(F.TRUE)
         else:
             l = rewrite_nu_limit(f.left, N) if f.left is not None else None
             r = rewrite_nu_limit(f.right, N) if f.right is not None else None

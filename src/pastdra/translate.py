@@ -30,7 +30,11 @@ from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
 
 
 class TranslationContext:
-    """Shared tables for one formula: past sets, saturation, the bed step."""
+    """Shared tables for one formula: past sets, saturation, the bed step.
+
+    Creating one empties every :func:`formula.memo` table, and the BDD
+    tables take no lock, so one process runs one translation at a time.
+    """
 
     def __init__(self, phi, ap=None):
         F.clear_memos()

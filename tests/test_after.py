@@ -20,8 +20,8 @@ def test_af_loc_propositions():
     assert af_loc(p, frozenset(), EMPTY) is P.FALSE_B
     assert af_loc(parse("!p"), {"p"}, EMPTY) is P.FALSE_B
     assert af_loc(parse("!p"), {"q"}, EMPTY) is P.TRUE_B
-    assert af_loc(F.true(), frozenset(), EMPTY) is P.TRUE_B
-    assert af_loc(F.false(), {"p"}, EMPTY) is P.FALSE_B
+    assert af_loc(F.make(F.TRUE), frozenset(), EMPTY) is P.TRUE_B
+    assert af_loc(F.make(F.FALSE), {"p"}, EMPTY) is P.FALSE_B
 
 
 def test_af_loc_yesterday_is_letterblind():
@@ -56,10 +56,12 @@ def test_af_loc_past_defers_to_weakening_condition():
 def test_pu_loc_charges_weakening_conditions():
     f = parse("p S X q")
     C = frozenset({f})
-    got = pu_loc(F.nxt(f), {"p"}, C)
+    got = pu_loc(F.make(F.NEXT, f), {"p"}, C)
     # carried formula weakened, plus the owed wc = X q pushed one step
-    assert got is P.canonicalize(F.conj(parse("X(p wS X q)"), parse("q")))
-    assert pu_loc(F.nxt(f), {"p"}, EMPTY) is P.canonicalize(F.nxt(f))
+    assert got is P.canonicalize(
+        F.make(F.AND, parse("X(p wS X q)"), parse("q")))
+    assert pu_loc(F.make(F.NEXT, f), {"p"}, EMPTY) is P.canonicalize(
+        F.make(F.NEXT, f))
 
 
 def test_af_canonical_example():
@@ -87,7 +89,8 @@ def _random_classes(seed, count):
     for _ in range(count):
         f = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
         g = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
-        yield P.canonicalize(rng.choice((f, F.conj(f, g), F.disj(f, g))))
+        yield P.canonicalize(
+            rng.choice((f, F.make(F.AND, f, g), F.make(F.OR, f, g))))
 
 
 def test_af_class_matches_formula_reference():
@@ -111,7 +114,7 @@ def test_af_class_iterates_like_the_reference():
 def test_derivatives_intern_no_formulas():
     # derivatives are built on the diagram from the atom up, so exploring
     # every state of a future formula leaves the formula table as it was
-    F.true(), F.false()
+    F.make(F.TRUE), F.make(F.FALSE)
     init = P.canonicalize(parse("G(p -> F q) & (p U (q R r))"))
     letters = list(map(frozenset, subsets(("p", "q", "r"))))
     before = len(F._interned)
@@ -159,7 +162,7 @@ def test_af_ext_verdict_matches_semantics():
         w = random_lasso(rng, ("p", "q"))
         t = rng.randrange(4)
         g = af_ext(f, [w.letter(i) for i in range(t)])
-        if g is F.true():
+        if g is F.make(F.TRUE):
             assert L.holds(f, w, 0)
-        if g is F.false():
+        if g is F.make(F.FALSE):
             assert not L.holds(f, w, 0)

@@ -1,4 +1,6 @@
 import random
+import sys
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -9,18 +11,19 @@ from pastdra.gen import random_formula
 
 
 _formulas = st.recursive(
-    st.sampled_from([F.true(), F.false(),
-                     F.prop("p"), F.prop("q"), F.nprop("p")]),
+    st.sampled_from([F.make(F.TRUE), F.make(F.FALSE),
+                     F.make(F.PROP, name="p"), F.make(F.PROP, name="q"),
+                     F.make(F.NPROP, name="p")]),
     lambda kids: st.one_of(
-        st.builds(F.nxt, kids),
-        st.builds(F.yesterday, kids),
-        st.builds(F.wyesterday, kids),
-        st.builds(F.conj, kids, kids),
-        st.builds(F.disj, kids, kids),
-        st.builds(F.until, kids, kids),
-        st.builds(F.release, kids, kids),
-        st.builds(F.since, kids, kids),
-        st.builds(F.wback, kids, kids),
+        st.builds(partial(F.make, F.NEXT), kids),
+        st.builds(partial(F.make, F.YESTERDAY), kids),
+        st.builds(partial(F.make, F.WYESTERDAY), kids),
+        st.builds(partial(F.make, F.AND), kids, kids),
+        st.builds(partial(F.make, F.OR), kids, kids),
+        st.builds(partial(F.make, F.UNTIL), kids, kids),
+        st.builds(partial(F.make, F.RELEASE), kids, kids),
+        st.builds(partial(F.make, F.SINCE), kids, kids),
+        st.builds(partial(F.make, F.WBACK), kids, kids),
     ),
     max_leaves=12)
 
@@ -146,7 +149,7 @@ def test_mu_nu_sets():
 
 def test_size_metrics():
     assert F.size(F.parse("X(p S X q)")) == (4, 1)
-    assert F.size(F.true()) == (0, 0)
+    assert F.size(F.make(F.TRUE)) == (0, 0)
     assert F.size(F.parse("p & p")) == (2, 0)  # multiplicity, not sharing
     assert F.size(F.parse("Y Y p")) == (1, 2)
 
@@ -154,3 +157,32 @@ def test_size_metrics():
 def test_resugared_printing():
     assert str(F.parse("F p")) == "F p"
     assert str(F.parse("G(p -> O q)")) == "G (!p | O q)"
+
+
+def _deepest_make(monkeypatch, text):
+    """The deepest stack, in frames, from which parsing ``text`` calls make."""
+    make, deepest = F.make, [0]
+
+    def recording(*args, **kwargs):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        deepest[0] = max(deepest[0], depth)
+        return make(*args, **kwargs)
+    monkeypatch.setattr(F, "make", recording)
+    F.parse(text)
+    monkeypatch.setattr(F, "make", make)
+    return deepest[0]
+
+
+@pytest.mark.parametrize("nested", [
+    lambda n: "X " * n + "p",
+    lambda n: " & ".join(["p"] * (n + 1)),
+    lambda n: "!(" * n + "p" + ")" * n,
+], ids=["next", "and", "not"])
+def test_nnf_takes_one_frame_per_nesting_level(monkeypatch, nested):
+    # The NNF pass recurses once per nesting level; a second frame per
+    # level (a comprehension, on Python 3.11) would halve the longest
+    # formula that parses.
+    assert (_deepest_make(monkeypatch, nested(100))
+            - _deepest_make(monkeypatch, nested(50))) == 50

@@ -163,10 +163,11 @@ def test_holds_golden():
         "4f595da7db05f232e118707dd3beced79db2e372530e14f6f569c1435cd53d92")
 
 
-_LEAVES = (F.true(), F.false(), F.prop("p"), F.nprop("p"), F.prop("q"),
-           F.nprop("q"))
-_BINARY = (F.conj, F.disj, F.until, F.wuntil, F.release, F.srelease,
-           F.since, F.wsince, F.back, F.wback)
+_LEAVES = (F.make(F.TRUE), F.make(F.FALSE), F.make(F.PROP, name="p"),
+           F.make(F.NPROP, name="p"), F.make(F.PROP, name="q"),
+           F.make(F.NPROP, name="q"))
+_BINARY = (F.AND, F.OR, F.UNTIL, F.WUNTIL, F.RELEASE, F.SRELEASE,
+           F.SINCE, F.WSINCE, F.BACK, F.WBACK)
 
 
 def _nested_past(rng, depth=4, past=4, leaves=_LEAVES, chain=3):
@@ -179,16 +180,16 @@ def _nested_past(rng, depth=4, past=4, leaves=_LEAVES, chain=3):
         ops = []
         for _ in range(rng.randint(1, chain)):
             ops.append(rng.choice(
-                (F.nxt, F.yesterday, F.wyesterday) if past else (F.nxt,)))
-            past -= ops[-1] is not F.nxt
+                (F.NEXT, F.YESTERDAY, F.WYESTERDAY) if past else (F.NEXT,)))
+            past -= ops[-1] != F.NEXT
         g = _nested_past(rng, depth - 1, past, leaves, chain)
         for op in ops:
-            g = op(g)
+            g = F.make(op, g)
         return g
     op = rng.choice(_BINARY if past else _BINARY[:6])
     past -= op in _BINARY[6:]
-    return op(_nested_past(rng, depth - 1, past, leaves, chain),
-              _nested_past(rng, depth - 1, past, leaves, chain))
+    return F.make(op, _nested_past(rng, depth - 1, past, leaves, chain),
+                  _nested_past(rng, depth - 1, past, leaves, chain))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -206,7 +207,8 @@ def test_holds_agrees_with_naive_on_deep_past(seed):
 # Eight propositions, some named like the evaluator's own variables: names
 # are data, never looked up as anything else.
 _WIDE = ("full", "lap", "head", "masks", "x0", "x1", "vals", "names")
-_WIDE_LEAVES = tuple(map(F.prop, _WIDE)) + tuple(map(F.nprop, _WIDE))
+_WIDE_LEAVES = (tuple(F.make(F.PROP, name=p) for p in _WIDE)
+                + tuple(F.make(F.NPROP, name=p) for p in _WIDE))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -10,23 +10,23 @@ def _equiv(f, g):
 
 
 def test_constants():
-    assert P.canonicalize(F.true()) is P.TRUE_B
-    assert P.canonicalize(F.false()) is P.FALSE_B
+    assert P.canonicalize(F.make(F.TRUE)) is P.TRUE_B
+    assert P.canonicalize(F.make(F.FALSE)) is P.FALSE_B
 
 
 def test_boolean_laws():
     a = F.parse("p & (q | r)")
     b = F.parse("(p & q) | (p & r)")
     assert _equiv(a, b)
-    assert _equiv(F.parse("p | (p & q)"), F.prop("p"))
-    assert _equiv(F.parse("p & tt"), F.prop("p"))
-    assert _equiv(F.parse("p & ff"), F.false())
+    assert _equiv(F.parse("p | (p & q)"), F.parse("p"))
+    assert _equiv(F.parse("p & tt"), F.parse("p"))
+    assert _equiv(F.parse("p & ff"), F.make(F.FALSE))
 
 
 def test_literals_and_temporal_nodes_are_opaque():
     # p and !p are distinct atoms: no propositional contradiction.
-    assert not _equiv(F.parse("p & !p"), F.false())
-    assert not _equiv(F.parse("p | !p"), F.true())
+    assert not _equiv(F.parse("p & !p"), F.make(F.FALSE))
+    assert not _equiv(F.parse("p | !p"), F.make(F.TRUE))
     # temporal subformulas are atoms; no unfolding happens here
     assert not _equiv(F.parse("p U q"), F.parse("q | (p & X(p U q))"))
     assert _equiv(F.parse("(p U q) | (p U q)"), F.parse("p U q"))
@@ -58,7 +58,7 @@ def test_map_atoms():
 
     def swap(atom):
         return P.canonicalize(
-            {F.prop("p"): F.parse("X q"), F.parse("X q"): F.prop("p")}[atom])
+            {F.parse("p"): F.parse("X q"), F.parse("X q"): F.parse("p")}[atom])
 
     assert P.map_atoms(b, swap, {}) is b  # conjunction is symmetric
     b2 = P.canonicalize(F.parse("p | X q"))
@@ -125,4 +125,4 @@ def test_conj_disj_operate_on_classes():
 
 def test_atoms():
     b = P.canonicalize(F.parse("(p & Y q) | tt & r"))
-    assert P.atoms(b) <= {F.prop("p"), F.parse("Y q"), F.prop("r")}
+    assert P.atoms(b) <= {F.parse("p"), F.parse("Y q"), F.parse("r")}

@@ -102,7 +102,7 @@ def test_is_saturated_matches_pairwise_definition():
                                      "Y(p S q) & wY(p wS q)")]
     while len(formulas) < 203:
         g = random_formula(rng, ("p", "q"), depth=3)
-        f = F.conj(g, R.rewrite_under(g, F.psf(g)))
+        f = F.make(F.AND, g, R.rewrite_under(g, F.psf(g)))
         if 0 < len(F.psf(f)) <= 4:
             formulas.append(f)
     verdicts = []

@@ -30,9 +30,9 @@ def _agree(f, words=WORDS, ap=None):
 
 
 def test_constants():
-    t = translate(F.true())
+    t = translate(F.make(F.TRUE))
     assert t.n_states() == 1 and accepts(t, parse_word("; {}"))
-    f = translate(F.false())
+    f = translate(F.make(F.FALSE))
     assert f.n_states() == 1 and not accepts(f, parse_word("; {}"))
 
 
@@ -212,6 +212,30 @@ def test_dot_export_mentions_all_states():
     assert dot.startswith("digraph")
     for q in range(auto.n_states()):
         assert "q%d [" % q in dot
+
+
+def test_dot_labels_are_escaped():
+    # a backslash or a quote in a label is escaped as in HOA, so the DOT
+    # string ends where the label does
+    auto = parse_hoa(r'''HOA: v1
+States: 2
+Start: 0
+AP: 1 "p"
+acc-name: Rabin 1
+Acceptance: 2 Fin(0)&Inf(1)
+--BODY--
+State: 0 "x\\" {1}
+[!0] 0
+[0] 1
+State: 1 "say \"hi\""
+[!0] 1
+[0] 1
+--END--
+''')
+    assert auto.labels == ["x\\", 'say "hi"']
+    lines = export_dot(auto).splitlines()
+    assert r'  q0 [shape=doublecircle,label="0 [1]\nx\\"];' in lines
+    assert r'  q1 [shape=circle,label="1\nsay \"hi\""];' in lines
 
 
 def test_random_agreement():
