@@ -39,6 +39,13 @@ BINARY_TEMPORAL_KINDS = frozenset(
 UNARY_TEMPORAL_KINDS = frozenset((NEXT, YESTERDAY, WYESTERDAY))
 LEAF_KINDS = frozenset((TRUE, FALSE, PROP, NPROP))
 
+# Each strong operator and its weak twin.  The weak one also holds where the
+# strong one lacks a witness (U/W, M/R) or a past position (Y/wY, S/wS, B/wB);
+# the rewrites switch between twins and ``lasso`` starts a weak one at 1.
+WEAK_OF = {UNTIL: WUNTIL, SRELEASE: RELEASE, YESTERDAY: WYESTERDAY,
+           SINCE: WSINCE, BACK: WBACK}
+STRONG_OF = {w: s for s, w in WEAK_OF.items()}
+
 
 class Formula:
     """An interned formula node, built by :func:`make` or :func:`parse`."""
@@ -176,10 +183,10 @@ def _subformulas(keep, doc):
 
 psf = _subformulas(lambda f: f.is_past, "All past-rooted subformulas.")
 mu_subformulas = _subformulas(
-    lambda f: f.kind in (UNTIL, SRELEASE),
+    lambda f: f.kind in WEAK_OF and not f.is_past,
     "Subformulas rooted in a least-fixpoint future operator (U or M).")
 nu_subformulas = _subformulas(
-    lambda f: f.kind in (WUNTIL, RELEASE),
+    lambda f: f.kind in STRONG_OF and not f.is_past,
     "Subformulas rooted in a greatest-fixpoint future operator (W or R).")
 
 

@@ -114,8 +114,8 @@ def parse_word(text):
     return LassoWord(_parse_side(pre), _parse_side(per))
 
 
-# Opcodes, the most frequent in the corpus first, and the kinds whose
-# initial bit is 1; see the module docstring.
+# Opcodes, the most frequent in the corpus first; a weak twin (a key of
+# ``F.STRONG_OF``) has the initial bit 1, see the module docstring.
 (_PROP, _UNTIL, _FALSE, _TRUE, _OR, _NPROP, _AND, _NEXT, _RELEASE,
  _SINCE, _YESTERDAY, _BACK) = range(12)
 _OPCODES = {
@@ -125,7 +125,6 @@ _OPCODES = {
     F.WSINCE: _SINCE, F.YESTERDAY: _YESTERDAY, F.WYESTERDAY: _YESTERDAY,
     F.BACK: _BACK, F.WBACK: _BACK,
 }
-_WEAK = frozenset((F.WUNTIL, F.RELEASE, F.WYESTERDAY, F.WSINCE, F.WBACK))
 
 _programs = F.memo()
 
@@ -141,10 +140,9 @@ def _program(f):
                 i = walk(g.left) if g.left is not None else None
                 j = walk(g.right) if g.right is not None else None
                 index[g] = len(steps)
-                steps.append((_OPCODES[g.kind],
-                              names.setdefault(g.name, len(names))
-                              if g.name is not None else g.kind in _WEAK,
-                              i, j))
+                arg = (g.kind in F.STRONG_OF if g.name is None
+                       else names.setdefault(g.name, len(names)))
+                steps.append((_OPCODES[g.kind], arg, i, j))
             return index[g]
         walk(f)
         program = _programs[f] = F.past_depth(f), tuple(names), steps

@@ -1,11 +1,14 @@
-"""Strength rewrites on past operators and fixpoint eliminations.
+"""Strength rewrites of the syntax tree: the past rewrite and the fixpoint
+limits of the pure-future decomposition (Esparza, Křetínský and Sickert,
+J. ACM 2020).
 
-``rewrite_under(f, C)`` rebuilds a formula bottom-up, replacing every
-temporal root by its weak variant when the original node belongs to ``C``
-and by its strong variant otherwise; only the past operators Y/S/B actually
-change, everything else is its own weak and strong variant.  Membership is
-tested against the node of the tree being rewritten, not against the
-already-rewritten children.
+Each switches operators between the twins of ``formula.WEAK_OF`` in one
+memoized bottom-up pass, :func:`_rebuild`.  ``rewrite_under(f, C)`` (f|_C)
+makes a past root weak when the node is in ``C`` and strong otherwise;
+``rewrite_mu_limit(f, M)`` makes U/M in ``M`` weak and the others ff;
+``rewrite_nu_limit(f, N)`` makes W/R in ``N`` tt and the others strong.
+Membership is tested against the node of the tree being rewritten, not
+against the already-rewritten children; every other node keeps its kind.
 """
 
 from __future__ import annotations
@@ -14,50 +17,69 @@ from itertools import combinations
 
 from . import formula as F
 
-_WEAK_OF = {F.YESTERDAY: F.WYESTERDAY, F.SINCE: F.WSINCE, F.BACK: F.WBACK}
-_STRONG_OF = {v: k for k, v in _WEAK_OF.items()}
 
-
-def weaken(f):
-    """The weak variant of the root operator (identity off Y/S/B)."""
-    k = _WEAK_OF.get(f.kind)
-    if k is None:
-        return f
-    return F.make(k, f.left, f.right)
-
-
-def strengthen(f):
-    """The strong variant of the root operator (identity off wY/wS/wB)."""
-    k = _STRONG_OF.get(f.kind)
-    if k is None:
-        return f
-    return F.make(k, f.left, f.right)
+def _rebuild(f, S, memo, root):
+    """``f`` rebuilt bottom-up with each node ``g`` of kind ``root(g, S)``;
+    tt or ff there replaces the whole subtree."""
+    out = memo.get((f, S))
+    if out is None:
+        kind = root(f, S)
+        if kind == F.TRUE or kind == F.FALSE:
+            out = F.make(kind)
+        else:
+            # plain calls keep the pass at one frame per nesting level
+            l, r = f.left, f.right
+            out = F.make(kind,
+                         None if l is None else _rebuild(l, S, memo, root),
+                         None if r is None else _rebuild(r, S, memo, root),
+                         f.name)
+        memo[f, S] = out
+    return out
 
 
 def is_weak(f):
-    """True when the root equals its own weakening."""
-    return f.kind not in _WEAK_OF
+    """Whether the past-rooted ``f`` is weak-rooted (wY, wS or wB)."""
+    return f.kind in F.STRONG_OF
 
 
 _rw_memo = F.memo()
+_mu_limit_memo = F.memo()
+_nu_limit_memo = F.memo()
+
+
+def _under_root(g, C):
+    if not g.is_past:
+        return g.kind
+    return (F.WEAK_OF if g in C else F.STRONG_OF).get(g.kind, g.kind)
+
+
+def _mu_root(g, M):
+    if g.is_past or g.kind not in F.WEAK_OF:
+        return g.kind
+    return F.WEAK_OF[g.kind] if g in M else F.FALSE
+
+
+def _nu_root(g, N):
+    if g.is_past or g.kind not in F.STRONG_OF:
+        return g.kind
+    return F.TRUE if g in N else F.STRONG_OF[g.kind]
 
 
 def rewrite_under(f, C):
     """Rewrite ``f`` under the past set ``C`` (written f|_C in docstrings)."""
-    C = frozenset(C)
-    key = (f, C)
-    out = _rw_memo.get(key)
-    if out is not None:
-        return out
-    if f.is_leaf:
-        out = f
-    else:
-        l = rewrite_under(f.left, C) if f.left is not None else None
-        r = rewrite_under(f.right, C) if f.right is not None else None
-        rebuilt = F.make(f.kind, l, r)
-        out = weaken(rebuilt) if f in C else strengthen(rebuilt)
-    _rw_memo[key] = out
-    return out
+    return _rebuild(f, frozenset(C), _rw_memo, _under_root)
+
+
+def rewrite_mu_limit(f, M):
+    """Downgrade least-fixpoint future roots: members of ``M`` become weak
+    (U -> W, M -> R), non-members collapse to ff."""
+    return _rebuild(f, frozenset(M), _mu_limit_memo, _mu_root)
+
+
+def rewrite_nu_limit(f, N):
+    """Resolve greatest-fixpoint future roots: members of ``N`` become tt,
+    non-members become strong (W -> U, R -> M)."""
+    return _rebuild(f, frozenset(N), _nu_limit_memo, _nu_root)
 
 
 def rewrite_set(S, C):
@@ -125,51 +147,3 @@ def compose_sequence(f, sets):
         if is_weak(cur):
             out.add(p)
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# Fixpoint eliminations used by the stability argument.
-
-_LIMIT_WEAK_OF = {F.UNTIL: F.WUNTIL, F.SRELEASE: F.RELEASE}
-_LIMIT_STRONG_OF = {v: k for k, v in _LIMIT_WEAK_OF.items()}
-_mu_limit_memo = F.memo()
-_nu_limit_memo = F.memo()
-
-
-def rewrite_mu_limit(f, M):
-    """Downgrade least-fixpoint future roots: members of ``M`` become weak
-    (U -> W, M -> R), non-members collapse to ff.  Everything else recurses.
-    """
-    M = frozenset(M)
-    out = _mu_limit_memo.get((f, M))
-    if out is None:
-        if f.is_leaf:
-            out = f
-        else:
-            l = rewrite_mu_limit(f.left, M) if f.left is not None else None
-            r = rewrite_mu_limit(f.right, M) if f.right is not None else None
-            if f.kind in _LIMIT_WEAK_OF and f not in M:
-                out = F.make(F.FALSE)
-            else:
-                out = F.make(_LIMIT_WEAK_OF.get(f.kind, f.kind), l, r)
-        _mu_limit_memo[f, M] = out
-    return out
-
-
-def rewrite_nu_limit(f, N):
-    """Resolve greatest-fixpoint future roots: members of ``N`` become tt,
-    non-members become strong (W -> U, R -> M).  Everything else recurses.
-    """
-    N = frozenset(N)
-    out = _nu_limit_memo.get((f, N))
-    if out is None:
-        if f.is_leaf:
-            out = f
-        elif f.kind in _LIMIT_STRONG_OF and f in N:
-            out = F.make(F.TRUE)
-        else:
-            l = rewrite_nu_limit(f.left, N) if f.left is not None else None
-            r = rewrite_nu_limit(f.right, N) if f.right is not None else None
-            out = F.make(_LIMIT_STRONG_OF.get(f.kind, f.kind), l, r)
-        _nu_limit_memo[f, N] = out
-    return out

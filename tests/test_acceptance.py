@@ -211,13 +211,13 @@ def test_corpus_rabin_hoa_is_golden(corpus_hoa):
 
 
 RANDOM_HOA_SHA256 = (
-    "e00200c6d2c644a404054128656504ec69851abb239d11ab5c36d1e779ea9380")
+    "a2e370c4913bbd6252c5808b6a31bc47d4f67dd16bcf521a5334458374eb0950")
 RANDOM_HOA_BYTES = 756875
 RANDOM_STRUCTURE_SHA256 = (
     "b5e7839206e5e604b0f1edf9547473b03e50e6c7050ccb560615fede8abaa7c6")
 RANDOM_STRUCTURE_BYTES = 575214
 RANDOM_RABIN_HOA_SHA256 = (
-    "2274f643d44599d965d510296739da048e2a3c8d4751215d0d03cb0b4c5c5830")
+    "9a9dc56b5295da0dd06e9983b83c3aaf507e279bad07ff5806950148a41e9f99")
 RANDOM_RABIN_HOA_BYTES = 789639
 RANDOM_RABIN_STRUCTURE_SHA256 = (
     "0554652493f014b93f94c35b4fc197bf912d3b04f1dad0bb633819986de068e7")
@@ -248,6 +248,50 @@ def test_random_rabin_hoa_is_golden(random_hoa):
     _assert_golden(random_hoa[1], RANDOM_RABIN_STRUCTURE_BYTES,
                    RANDOM_RABIN_STRUCTURE_SHA256, RANDOM_RABIN_HOA_BYTES,
                    RANDOM_RABIN_HOA_SHA256)
+
+
+# The deciding cases of the benchmark's ``past_width`` workload: per case its
+# states, then the bytes and sha256 of its HOA text and of its structure.
+PAST_WIDTH_GOLDEN = {
+    "G(p <-> O q1)": (
+        9, 2467,
+        "0b37c25495b76ec6a8fe6b834a4d3f086112731bb4c0e4526811c55efcef5855",
+        756,
+        "045dc3e0fdf4eccc0e762c381e142641219b47a65038a47b5c9e8ee3ef7c02d3"),
+    "G(p <-> O q1 & O q2)": (
+        17, 21309,
+        "89c98e5bd24a0ea33144301a624d3c799052300ce1f10c0fe6a800415bef6026",
+        2672,
+        "239c3ac3a5be3e09551276160c832144235b1fa26fbf731e0cd32d523b19c0c1"),
+    "G(p <-> Y q)": (
+        9, 2233,
+        "23a54a454895ec1810cd7287c80d65d479789ea01ceb63a7c674a46c7fc0538c",
+        750,
+        "8160772264a648563f7bcff5c602baf5cf35257a148c07e65cb998ec9b0a5b37"),
+    "G(p <-> Y Y q)": (
+        17, 13203,
+        "a032a42557c09921f36ef04cb4ff2b1a9ef8474647472c61ea35a39dc3d999cc",
+        1253,
+        "e9ae8c237b4d8e7454f03789007261eb46c82c598a064f708d84851510078e79"),
+}
+_PAST_WIDTH_SCRIPT = """
+import json, sys
+from pastdra import export_hoa, parse, translate
+phi = parse(%r)
+sys.stdout.write(json.dumps([export_hoa(translate(phi, %r), name=str(phi))]))
+"""
+
+
+@pytest.mark.parametrize("text", sorted(PAST_WIDTH_GOLDEN))
+def test_past_width_hoa_is_golden(text):
+    # Each case in a fresh interpreter, as the benchmark translates it.
+    states, text_bytes, text_sha, structure_bytes, structure_sha = \
+        PAST_WIDTH_GOLDEN[text]
+    ap = ["p"] + sorted(F.props(F.parse(text)) - {"p"})
+    [pair] = _hoa_in_fresh_interpreter(_PAST_WIDTH_SCRIPT % (text, ap))
+    assert re.findall(rb"^States: (\d+)", pair[0], re.M) == [
+        str(states).encode()]
+    _assert_golden(pair, structure_bytes, structure_sha, text_bytes, text_sha)
 
 
 def test_golden_automata_are_no_larger_than_degeneralized(corpus_hoa,

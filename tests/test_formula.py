@@ -1,5 +1,4 @@
 import random
-import sys
 from functools import partial
 
 import pytest
@@ -159,30 +158,14 @@ def test_resugared_printing():
     assert str(F.parse("G(p -> O q)")) == "G (!p | O q)"
 
 
-def _deepest_make(monkeypatch, text):
-    """The deepest stack, in frames, from which parsing ``text`` calls make."""
-    make, deepest = F.make, [0]
-
-    def recording(*args, **kwargs):
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        deepest[0] = max(deepest[0], depth)
-        return make(*args, **kwargs)
-    monkeypatch.setattr(F, "make", recording)
-    F.parse(text)
-    monkeypatch.setattr(F, "make", make)
-    return deepest[0]
-
-
 @pytest.mark.parametrize("nested", [
     lambda n: "X " * n + "p",
     lambda n: " & ".join(["p"] * (n + 1)),
     lambda n: "!(" * n + "p" + ")" * n,
 ], ids=["next", "and", "not"])
-def test_nnf_takes_one_frame_per_nesting_level(monkeypatch, nested):
+def test_nnf_takes_one_frame_per_nesting_level(deepest_make, nested):
     # The NNF pass recurses once per nesting level; a second frame per
     # level (a comprehension, on Python 3.11) would halve the longest
     # formula that parses.
-    assert (_deepest_make(monkeypatch, nested(100))
-            - _deepest_make(monkeypatch, nested(50))) == 50
+    assert (deepest_make(lambda: F.parse(nested(100)))
+            - deepest_make(lambda: F.parse(nested(50)))) == 50

@@ -92,6 +92,35 @@ def test_holds_frozen(text, word, t, expect):
     assert holds(parse(text), parse_word(word), t) is expect
 
 
+# A word on which each strong operator is false at 0 and its weak twin true.
+_TWIN_WITNESS = {F.UNTIL: "; {p}", F.SRELEASE: "; {q}", F.YESTERDAY: "; {p}",
+                 F.SINCE: "; {p}", F.BACK: "; {q}"}
+
+
+def test_twin_table_against_naive_holds():
+    # F.WEAK_OF pairs each strong operator with its weak twin: the strong
+    # one implies the weak one, and they differ on the witness word, under
+    # the independent evaluator; holds reads the weak twin's initial bit
+    # from the table and must agree there.
+    assert set(F.WEAK_OF) == set(_TWIN_WITNESS)
+    assert F.STRONG_OF == {w: s for s, w in F.WEAK_OF.items()}
+    p, q = parse("p"), parse("q")
+    rng = random.Random(19)
+    words = [random_lasso(rng, ("p", "q"), max_prefix=3, max_cycle=3)
+             for _ in range(100)]
+    for strong_kind, weak_kind in F.WEAK_OF.items():
+        strong, weak = (
+            F.make(k, p, q if k in F.BINARY_TEMPORAL_KINDS else None)
+            for k in (strong_kind, weak_kind))
+        for w in words:
+            for t in range(len(w.prefix) + 2 * len(w.period)):
+                assert not naive_holds(strong, w, t) or naive_holds(weak, w, t)
+        w = parse_word(_TWIN_WITNESS[strong_kind])
+        assert (naive_holds(strong, w, 0), naive_holds(weak, w, 0)) == (
+            False, True), (strong, weak)
+        assert (holds(strong, w, 0), holds(weak, w, 0)) == (False, True)
+
+
 def test_negative_position_rejected():
     f, w = parse("Y p"), parse_word("{p} ; {}")
     with pytest.raises(ValueError):

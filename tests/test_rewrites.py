@@ -13,17 +13,19 @@ from pastdra.translate import TranslationContext
     ("Y p", "wY p"), ("p S q", "p wS q"), ("p B q", "p wB q"),
 ])
 def test_weaken_strengthen_pairs(strong, weak):
+    # at the root, membership in C weakens and non-membership strengthens
     s, w = F.parse(strong), F.parse(weak)
-    assert R.weaken(s) is w
-    assert R.strengthen(w) is s
-    assert R.weaken(w) is w
-    assert R.strengthen(s) is s
+    assert R.rewrite_under(s, {s}) is w
+    assert R.rewrite_under(w, ()) is s
+    assert R.rewrite_under(w, {w}) is w
+    assert R.rewrite_under(s, ()) is s
 
 
 def test_weaken_identity_elsewhere():
+    # the past rewrite leaves future roots alone, U included
     for text in ("p", "p U q", "X p", "p & q", "tt"):
         f = F.parse(text)
-        assert R.weaken(f) is f and R.strengthen(f) is f
+        assert R.rewrite_under(f, {f}) is f and R.rewrite_under(f, ()) is f
 
 
 def test_rewrite_under_membership_uses_original_nodes():
@@ -250,3 +252,76 @@ def test_limit_rewrites_commute_with_past_rewrite():
         lhs = R.rewrite_under(R.rewrite_mu_limit(f, M), C)
         rhs = R.rewrite_mu_limit(R.rewrite_under(f, C), R.rewrite_set(M, C))
         assert lhs is rhs
+
+
+# Reference rewrites: each its own recursion with its own statement of the
+# strength twins, against which the shared bottom-up pass is checked.
+_PAST_WEAK_OF = {F.YESTERDAY: F.WYESTERDAY, F.SINCE: F.WSINCE,
+                 F.BACK: F.WBACK}
+_PAST_STRONG_OF = {v: k for k, v in _PAST_WEAK_OF.items()}
+_LIMIT_WEAK_OF = {F.UNTIL: F.WUNTIL, F.SRELEASE: F.RELEASE}
+_LIMIT_STRONG_OF = {v: k for k, v in _LIMIT_WEAK_OF.items()}
+
+
+def _rewrite_under_reference(f, C):
+    if f.is_leaf:
+        return f
+    l = _rewrite_under_reference(f.left, C) if f.left is not None else None
+    r = _rewrite_under_reference(f.right, C) if f.right is not None else None
+    twin = (_PAST_WEAK_OF if f in C else _PAST_STRONG_OF).get(f.kind, f.kind)
+    return F.make(twin, l, r)
+
+
+def _mu_limit_reference(f, M):
+    if f.is_leaf:
+        return f
+    l = _mu_limit_reference(f.left, M) if f.left is not None else None
+    r = _mu_limit_reference(f.right, M) if f.right is not None else None
+    if f.kind in _LIMIT_WEAK_OF and f not in M:
+        return F.make(F.FALSE)
+    return F.make(_LIMIT_WEAK_OF.get(f.kind, f.kind), l, r)
+
+
+def _nu_limit_reference(f, N):
+    if f.is_leaf:
+        return f
+    if f.kind in _LIMIT_STRONG_OF and f in N:
+        return F.make(F.TRUE)
+    l = _nu_limit_reference(f.left, N) if f.left is not None else None
+    r = _nu_limit_reference(f.right, N) if f.right is not None else None
+    return F.make(_LIMIT_STRONG_OF.get(f.kind, f.kind), l, r)
+
+
+def test_rewrites_match_their_references():
+    rng = random.Random(19)
+    formulas = [F.parse(t) for t in ("Y p & wY p", "(p S q) & (p wS q)",
+                                     "Y(p S q) & wY(p wS q)")]
+    while len(formulas) < 203:
+        f = random_formula(rng, ("p", "q"), depth=4)
+        if 0 < len(F.psf(f)) <= 3:
+            formulas.append(f)
+    for f in formulas:
+        for rewrite, reference, members in (
+                (R.rewrite_under, _rewrite_under_reference, F.psf),
+                (R.rewrite_mu_limit, _mu_limit_reference, F.mu_subformulas),
+                (R.rewrite_nu_limit, _nu_limit_reference, F.nu_subformulas)):
+            for S in R.subsets(F.sorted_set(members(f))):
+                assert rewrite(f, S) is reference(f, frozenset(S)), (f, S)
+
+
+@pytest.mark.parametrize("rewrite", [
+    R.rewrite_under, R.rewrite_mu_limit, R.rewrite_nu_limit,
+], ids=["under", "mu", "nu"])
+@pytest.mark.parametrize("nested", [
+    lambda n: "X " * n + "p",
+    lambda n: " & ".join(["p"] * (n + 1)),
+], ids=["next", "and"])
+def test_rewrites_take_one_frame_per_nesting_level(deepest_make, rewrite,
+                                                   nested):
+    # a second frame per level would halve the deepest formula that
+    # translates
+    def depth(n):
+        f = F.parse(nested(n))
+        F.clear_memos()
+        return deepest_make(lambda: rewrite(f, ()))
+    assert depth(100) - depth(50) == 50
