@@ -12,11 +12,14 @@ set S is the one pair (∅, (S,)), a co-Büchi set S the one pair (S, ()), and
 a plain Rabin pair has one meet set.
 
 Translation has one product step: per column, :func:`cascade` reads the bed
-successor off the bed's table and steps each distinct component runner once
-on the bed's letter, then reads the state labels and one generalized pair
-per branch off the explored states.  A label names each component once,
-however many branches share it.  :func:`degeneralize` turns the result into
-a plain Rabin automaton with one counter per pair; both stop at
+successor off the bed's table and each component's successor off that
+component's step table, keyed by (component state, reached bed state,
+column) and filled on first use, so a runner is stepped once per distinct
+key, not once per product transition.  It then reads the state labels and
+one generalized pair per branch off the explored states, labelling and
+testing each distinct component state once.  A label names each component
+once, however many branches share it.  :func:`degeneralize` turns the
+result into a plain Rabin automaton with one counter per pair; both stop at
 ``max_states``, ``DEFAULT_MAX_STATES`` unless given.  :func:`accepts` reads
 a lasso word through the letter table and walks its cycle a lap at a time.
 """
@@ -121,32 +124,47 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES):
     """Generalized Rabin automaton of the union over the branches of the
     intersection of their components, all observing the bed.
 
-    ``components`` are runners, each stepped once per transition however
-    many branches share it.  A branch ``(co-Büchi indices, Büchi indices)``
-    gives one pair.  It avoids the states where one of its co-Büchi
-    components is in its set, and has one meet set per Büchi component:
-    the states where that component is in its set.  States are
-    ``(component states, bed state)`` in BFS order, labelled
-    ``label; ... | bed`` with one label per component in component order;
-    the pairs come in branch order.  Raises :class:`StateLimitExceeded`
-    when exploration would pass ``max_states``.
+    ``components`` are runners, each stepped once per distinct (component
+    state, reached bed state, letter) and labelled and tested for its set
+    once per distinct state, however many product states and branches share
+    it; first calls come in the order of a plain product walk.  A branch
+    ``(co-Büchi indices, Büchi indices)`` gives one pair.  It avoids the
+    states where one of its co-Büchi components is in its set, and has one
+    meet set per Büchi component: the states where that component is in
+    its set.  States are ``(component states, bed state)`` in BFS order,
+    labelled ``label; ... | bed`` with one label per component in component
+    order; the pairs come in branch order.  Raises
+    :class:`StateLimitExceeded` when exploration would pass ``max_states``.
     """
+    tables = [{} for _ in components]   # (q, bed state, column) -> q'
+
     def succ(state, i):
         qs, s = state
         s2 = bed.trans[s][i]
-        obj, sigma = bed.state_objs[s2], bed.letters[i]
-        return (tuple(c.step(q, obj, sigma) for c, q in zip(components, qs)),
-                s2)
+        out = []
+        for c, table, q in zip(components, tables, qs):
+            key = q, s2, i
+            if key not in table:
+                table[key] = c.step(q, bed.state_objs[s2], bed.letters[i])
+            out.append(table[key])
+        return tuple(out), s2
 
     init = (tuple(c.init for c in components), 0)
     order, trans = _explore(len(bed.letters), init, succ, max_states)
+    names = [{} for _ in components]    # q -> label
     labels = []
     for qs, s in order:
-        parts = [c.label(q) for c, q in zip(components, qs)]
+        parts = []
+        for c, seen, q in zip(components, names, qs):
+            if q not in seen:
+                seen[q] = c.label(q)
+            parts.append(seen[q])
         labels.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
-    marked = [frozenset(i for i, (qs, _) in enumerate(order)
-                        if c.accepting(qs[j]))
-              for j, c in enumerate(components)]
+    marked = []
+    for j, (c, seen) in enumerate(zip(components, names)):
+        inside = {q for q in seen if c.accepting(q)}
+        marked.append(frozenset(i for i, (qs, _) in enumerate(order)
+                                if qs[j] in inside))
     acc = ("generalized-rabin", tuple(
         (frozenset().union(*(marked[j] for j in co)),
          tuple(marked[j] for j in bu))

@@ -39,15 +39,15 @@ def _acc_header(pairs):
     return "acc-name: %s\nAcceptance: %d %s" % (name, k, " | ".join(terms))
 
 
-def _state_sets(pairs, q):
-    """The acceptance sets of state ``q``, in ascending order."""
-    out, k = [], 0
-    for avoid, meets in pairs:
-        if q in avoid:
-            out.append(k)
-        out.extend(k + 1 + m for m, meet in enumerate(meets) if q in meet)
-        k += 1 + len(meets)
-    return out
+def _state_sets(auto):
+    """The acceptance sets of every state, each list in ascending order."""
+    sets, k = [[] for _ in range(auto.n_states())], 0
+    for avoid, meets in auto.acc[1]:
+        for group in (avoid,) + meets:
+            for q in group:
+                sets[q].append(k)
+            k += 1
+    return sets
 
 
 def _escape(text):
@@ -75,13 +75,11 @@ def export_hoa(auto, name=None):
     exprs = [" & ".join(("%d" if li >> j & 1 else "!%d") % j
                         for j in range(len(auto.ap))) or "t"
              for li in range(width)]
-    for q in range(auto.n_states()):
-        sets = _state_sets(auto.acc[1], q)
+    for q, sets in enumerate(_state_sets(auto)):
         lines.append("State: %d %s%s" % (
             q, _quote(auto.labels[q]),
             " {%s}" % " ".join(map(str, sets)) if sets else ""))
-        for li in range(width):
-            lines.append("[%s] %d" % (exprs[li], auto.trans[q][li]))
+        lines.extend(["[%s] %d" % edge for edge in zip(exprs, auto.trans[q])])
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -90,8 +88,7 @@ def export_dot(auto):
     out = ["digraph automaton {", "  rankdir=LR;",
            '  __init [shape=point,label=""];',
            "  __init -> q%d;" % auto.init]
-    for q in range(auto.n_states()):
-        sets = _state_sets(auto.acc[1], q)
+    for q, sets in enumerate(_state_sets(auto)):
         extra = " [%s]" % ",".join(map(str, sets)) if sets else ""
         shape = "doublecircle" if sets else "circle"
         out.append('  q%d [shape=%s,label="%d%s\\n%s"];'

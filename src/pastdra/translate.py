@@ -9,12 +9,14 @@ greatest-fixpoint subformulas that eventually hold forever.  Each branch
 contributes one generalized Rabin pair and intersects a few component
 runners: the safety runner of M, a ``G`` runner per (psi, M) and an ``F``
 runner per (psi, N).  The pair avoids the co-Büchi sets of the first two
-kinds and has one meet set per ``F`` runner.  Components are shared across guesses, so each distinct one is
-built, stepped and labelled once, and :func:`~pastdra.automata.cascade`
-explores the bed, the components and the branches in one product, so the
-bed is never duplicated.  The branches, and so the pairs, come M-major: M
-and N each run over the subsets of the sorted fixpoint subformulas by size,
-then lexicographically.
+kinds and has one meet set per ``F`` runner.  Components are shared across
+guesses, so each distinct one is built once, stepped once per distinct
+(runner state, bed state, letter) and labelled once per distinct runner
+state, and :func:`~pastdra.automata.cascade` explores the bed, the
+components and the branches in one product, so the bed is never
+duplicated.  The branches, and so the pairs, come M-major: M and N each run
+over the subsets of the sorted fixpoint subformulas by size, then
+lexicographically.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from pastdra.automata import (DEFAULT_MAX_STATES, BedAutomaton,
                               OmegaAutomaton, Runner, StateLimitExceeded,
-                              accepts, cascade, degeneralize, letters_for)
+                              _explore, accepts, cascade, degeneralize,
+                              letters_for)
 from pastdra.hoa import parse_hoa
 from pastdra.lasso import LassoWord, parse_word
 
@@ -226,7 +227,7 @@ def test_rabin_union_is_language_union():
     steps = []
 
     def counted_step(q, obj, sigma):
-        steps.append(q)
+        steps.append((q, sigma))
         return last_p.step(q, obj, sigma)
 
     counted = Runner(0, counted_step, last_p.accepting, last_p.label)
@@ -234,8 +235,8 @@ def test_rabin_union_is_language_union():
     u.audit()
     assert len(u.acc[1]) == 2
     assert u.labels[0] == "!p | -"
-    # stepped once per product transition, not once per branch
-    assert len(steps) == u.n_states() * 2
+    # stepped once per (state, bed state, letter), not once per branch
+    assert len(steps) == len(set(steps)) == u.n_states() * 2
     inf_p = cascade(bed, [last_p], [([], [0])])
     fin_p = cascade(bed, [last_p], [([0], [])])
     # one Büchi component: the pair meets its set, so the component alone
@@ -290,6 +291,69 @@ def test_cascade_runner_sees_reached_bed_state():
     a.audit()
     assert accepts(a, parse_word("{p} ; {}"))  # bed reaches b and stays
     assert not accepts(a, parse_word("; {}"))  # bed never leaves a
+
+
+def _plain_product(bed, components, branches):
+    # the product as a plain walk: every runner is stepped on every
+    # transition and labelled in every state
+    def succ(state, i):
+        qs, s = state
+        s2 = bed.trans[s][i]
+        return tuple(c.step(q, bed.state_objs[s2], bed.letters[i])
+                     for c, q in zip(components, qs)), s2
+
+    init = (tuple(c.init for c in components), 0)
+    order, trans = _explore(len(bed.letters), init, succ, 100)
+    labels = ["%s | %s" % ("; ".join(c.label(q)
+                                     for c, q in zip(components, qs)),
+                           bed.labels[s]) for qs, s in order]
+    marked = [frozenset(n for n, (qs, _) in enumerate(order)
+                        if c.accepting(qs[j]))
+              for j, c in enumerate(components)]
+    pairs = tuple((frozenset().union(*(marked[j] for j in co)),
+                   tuple(marked[j] for j in bu)) for co, bu in branches)
+    return trans, labels, pairs
+
+
+def test_cascade_steps_each_component_state_once():
+    # the bed records whether p has been seen, so both bed states reach
+    # state 1 on {p}; two runners remember the last letter
+    bed = BedAutomaton(ap=("p", "q"), letters=letters_for(("p", "q")),
+                       trans=[[0, 1, 0, 1], [1, 1, 1, 1]],
+                       labels=["before p", "after p"], state_objs="ba")
+    calls = {}
+
+    def counted(k, runner):
+        def step(q, obj, sigma):
+            calls.setdefault(("step", k), []).append((q, obj, sigma))
+            return runner.step(q, obj, sigma)
+
+        def label(q):
+            calls.setdefault(("label", k), []).append(q)
+            return runner.label(q)
+
+        def accepting(q):
+            calls.setdefault(("accepting", k), []).append(q)
+            return runner.accepting(q)
+        return runner._replace(step=step, label=label, accepting=accepting)
+
+    branches = [([0], [1]), ([], [0, 1])]
+    runners = [counted(k, _last_letter(p)) for k, p in enumerate("pq")]
+    plain = _plain_product(bed, runners, branches)
+    walk, calls = calls, {}
+    auto = cascade(bed, runners, branches)
+    auto.audit()
+    assert auto.n_states() == 6
+    assert (auto.trans, auto.labels, auto.acc[1]) == plain
+    assert len(walk["step", 0]) == 6 * 4 and len(walk["label", 0]) == 6
+    # each runner is stepped once per distinct (state, bed state, letter),
+    # labelled and tested once per distinct state, first calls in walk order
+    assert sorted(calls) == sorted(walk)
+    for key, seq in walk.items():
+        assert calls[key] == list(dict.fromkeys(seq)), key
+    assert [len(calls["step", k]) for k in (0, 1)] == [10, 12]
+    assert [len(calls[kind, k]) for kind in ("label", "accepting")
+            for k in (0, 1)] == [2, 2, 2, 2]
 
 
 def test_cascade_state_limit():

@@ -102,23 +102,36 @@ def test_rabin_component_is_one_witness():
 
 
 def test_components_are_stepped_once(monkeypatch):
-    # Each distinct safety or limit runner is stepped once per product
-    # transition, not once per (M, N) guess that uses it: the future
-    # history spec has 64 guesses but only 7 distinct components.  The
-    # package attribute ``pastdra.translate`` is the function, not the module.
+    # Each distinct safety or limit runner is stepped once per distinct
+    # (runner state, bed state, letter), not once per product transition
+    # or per (M, N) guess that uses it: the future history spec has 64
+    # guesses but only 7 distinct components.  The package attribute
+    # ``pastdra.translate`` is the function, not the module.
     module = sys.modules["pastdra.translate"]
-    af_class = module.af_class
-    calls = []
+    af_class, cascade = module.af_class, module.cascade
+    calls, steps = [], []
 
     def counted(b, sigma):
         calls.append(b)
         return af_class(b, sigma)
 
+    def counted_cascade(bed, components, branches, max_states):
+        def counting(k, runner):
+            def step(q, obj, sigma):
+                steps.append((k, q, obj, sigma))
+                return runner.step(q, obj, sigma)
+            return runner._replace(step=step)
+        return cascade(bed, [counting(k, c) for k, c in enumerate(components)],
+                       branches, max_states)
+
     monkeypatch.setattr(module, "af_class", counted)
+    monkeypatch.setattr(module, "cascade", counted_cascade)
     auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
     assert len(auto.acc[1]) == 64
+    assert len(steps) == len(set(steps))
+    # a step calls af_class at most twice (the safety runner's two halves)
     transitions = auto.n_states() * len(auto.letters)
-    assert len(calls) <= 8 * transitions
+    assert len(calls) <= 2 * len(steps) < transitions
 
 
 def test_one_letter_table_per_automaton(monkeypatch):
