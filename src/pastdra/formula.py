@@ -37,7 +37,6 @@ FUTURE_KINDS = frozenset((NEXT, UNTIL, WUNTIL, RELEASE, SRELEASE))
 BINARY_TEMPORAL_KINDS = frozenset(
     (UNTIL, WUNTIL, RELEASE, SRELEASE, SINCE, WSINCE, BACK, WBACK))
 UNARY_TEMPORAL_KINDS = frozenset((NEXT, YESTERDAY, WYESTERDAY))
-LEAF_KINDS = frozenset((TRUE, FALSE, PROP, NPROP))
 
 # Each strong operator and its weak twin.  The weak one also holds where the
 # strong one lacks a witness (U/W, M/R) or a past position (Y/wY, S/wS, B/wB);
@@ -62,10 +61,6 @@ class Formula:
     @property
     def is_past(self):
         return self.kind in PAST_KINDS
-
-    @property
-    def is_leaf(self):
-        return self.kind in LEAF_KINDS
 
     def children(self):
         if self.left is not None:

@@ -1,22 +1,22 @@
 """Translation of formulas to deterministic generalized Rabin automata.
 
-The construction is the product of a single shared bed automaton -- which
-tracks, per enumerated past set, the weakening conditions under which that
-set is the current one, from ``tt`` at the all-weak set (the formula's own
-derivative is the safety runner's ``psi``) -- with one branch per guess
-(M, N) of the least-fixpoint subformulas that recur and the
-greatest-fixpoint subformulas that eventually hold forever.  Each branch
-contributes one generalized Rabin pair and intersects a few component
-runners: the safety runner of M, a ``G`` runner per (psi, M) and an ``F``
-runner per (psi, N).  The pair avoids the co-Büchi sets of the first two
-kinds and has one meet set per ``F`` runner.  Components are shared across
-guesses, so each distinct one is built once, stepped once per distinct
-(runner state, bed state, letter) and labelled once per distinct runner
-state, and :func:`~pastdra.automata.cascade` explores the bed, the
-components and the branches in one product, so the bed is never
-duplicated.  The branches, and so the pairs, come M-major: M and N each run
-over the subsets of the sorted fixpoint subformulas by size, then
-lexicographically.
+The construction is the product of a single shared bed automaton with one
+branch per guess (M, N) of the least-fixpoint subformulas that recur and
+the greatest-fixpoint subformulas that eventually hold forever.  A bed
+state is the formula's derivative and, per enumerated past set, the
+weakening conditions under which that set is the current one, from ``tt``
+at the all-weak set.  Each branch contributes one generalized Rabin pair
+and intersects a few runners: the safety runner ``S`` of M, a ``G`` runner
+per (psi, M) and an ``F`` runner per (psi, N).  The pair avoids the
+co-Büchi sets of the first two kinds and has one meet set per ``F``
+runner.  A runner state is one derivative, and every runner starts and
+restarts from the bed by one rule.  Runners are shared across guesses, so
+each distinct one is built once, stepped once per distinct (runner state,
+bed state, letter) and labelled once per distinct runner state, and
+:func:`~pastdra.automata.cascade` explores the bed, the runners and the
+branches in one product, so the bed is never duplicated.  The branches,
+and so the pairs, come M-major: M and N each run over the subsets of the
+sorted fixpoint subformulas by size, then lexicographically.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
 
 
 class TranslationContext:
-    """Shared tables for one formula: past sets, saturation, the bed step.
+    """Shared tables for one formula: past sets, saturation, the bed.
 
     Creating one empties every :func:`formula.memo` table, and the BDD
     tables take no lock, so one process runs one translation at a time.
@@ -47,6 +47,9 @@ class TranslationContext:
         self.ap = tuple(sorted(set(F.props(phi)) | set(ap or ())))
         self.past_sets = enumerate_past_sets(phi)
         self.k = len(self.past_sets)
+        # The bed starts at the formula, with tt on the all-weak set only.
+        self.bed_init = (P.canonicalize(phi),
+                         (P.TRUE_B,) + (P.FALSE_B,) * (self.k - 1))
         # Saturation first, then one row per refining pair (i, j): j, C_i
         # rewritten under C_j, and the weakening conditions owed by the
         # members of C_i after that rewrite.  Both passes intern formulas.
@@ -78,22 +81,26 @@ class TranslationContext:
         return tuple(parts)
 
 
-def _bed_label(state):
-    return "<%s>" % ", ".join(str(P.to_formula(b)) for b in state)
-
-
 def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
-    """The bed: one weakening-obligation track per enumerated past set;
-    raises :class:`StateLimitExceeded` past ``max_states``."""
-    init = (P.TRUE_B,) + (P.FALSE_B,) * (ctx.k - 1)
+    """The bed: the formula's derivative and one weakening-obligation track
+    per enumerated past set; raises :class:`StateLimitExceeded` past
+    ``max_states``."""
     letters = letters_for(ctx.ap)
+    rc = {}                   # (tracks, column) -> successor tracks
+
+    def step(q, i):
+        psi, tracks = q
+        if (tracks, i) not in rc:
+            rc[tracks, i] = ctx.rc(tracks, letters[i])
+        return af_class(psi, letters[i]), rc[tracks, i]
+
     # Looked up at call time so that a wrapper installed on
     # ``automata._explore`` (the benchmark's tracer) sees the bed too.
     from .automata import _explore
-    order, trans = _explore(len(letters), init,
-                            lambda q, i: ctx.rc(q, letters[i]), max_states)
-    return BedAutomaton(ctx.ap, letters, trans,
-                        [_bed_label(s) for s in order], list(order))
+    order, trans = _explore(len(letters), ctx.bed_init, step, max_states)
+    labels = ["%s <%s>" % (P.to_formula(psi), ", ".join(
+        str(P.to_formula(b)) for b in tracks)) for psi, tracks in order]
+    return BedAutomaton(ctx.ap, letters, trans, labels, list(order))
 
 
 _limit_memo = F.memo()
@@ -109,51 +116,39 @@ def _limit_view(b, limit, S):
 
 
 def _limit_runner(ctx, tag, psi, S):
-    """Runner for premise 2 (tag ``F``: ``rewrite_nu_limit``, ``F.ev``,
-    Büchi on tt) or premise 3 (tag ``G``: ``rewrite_mu_limit``, ``F.alw``,
-    co-Büchi on ff): the derivative of ``wrap(limit(psi, S))`` that restarts
-    from every track of the bed whenever it reaches ``trigger``.
+    """Runner for premise 1 (tag ``S``: ``rewrite_mu_limit`` of the formula
+    itself, co-Büchi on ff), premise 2 (tag ``F``: ``rewrite_nu_limit``,
+    ``F.ev``, Büchi on tt) or premise 3 (tag ``G``: ``rewrite_mu_limit``,
+    ``F.alw``, co-Büchi on ff).
+
+    A state is one derivative ``zeta``.  Whenever ``zeta`` is the trigger
+    the runner restarts from the bed state it reaches: the disjunction over
+    the tracks i of a seed and track i, both seen through the limit under
+    ``S`` rewritten under C_i.  The seed of ``S`` is the bed's derivative;
+    that of ``G`` and ``F`` is ``wrap(psi)`` rewritten under C_i.  The
+    runner starts from the restart of the bed's initial state.
     """
-    limit, wrap, trigger = ((rewrite_mu_limit, F.alw, P.FALSE_B) if tag == "G"
-                            else (rewrite_nu_limit, F.ev, P.TRUE_B))
+    limit, wrap, trigger = {"S": (rewrite_mu_limit, None, P.FALSE_B),
+                            "G": (rewrite_mu_limit, F.alw, P.FALSE_B),
+                            "F": (rewrite_nu_limit, F.ev, P.TRUE_B)}[tag]
     rw = [rewrite_set(S, c) for c in ctx.past_sets]
-    restart_b = [P.canonicalize(wrap(limit(rewrite_under(psi, c), rw[i])))
-                 for i, c in enumerate(ctx.past_sets)]
+    seeds = None if wrap is None else [
+        P.canonicalize(wrap(rewrite_under(psi, c))) for c in ctx.past_sets]
+
+    def restart(bed_state):
+        derivative, tracks = bed_state
+        return P.disj_all(
+            P.conj(_limit_view(derivative if seeds is None else seeds[i],
+                               limit, rw[i]),
+                   _limit_view(track, limit, rw[i]))
+            for i, track in enumerate(tracks))
 
     def step(zeta, bed_state, sigma):
-        if zeta is trigger:
-            return P.disj_all(P.conj(restart_b[i],
-                                     _limit_view(bed_state[i], limit, rw[i]))
-                              for i in range(ctx.k))
-        return af_class(zeta, sigma)
+        return restart(bed_state) if zeta is trigger else af_class(zeta, sigma)
 
-    init = P.canonicalize(wrap(limit(psi, S)))
-    return Runner(init, step, accepting=lambda z: z is trigger,
+    return Runner(restart(ctx.bed_init), step,
+                  accepting=lambda z: z is trigger,
                   label=lambda z: "%s:%s" % (tag, P.to_formula(z)))
-
-
-def build_safety_runner(ctx, M):
-    """Co-Büchi runner for premise 1: the derivative of the formula itself,
-    paired with its least-fixpoint-resolved shadow that re-guesses whenever
-    it runs empty.
-    """
-    rw = [rewrite_set(M, c) for c in ctx.past_sets]
-
-    def step(q, bed_state, sigma):
-        psi, zeta = q
-        psi2 = af_class(psi, sigma)
-        if zeta is P.FALSE_B:
-            return (psi2, P.disj_all(
-                P.conj(_limit_view(psi2, rewrite_mu_limit, rw[i]),
-                       _limit_view(bed_state[i], rewrite_mu_limit, rw[i]))
-                for i in range(ctx.k)))
-        return (psi2, af_class(zeta, sigma))
-
-    init = (P.canonicalize(ctx.phi),
-            P.canonicalize(rewrite_mu_limit(ctx.phi, M)))
-    return Runner(init, step, accepting=lambda q: q[1] is P.FALSE_B,
-                  label=lambda q: "%s / %s" % (P.to_formula(q[0]),
-                                               P.to_formula(q[1])))
 
 
 def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
@@ -169,15 +164,14 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
     branches = []
     for M in subsets(ctx.mu):
         for N in subsets(ctx.nu):
-            co = [("S", M)] + [("G", psi, M) for psi in N]
+            co = [("S", None, M)] + [("G", psi, M) for psi in N]
             bu = [("F", psi, N) for psi in M]
             branches.append(([index.setdefault(k, len(index)) for k in co],
                              [index.setdefault(k, len(index)) for k in bu]))
     # The runners are built before the bed and in first-appearance order:
     # both intern formulas, and the interning order fixes the BDD variable
     # order and so the state labels.
-    components = [build_safety_runner(ctx, key[1]) if key[0] == "S"
-                  else _limit_runner(ctx, *key) for key in index]
+    components = [_limit_runner(ctx, *key) for key in index]
     return cascade(build_wc_automaton(ctx, max_states), components, branches,
                    max_states)
 

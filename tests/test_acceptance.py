@@ -133,8 +133,8 @@ def test_negated_future_spec_translates():
 
 # The generalized Rabin automata that ``translate`` returns.
 CORPUS_HOA_SHA256 = (
-    "a5581e1f525dac0f19d62496b7df8b57cb2546121e0b05223eded3635cdcf0de")
-CORPUS_HOA_BYTES = 339281
+    "e2d7591196f9ad6dd2d9e6e0e93a449d7858ce115d6efccc41bcee4331ce8208")
+CORPUS_HOA_BYTES = 330572
 # The same text with every state label dropped: states, edges and
 # acceptance.  A change that only edits labels leaves these two as they are.
 CORPUS_STRUCTURE_SHA256 = (
@@ -142,8 +142,8 @@ CORPUS_STRUCTURE_SHA256 = (
 CORPUS_STRUCTURE_BYTES = 184412
 # Their plain Rabin form, ``degeneralize(translate(phi))``.
 CORPUS_RABIN_HOA_SHA256 = (
-    "e84fd6a78d302f2e1b714f5f5bb00ced644b6c8ff963233cd20446f301737023")
-CORPUS_RABIN_HOA_BYTES = 436205
+    "e369255ab3cb273f50c3b8427283a1a0e35773046d25c7c5141a9ce77d6c227c")
+CORPUS_RABIN_HOA_BYTES = 424091
 CORPUS_RABIN_STRUCTURE_SHA256 = (
     "af8a21b77722740b07584baa75dbf16cb1738fc3bec4348d88fc22373394da50")
 CORPUS_RABIN_STRUCTURE_BYTES = 260746
@@ -211,14 +211,14 @@ def test_corpus_rabin_hoa_is_golden(corpus_hoa):
 
 
 RANDOM_HOA_SHA256 = (
-    "a2e370c4913bbd6252c5808b6a31bc47d4f67dd16bcf521a5334458374eb0950")
-RANDOM_HOA_BYTES = 756875
+    "ae3751686f90381895a2a0cb0b5cf5daa7895ddf204c4454e00886d23a5527fc")
+RANDOM_HOA_BYTES = 748058
 RANDOM_STRUCTURE_SHA256 = (
     "b5e7839206e5e604b0f1edf9547473b03e50e6c7050ccb560615fede8abaa7c6")
 RANDOM_STRUCTURE_BYTES = 575214
 RANDOM_RABIN_HOA_SHA256 = (
-    "9a9dc56b5295da0dd06e9983b83c3aaf507e279bad07ff5806950148a41e9f99")
-RANDOM_RABIN_HOA_BYTES = 789639
+    "dae7ab9524841dff577633946c496f872dd9f1a29c791da6c86fcf3f4a7ddb2d")
+RANDOM_RABIN_HOA_BYTES = 779940
 RANDOM_RABIN_STRUCTURE_SHA256 = (
     "0554652493f014b93f94c35b4fc197bf912d3b04f1dad0bb633819986de068e7")
 RANDOM_RABIN_STRUCTURE_BYTES = 597641
@@ -255,22 +255,22 @@ def test_random_rabin_hoa_is_golden(random_hoa):
 PAST_WIDTH_GOLDEN = {
     "G(p <-> O q1)": (
         9, 2467,
-        "0b37c25495b76ec6a8fe6b834a4d3f086112731bb4c0e4526811c55efcef5855",
+        "c9c2b2bb54b45e439dbafca28fff1576a38f4f889bc90c4ee886b089853e4f1e",
         756,
         "045dc3e0fdf4eccc0e762c381e142641219b47a65038a47b5c9e8ee3ef7c02d3"),
     "G(p <-> O q1 & O q2)": (
         17, 21309,
-        "89c98e5bd24a0ea33144301a624d3c799052300ce1f10c0fe6a800415bef6026",
+        "9ce6b0c8fb2338da5f58a344077c595869a9acadbd1bd2928262d5764e09d2d0",
         2672,
         "239c3ac3a5be3e09551276160c832144235b1fa26fbf731e0cd32d523b19c0c1"),
     "G(p <-> Y q)": (
         9, 2233,
-        "23a54a454895ec1810cd7287c80d65d479789ea01ceb63a7c674a46c7fc0538c",
+        "9d41ac1c82dffe4494bceacb9e858de1ec855da1592c7ad9756e4e4bb529912f",
         750,
         "8160772264a648563f7bcff5c602baf5cf35257a148c07e65cb998ec9b0a5b37"),
     "G(p <-> Y Y q)": (
         17, 13203,
-        "a032a42557c09921f36ef04cb4ff2b1a9ef8474647472c61ea35a39dc3d999cc",
+        "33606a4d7b8c6cac82c2ad7b5717efe8b0cfde360c30c9429f6e09e6b2e38c23",
         1253,
         "e9ae8c237b4d8e7454f03789007261eb46c82c598a064f708d84851510078e79"),
 }

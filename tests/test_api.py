@@ -6,6 +6,11 @@ nowhere.  Names are matched per module: ``m.name`` counts as used only when
 it is read off an alias of module ``m``, imported from ``m`` (so exporting
 it through ``pastdra/__init__.py`` counts), or named inside ``m`` outside
 its own body.  A same-named function of another module does not count.
+
+Likewise a public method or property of a public class must be read, as
+an attribute, by code under ``src/`` or ``perfbench/`` outside its own
+body.  Attributes are matched by name alone, whatever object they are
+read off.
 """
 
 import ast
@@ -14,6 +19,7 @@ from pathlib import Path
 import pastdra
 
 SRC = Path(pastdra.__file__).resolve().parent
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _uses(tree):
@@ -56,3 +62,36 @@ def test_no_public_name_only_tests_use():
                        for other in tree.body if other is not node):
                 unused.append("%s.%s" % (stem, node.name))
     assert not unused, "public names no src code uses: %s" % unused
+
+
+def _attribute_reads(trees, skip):
+    """Names read as attributes anywhere in ``trees`` outside ``skip``."""
+    out, stack = set(), list(trees)
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def test_no_public_member_only_tests_use():
+    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    unused = []
+    for path, tree in zip(paths, trees):
+        if path.parent != SRC:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) \
+                        and not node.name.startswith("_") \
+                        and node.name not in _attribute_reads(trees, node):
+                    unused.append("%s.%s.%s" % (path.stem, cls.name,
+                                                node.name))
+    assert not unused, \
+        "public members no src or perfbench code reads: %s" % unused

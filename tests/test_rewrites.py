@@ -264,18 +264,18 @@ _LIMIT_STRONG_OF = {v: k for k, v in _LIMIT_WEAK_OF.items()}
 
 
 def _rewrite_under_reference(f, C):
-    if f.is_leaf:
+    if f.left is None:
         return f
-    l = _rewrite_under_reference(f.left, C) if f.left is not None else None
+    l = _rewrite_under_reference(f.left, C)
     r = _rewrite_under_reference(f.right, C) if f.right is not None else None
     twin = (_PAST_WEAK_OF if f in C else _PAST_STRONG_OF).get(f.kind, f.kind)
     return F.make(twin, l, r)
 
 
 def _mu_limit_reference(f, M):
-    if f.is_leaf:
+    if f.left is None:
         return f
-    l = _mu_limit_reference(f.left, M) if f.left is not None else None
+    l = _mu_limit_reference(f.left, M)
     r = _mu_limit_reference(f.right, M) if f.right is not None else None
     if f.kind in _LIMIT_WEAK_OF and f not in M:
         return F.make(F.FALSE)
@@ -283,11 +283,11 @@ def _mu_limit_reference(f, M):
 
 
 def _nu_limit_reference(f, N):
-    if f.is_leaf:
+    if f.left is None:
         return f
     if f.kind in _LIMIT_STRONG_OF and f in N:
         return F.make(F.TRUE)
-    l = _nu_limit_reference(f.left, N) if f.left is not None else None
+    l = _nu_limit_reference(f.left, N)
     r = _nu_limit_reference(f.right, N) if f.right is not None else None
     return F.make(_LIMIT_STRONG_OF.get(f.kind, f.kind), l, r)
 

@@ -8,11 +8,13 @@ from test_acceptance import FUTURE_HISTORY_SPEC
 
 from pastdra import automata
 from pastdra import formula as F
+from pastdra import proplogic as P
 from pastdra.automata import StateLimitExceeded, accepts, degeneralize
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import holds, parse_word
-from pastdra.translate import translate, translation_stats
+from pastdra.translate import (TranslationContext, build_wc_automaton,
+                               translate, translation_stats)
 
 parse = F.parse
 
@@ -109,7 +111,7 @@ def test_components_are_stepped_once(monkeypatch):
     # ``pastdra.translate`` is the function, not the module.
     module = sys.modules["pastdra.translate"]
     af_class, cascade = module.af_class, module.cascade
-    calls, steps = [], []
+    calls, steps, made = [], [], []
 
     def counted(b, sigma):
         calls.append(b)
@@ -118,8 +120,11 @@ def test_components_are_stepped_once(monkeypatch):
     def counted_cascade(bed, components, branches, max_states):
         def counting(k, runner):
             def step(q, obj, sigma):
+                before = len(calls)
+                out = runner.step(q, obj, sigma)
                 steps.append((k, q, obj, sigma))
-                return runner.step(q, obj, sigma)
+                made.append(len(calls) - before)
+                return out
             return runner._replace(step=step)
         return cascade(bed, [counting(k, c) for k, c in enumerate(components)],
                        branches, max_states)
@@ -129,9 +134,11 @@ def test_components_are_stepped_once(monkeypatch):
     auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
     assert len(auto.acc[1]) == 64
     assert len(steps) == len(set(steps))
-    # a step calls af_class at most twice (the safety runner's two halves)
+    # a runner state is one derivative, so a step calls af_class at most
+    # once; the bed makes the other calls, one per bed transition
     transitions = auto.n_states() * len(auto.letters)
-    assert len(calls) <= 2 * len(steps) < transitions
+    assert max(made) <= 1
+    assert len(steps) < transitions and len(calls) < transitions
 
 
 def test_one_letter_table_per_automaton(monkeypatch):
@@ -158,6 +165,26 @@ def test_labels_name_each_component_once():
     auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
     assert len(auto.acc[1]) == 64
     assert auto.labels[0].count("; ") == 6
+
+
+def test_labels_print_the_derivative_once():
+    # The bed carries the formula's derivative, so a state label prints it
+    # once, in the bed part after the runners; each runner part is a tag
+    # and one formula.  G(F p & F q) has 4 safety runners among its 12.
+    phi = parse("G(F p & F q)")
+    auto = translate(phi)
+    bed = build_wc_automaton(TranslationContext(phi))
+    assert auto.n_states() == 55
+    for label in auto.labels:
+        [j] = [j for j, text in enumerate(bed.labels)
+               if label.endswith(" | " + text)]
+        runners = label[:-len(" | " + bed.labels[j])].split("; ")
+        assert len(runners) == 12, label
+        assert sum(part.startswith("S:") for part in runners) == 4, label
+        assert all(part[:2] in ("S:", "G:", "F:") for part in runners), label
+        psi = str(P.to_formula(bed.state_objs[j][0]))
+        assert bed.labels[j].startswith(psi + " <"), label
+        assert psi not in "; ".join(runners), label
 
 
 def test_hoa_round_trip():
