@@ -13,13 +13,16 @@ a plain Rabin pair has one meet set.
 
 Translation has one product step: per column, :func:`cascade` reads the bed
 successor off the bed's table and each component's successor off that
-component's step table, keyed by (component state, reached bed state,
-column) and filled on first use, so a runner is stepped once per distinct
-key, not once per product transition.  It then reads the state labels and
-one generalized pair per branch off the explored states, labelling and
-testing each distinct component state once.  A label names each component
-once, however many branches share it.  :func:`degeneralize` turns the
-result into a plain Rabin automaton with one counter per pair; both stop at
+component's step tables, filled on first use.  A component state that does
+not restart reads the letter alone and is keyed by (state, column); a
+restart reads the reached bed state alone and is keyed by the part of it
+that the component reads.  So a runner is stepped once per distinct key,
+not once per product transition.  It then reads one generalized pair per
+branch off the explored states, testing each distinct component state once.
+State labels are a debugging aid, built only on request: a label names each
+component once, however many branches share it, and without labels every
+state's label is ``""``.  :func:`degeneralize` turns the result into a
+plain Rabin automaton with one counter per pair; both stop at
 ``max_states``, ``DEFAULT_MAX_STATES`` unless given.  :func:`accepts` reads
 a lasso word through the letter table and walks its cycle a lap at a time.
 """
@@ -44,7 +47,7 @@ class OmegaAutomaton:
     ap: tuple                 # sorted proposition names
     init: int
     trans: list               # trans[state][letter_index] -> state
-    labels: list              # human-readable state annotations
+    labels: list              # state names, "" for an unnamed state
     acc: tuple                # ("generalized-rabin", pairs) as above
 
     def __post_init__(self):
@@ -86,17 +89,31 @@ class BedAutomaton:
     state_objs: list          # opaque payload per state, passed to runners
 
 
-Runner = namedtuple("Runner", "init step accepting label", defaults=(str,))
-Runner.__doc__ = """\
-A Büchi or co-Büchi component that also observes the bed state.
+def _never(q):
+    return False
 
-``step(q, bed_obj, sigma)`` sees the bed state *reached* on the current
-letter, ``accepting(q)`` marks the states of its set and ``label(q)`` names
-a state."""
+
+Runner = namedtuple("Runner",
+                    "init step accepting label restarts restart view",
+                    defaults=(str, _never, None, None))
+Runner.__doc__ = """\
+A Büchi or co-Büchi component that also observes the bed.
+
+``step(q, sigma)`` is the successor of ``q`` on a letter, and
+``accepting(q)`` marks the states of its set.  A state with ``restarts(q)``
+reads no letter: its successor is ``restart(view(s))``, where ``s`` is the
+payload of the bed state *reached* on the current letter and ``view``
+picks the part of it that the component reads.  A runner with a
+``restart`` starts restarted from the bed's initial state: ``init`` is
+``restart(view(s0))`` for the payload ``s0`` of bed state 0.  ``label(q)``
+names a state."""
 
 
 class StateLimitExceeded(Exception):
     pass
+
+
+_RESTART = object()             # a step-table entry: the state restarts
 
 
 def _explore(width, init_state, succ, max_states):
@@ -120,56 +137,74 @@ def _explore(width, init_state, succ, max_states):
     return order, trans
 
 
-def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES):
+def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
+            labels=False):
     """Generalized Rabin automaton of the union over the branches of the
     intersection of their components, all observing the bed.
 
     ``components`` are runners, each stepped once per distinct (component
-    state, reached bed state, letter) and labelled and tested for its set
-    once per distinct state, however many product states and branches share
-    it; first calls come in the order of a plain product walk.  A branch
-    ``(co-Büchi indices, Büchi indices)`` gives one pair.  It avoids the
-    states where one of its co-Büchi components is in its set, and has one
-    meet set per Büchi component: the states where that component is in
-    its set.  States are ``(component states, bed state)`` in BFS order,
-    labelled ``label; ... | bed`` with one label per component in component
-    order; the pairs come in branch order.  Raises
-    :class:`StateLimitExceeded` when exploration would pass ``max_states``.
+    state, letter), restarted once per distinct view of the reached bed
+    state and tested for its set once per distinct state, however many
+    product states and branches share it; first calls come in the order of
+    a plain product walk.  A branch ``(co-Büchi indices, Büchi indices)``
+    gives one pair.  It avoids the states where one of its co-Büchi
+    components is in its set, and has one meet set per Büchi component: the
+    states where that component is in its set.  States are ``(component
+    states, bed state)`` in BFS order; the pairs come in branch order.
+    With ``labels``, a state is labelled ``label; ... | bed`` with one label
+    per component in component order, each computed once per distinct
+    component state; without, no label is computed and each is ``""``.
+    Raises :class:`StateLimitExceeded` when exploration would pass
+    ``max_states``.
     """
-    tables = [{} for _ in components]   # (q, bed state, column) -> q'
+    steps = [{} for _ in components]     # (q, column) -> q', or _RESTART
+    # view of the bed state -> q'; a runner starts restarted from bed state 0
+    restarts = [{} if c.restart is None
+                else {c.view(bed.state_objs[0]): c.init} for c in components]
 
     def succ(state, i):
         qs, s = state
         s2 = bed.trans[s][i]
         out = []
-        for c, table, q in zip(components, tables, qs):
-            key = q, s2, i
+        for c, table, fresh, q in zip(components, steps, restarts, qs):
+            key = q, i
             if key not in table:
-                table[key] = c.step(q, bed.state_objs[s2], bed.letters[i])
-            out.append(table[key])
+                table[key] = (_RESTART if c.restarts(q)
+                              else c.step(q, bed.letters[i]))
+            q2 = table[key]
+            if q2 is _RESTART:
+                seen = c.view(bed.state_objs[s2])
+                if seen not in fresh:
+                    fresh[seen] = c.restart(seen)
+                q2 = fresh[seen]
+            out.append(q2)
         return tuple(out), s2
 
     init = (tuple(c.init for c in components), 0)
     order, trans = _explore(len(bed.letters), init, succ, max_states)
-    names = [{} for _ in components]    # q -> label
-    labels = []
-    for qs, s in order:
-        parts = []
-        for c, seen, q in zip(components, names, qs):
-            if q not in seen:
-                seen[q] = c.label(q)
-            parts.append(seen[q])
-        labels.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
+    if labels:
+        names = [{} for _ in components]    # q -> label
+        texts = []
+        for qs, s in order:
+            parts = []
+            for c, seen, q in zip(components, names, qs):
+                if q not in seen:
+                    seen[q] = c.label(q)
+                parts.append(seen[q])
+            texts.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
+    else:
+        texts = [""] * len(order)
     marked = []
-    for j, (c, seen) in enumerate(zip(components, names)):
-        inside = {q for q in seen if c.accepting(q)}
+    for j, c in enumerate(components):
+        inside = {q for q in dict.fromkeys(qs[j] for qs, _ in order)
+                  if c.accepting(q)}
         marked.append(frozenset(i for i, (qs, _) in enumerate(order)
                                 if qs[j] in inside))
     acc = ("generalized-rabin", tuple(
         (frozenset().union(*(marked[j] for j in co)),
          tuple(marked[j] for j in bu))
         for co, bu in branches))
-    return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
+    return OmegaAutomaton(bed.ap, 0, trans, texts, acc)
 
 
 def degeneralize(auto, max_states=DEFAULT_MAX_STATES):

@@ -41,7 +41,7 @@ def _load_target(arg):
 def cmd_translate(args):
     phi = F.parse(args.formula)
     ap = args.ap.split(",") if args.ap else None
-    auto = translate(phi, ap, args.max_states)
+    auto = translate(phi, ap, args.max_states, labels=args.labels)
     if args.acceptance == "rabin":
         auto = degeneralize(auto, args.max_states)
     if args.format == "dot":
@@ -189,6 +189,10 @@ def build_parser():
     t.add_argument("--max-states", type=_positive_int,
                    default=DEFAULT_MAX_STATES)
     t.add_argument("--ap", help="comma-separated extra proposition names")
+    t.add_argument("--labels", action="store_true",
+                   help="name every state by the formula text of its runner "
+                        "and bed states (a debugging aid; states are "
+                        "unnamed by default)")
     t.set_defaults(fn=cmd_translate)
 
     e = sub.add_parser("eval", help="formula truth value on a lasso word")

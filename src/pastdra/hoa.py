@@ -2,17 +2,19 @@
 
 The writer emits one edge per letter with an explicit conjunction label and
 state-based acceptance sets, and is deterministic: same automaton, same
-bytes.  Each pair's sets are numbered consecutively, its avoid set first,
-then its meet sets.  An automaton whose pairs each have one meet set is
-written as ``Rabin``, any other as ``generalized-Rabin``.  The reader only
-understands that shape (plus whitespace slack); it exists for round-trip
-checks and for feeding previously exported automata back into the
-membership checker.  It also reads ``Buchi`` and ``co-Buchi``, as one pair.
-The roles of the sets come from the ``Acceptance:`` condition, a
-disjunction of conjunctions of ``Fin(k)`` and ``Inf(k)`` (``f`` has no
-disjunct) that names every set once.  Its shape (disjuncts, and the Fin
-and Inf sets of each), its set count and every state mark must agree with
-``acc-name:``, which allows at most one Fin per disjunct.
+bytes.  A state is named only when its label is not ``""``: HOA makes state
+names optional, and the DOT writer then shows the state number alone.  Each
+pair's sets are numbered consecutively, its avoid set first, then its meet
+sets.  An automaton whose pairs each have one meet set is written as
+``Rabin``, any other as ``generalized-Rabin``.  The reader only understands
+that shape (plus whitespace slack); it exists for round-trip checks and for
+feeding previously exported automata back into the membership checker.  It
+also reads ``Buchi`` and ``co-Buchi``, as one pair.  The roles of the sets
+come from the ``Acceptance:`` condition, a disjunction of conjunctions of
+``Fin(k)`` and ``Inf(k)`` (``f`` has no disjunct) that names every set
+once.  Its shape (disjuncts, and the Fin and Inf sets of each), its set
+count and every state mark must agree with ``acc-name:``, which allows at
+most one Fin per disjunct.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ def export_hoa(auto, name=None):
                         for j in range(len(auto.ap))) or "t"
              for li in range(width)]
     for q, sets in enumerate(_state_sets(auto)):
-        lines.append("State: %d %s%s" % (
-            q, _quote(auto.labels[q]),
+        label = auto.labels[q]
+        lines.append("State: %d%s%s" % (
+            q, " " + _quote(label) if label else "",
             " {%s}" % " ".join(map(str, sets)) if sets else ""))
         lines.extend(["[%s] %d" % edge for edge in zip(exprs, auto.trans[q])])
     lines.append("--END--")
@@ -91,8 +94,9 @@ def export_dot(auto):
     for q, sets in enumerate(_state_sets(auto)):
         extra = " [%s]" % ",".join(map(str, sets)) if sets else ""
         shape = "doublecircle" if sets else "circle"
-        out.append('  q%d [shape=%s,label="%d%s\\n%s"];'
-                   % (q, shape, q, extra, _escape(auto.labels[q])))
+        label = auto.labels[q] and "\\n" + _escape(auto.labels[q])
+        out.append('  q%d [shape=%s,label="%d%s%s"];'
+                   % (q, shape, q, extra, label))
     letters = auto.letters
     for q in range(auto.n_states()):
         grouped = {}

@@ -12,14 +12,17 @@ co-Büchi sets of the first two kinds and has one meet set per ``F``
 runner.  A runner state is one derivative, and every runner starts and
 restarts from the bed by one rule.  Runners are shared across guesses, so
 each distinct one is built once, stepped once per distinct (runner state,
-bed state, letter) and labelled once per distinct runner state, and
+letter) and restarted once per distinct part of the bed state it reads, and
 :func:`~pastdra.automata.cascade` explores the bed, the runners and the
-branches in one product, so the bed is never duplicated.  The branches,
+branches in one product, so the bed is never duplicated.  State labels
+print formula text and are built only on request.  The branches,
 and so the pairs, come M-major: M and N each run over the subsets of the
 sorted fixpoint subformulas by size, then lexicographically.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from . import formula as F
 from . import proplogic as P
@@ -81,10 +84,12 @@ class TranslationContext:
         return tuple(parts)
 
 
-def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
+def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES, labels=False):
     """The bed: the formula's derivative and one weakening-obligation track
     per enumerated past set; raises :class:`StateLimitExceeded` past
-    ``max_states``."""
+    ``max_states``.  With ``labels``, a state is labelled with the
+    derivative and its tracks, ``psi <b0, b1, ...>``; without, with ``""``.
+    """
     letters = letters_for(ctx.ap)
     rc = {}                   # (tracks, column) -> successor tracks
 
@@ -98,9 +103,12 @@ def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
     # ``automata._explore`` (the benchmark's tracer) sees the bed too.
     from .automata import _explore
     order, trans = _explore(len(letters), ctx.bed_init, step, max_states)
-    labels = ["%s <%s>" % (P.to_formula(psi), ", ".join(
-        str(P.to_formula(b)) for b in tracks)) for psi, tracks in order]
-    return BedAutomaton(ctx.ap, letters, trans, labels, list(order))
+    if labels:
+        texts = ["%s <%s>" % (P.to_formula(psi), ", ".join(
+            str(P.to_formula(b)) for b in tracks)) for psi, tracks in order]
+    else:
+        texts = [""] * len(order)
+    return BedAutomaton(ctx.ap, letters, trans, texts, list(order))
 
 
 _limit_memo = F.memo()
@@ -124,8 +132,10 @@ def _limit_runner(ctx, tag, psi, S):
     A state is one derivative ``zeta``.  Whenever ``zeta`` is the trigger
     the runner restarts from the bed state it reaches: the disjunction over
     the tracks i of a seed and track i, both seen through the limit under
-    ``S`` rewritten under C_i.  The seed of ``S`` is the bed's derivative;
-    that of ``G`` and ``F`` is ``wrap(psi)`` rewritten under C_i.  The
+    ``S`` rewritten under C_i.  The seed of ``S`` is the bed's derivative,
+    so ``S`` reads the whole bed state; that of ``G`` and ``F`` is
+    ``wrap(psi)`` rewritten under C_i, so they read the tracks alone.  A
+    restart reads no letter, and any other step reads no bed state.  The
     runner starts from the restart of the bed's initial state.
     """
     limit, wrap, trigger = {"S": (rewrite_mu_limit, None, P.FALSE_B),
@@ -134,28 +144,33 @@ def _limit_runner(ctx, tag, psi, S):
     rw = [rewrite_set(S, c) for c in ctx.past_sets]
     seeds = None if wrap is None else [
         P.canonicalize(wrap(rewrite_under(psi, c))) for c in ctx.past_sets]
+    # what a restart reads: the whole bed state, or its tracks
+    view = (lambda bed_state: bed_state) if seeds is None else itemgetter(1)
 
-    def restart(bed_state):
-        derivative, tracks = bed_state
+    def restart(seen):
+        derivative, tracks = seen if seeds is None else (None, seen)
         return P.disj_all(
             P.conj(_limit_view(derivative if seeds is None else seeds[i],
                                limit, rw[i]),
                    _limit_view(track, limit, rw[i]))
             for i, track in enumerate(tracks))
 
-    def step(zeta, bed_state, sigma):
-        return restart(bed_state) if zeta is trigger else af_class(zeta, sigma)
+    def triggered(zeta):
+        return zeta is trigger
 
-    return Runner(restart(ctx.bed_init), step,
-                  accepting=lambda z: z is trigger,
-                  label=lambda z: "%s:%s" % (tag, P.to_formula(z)))
+    return Runner(restart(view(ctx.bed_init)), af_class, triggered,
+                  label=lambda z: "%s:%s" % (tag, P.to_formula(z)),
+                  restarts=triggered, restart=restart, view=view)
 
 
-def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
+def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
     """Deterministic generalized Rabin automaton for ``phi``; one pair per
     (M, N) guess, M-major, each of M and N in subset order (by size, then
     lexicographic over ``ctx.mu`` or ``ctx.nu``).
     :func:`~pastdra.automata.degeneralize` gives the plain Rabin automaton.
+    With ``labels``, each state is labelled with the formula text of its
+    runner states and bed state (a debugging aid, computed after
+    exploration); without, no label is built and each is ``""``.
 
     Raises :class:`StateLimitExceeded` when exploration would pass the cap.
     """
@@ -172,8 +187,8 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
     # both intern formulas, and the interning order fixes the BDD variable
     # order and so the state labels.
     components = [_limit_runner(ctx, *key) for key in index]
-    return cascade(build_wc_automaton(ctx, max_states), components, branches,
-                   max_states)
+    return cascade(build_wc_automaton(ctx, max_states, labels), components,
+                   branches, max_states, labels)
 
 
 def translation_stats(phi, auto):

@@ -131,12 +131,14 @@ def test_negated_future_spec_translates():
         assert accepts(auto, w) == holds(f, w, 0), w
 
 
-# The generalized Rabin automata that ``translate`` returns.
+# The generalized Rabin automata that ``translate(..., labels=True)``
+# returns.
 CORPUS_HOA_SHA256 = (
     "e2d7591196f9ad6dd2d9e6e0e93a449d7858ce115d6efccc41bcee4331ce8208")
 CORPUS_HOA_BYTES = 330572
 # The same text with every state label dropped: states, edges and
-# acceptance.  A change that only edits labels leaves these two as they are.
+# acceptance.  This is what ``translate`` writes by default, and a change
+# that only edits labels leaves these two as they are.
 CORPUS_STRUCTURE_SHA256 = (
     "cda48944c4b2be46be0f097bb43f848cb5a28e553e6361dc4d9a7a77004bf9c2")
 CORPUS_STRUCTURE_BYTES = 184412
@@ -149,15 +151,17 @@ CORPUS_RABIN_STRUCTURE_SHA256 = (
 CORPUS_RABIN_STRUCTURE_BYTES = 260746
 
 # Each script prints a JSON list of two texts: the HOA of every automaton,
-# then the HOA of its degeneralization.  ``degeneralize`` interns nothing,
-# so the first text is what translating alone writes.
+# then the HOA of its degeneralization, labelled when its argument is
+# ``labels``.  ``degeneralize`` interns nothing, so the first text is what
+# translating alone writes.
 _HOA_SCRIPT = """
 import json, random, sys
 from pastdra import degeneralize, export_hoa, parse, translate
 from pastdra.gen import random_formula_bounded
+labels = sys.argv[1:] == ["labels"]
 out = []
 for phi in %s:
-    auto = translate(phi, %r, max_states=200000)
+    auto = translate(phi, %r, max_states=200000, labels=labels)
     out.append((export_hoa(auto, name=str(phi)),
                 export_hoa(degeneralize(auto), name=str(phi))))
 sys.stdout.write(json.dumps(["".join(form) for form in zip(*out)]))
@@ -167,24 +171,27 @@ _CORPUS_HOA_SCRIPT = _HOA_SCRIPT % ("map(parse, json.load(sys.stdin))",
 
 
 def _hoa_in_fresh_interpreter(script, stdin=b""):
-    """The two HOA texts written by ``script`` in a new interpreter, each
-    as (text, that text with every state label dropped)."""
+    """The texts written by ``script``, each as (default text, labelled
+    text); each mode runs in a new interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", script], input=stdin, capture_output=True,
-        check=True, env=dict(os.environ, PYTHONPATH=src), timeout=600).stdout
-    return [(text, re.sub(rb'^(State: \d+) "[^"\n]*"', rb"\1", text,
-                          flags=re.M))
-            for text in (t.encode() for t in json.loads(out))]
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", script] + mode, input=stdin,
+        capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=600).stdout) for mode in ([], ["labels"])]
+    return [(plain.encode(), labelled.encode())
+            for plain, labelled in zip(*runs)]
 
 
 def _assert_golden(pair, structure_bytes, structure_sha, text_bytes,
                    text_sha):
-    text, structure = pair
-    assert len(structure) == structure_bytes
-    assert hashlib.sha256(structure).hexdigest() == structure_sha
-    assert len(text) == text_bytes
-    assert hashlib.sha256(text).hexdigest() == text_sha
+    plain, labelled = pair
+    assert len(plain) == structure_bytes
+    assert hashlib.sha256(plain).hexdigest() == structure_sha
+    assert len(labelled) == text_bytes
+    assert hashlib.sha256(labelled).hexdigest() == text_sha
+    # labels only name the states: dropping them gives the default text
+    assert re.sub(rb'^(State: \d+) "[^"\n]*"', rb"\1", labelled,
+                  flags=re.M) == plain
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +258,8 @@ def test_random_rabin_hoa_is_golden(random_hoa):
 
 
 # The deciding cases of the benchmark's ``past_width`` workload: per case its
-# states, then the bytes and sha256 of its HOA text and of its structure.
+# states, then the bytes and sha256 of its labelled HOA text and of its
+# structure, the default text.
 PAST_WIDTH_GOLDEN = {
     "G(p <-> O q1)": (
         9, 2467,
@@ -278,7 +286,8 @@ _PAST_WIDTH_SCRIPT = """
 import json, sys
 from pastdra import export_hoa, parse, translate
 phi = parse(%r)
-sys.stdout.write(json.dumps([export_hoa(translate(phi, %r), name=str(phi))]))
+auto = translate(phi, %r, labels=sys.argv[1:] == ["labels"])
+sys.stdout.write(json.dumps([export_hoa(auto, name=str(phi))]))
 """
 
 

@@ -213,7 +213,7 @@ def _one_state_bed(ap):
 def _last_letter(prop):
     # state 1 iff the last letter contained the given proposition; the
     # accepting set is {1}
-    return Runner(init=0, step=lambda q, obj, s: int(prop in s),
+    return Runner(init=0, step=lambda q, s: int(prop in s),
                   accepting=lambda q: q == 1,
                   label=lambda q: ("" if q else "!") + prop)
 
@@ -226,16 +226,16 @@ def test_rabin_union_is_language_union():
     last_p = _last_letter("p")
     steps = []
 
-    def counted_step(q, obj, sigma):
+    def counted_step(q, sigma):
         steps.append((q, sigma))
-        return last_p.step(q, obj, sigma)
+        return last_p.step(q, sigma)
 
     counted = Runner(0, counted_step, last_p.accepting, last_p.label)
-    u = cascade(bed, [counted], [([], [0]), ([0], [])])
+    u = cascade(bed, [counted], [([], [0]), ([0], [])], labels=True)
     u.audit()
     assert len(u.acc[1]) == 2
     assert u.labels[0] == "!p | -"
-    # stepped once per (state, bed state, letter), not once per branch
+    # stepped once per (state, letter), not once per branch
     assert len(steps) == len(set(steps)) == u.n_states() * 2
     inf_p = cascade(bed, [last_p], [([], [0])])
     fin_p = cascade(bed, [last_p], [([0], [])])
@@ -254,7 +254,7 @@ def test_rabin_conjunction_single_pair():
     bed = _one_state_bed(("p", "q"))
     buchi = _last_letter("p")
     cob = _last_letter("q")
-    a = cascade(bed, [cob, buchi], [([0], [1])])
+    a = cascade(bed, [cob, buchi], [([0], [1])], labels=True)
     a.audit()
     assert a.acc[0] == "generalized-rabin" and len(a.acc[1]) == 1
     assert a.labels[0] == "!q; !p | -"
@@ -263,7 +263,8 @@ def test_rabin_conjunction_single_pair():
     assert not accepts(a, parse_word("; {p,q}"))
     assert not accepts(a, parse_word("; {}"))
     # two Büchi components: one meet set each, no counter in the product
-    both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])])
+    both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])],
+                   labels=True)
     assert both.n_states() == 4
     assert [len(meets) for _, meets in both.acc[1]] == [2]
     # degeneralized, they are watched in turn: 2 x 2 component states x 2
@@ -281,12 +282,13 @@ def test_rabin_conjunction_single_pair():
 
 
 def test_cascade_runner_sees_reached_bed_state():
-    # bed flips between two states on p; the runner copies what it observes
+    # bed flips between two states on p; the runner restarts from every
+    # state and copies what it observes
     bed = BedAutomaton(ap=("p",), letters=letters_for(("p",)),
                        trans=[[0, 1], [1, 0]], labels=["a", "b"],
                        state_objs=["a", "b"])
-    run = Runner(init="a", step=lambda q, obj, s: obj,
-                 accepting=lambda q: q == "b")
+    run = Runner(init="a", step=None, accepting=lambda q: q == "b",
+                 restarts=lambda q: True, restart=str, view=str)
     a = cascade(bed, [run], [([], [0])])
     a.audit()
     assert accepts(a, parse_word("{p} ; {}"))  # bed reaches b and stays
@@ -294,12 +296,13 @@ def test_cascade_runner_sees_reached_bed_state():
 
 
 def _plain_product(bed, components, branches):
-    # the product as a plain walk: every runner is stepped on every
-    # transition and labelled in every state
+    # the product as a plain walk: every runner is stepped or restarted on
+    # every transition and labelled in every state
     def succ(state, i):
         qs, s = state
         s2 = bed.trans[s][i]
-        return tuple(c.step(q, bed.state_objs[s2], bed.letters[i])
+        return tuple(c.restart(c.view(bed.state_objs[s2])) if c.restarts(q)
+                     else c.step(q, bed.letters[i])
                      for c, q in zip(components, qs)), s2
 
     init = (tuple(c.init for c in components), 0)
@@ -317,49 +320,61 @@ def _plain_product(bed, components, branches):
 
 def test_cascade_steps_each_component_state_once():
     # the bed records whether p has been seen, so both bed states reach
-    # state 1 on {p}; two runners remember the last letter
+    # state 1 on {p}; two runners remember the last letter, and a third
+    # restarts from every state and copies the bed state it reaches
     bed = BedAutomaton(ap=("p", "q"), letters=letters_for(("p", "q")),
                        trans=[[0, 1, 0, 1], [1, 1, 1, 1]],
                        labels=["before p", "after p"], state_objs="ba")
     calls = {}
 
     def counted(k, runner):
-        def step(q, obj, sigma):
-            calls.setdefault(("step", k), []).append((q, obj, sigma))
-            return runner.step(q, obj, sigma)
+        def count(kind):
+            def call(arg, *rest):
+                calls.setdefault((kind, k), []).append((arg,) + rest)
+                return getattr(runner, kind)(arg, *rest)
+            return call
+        kinds = ("step", "label", "accepting", "restart")
+        return runner._replace(**{kind: count(kind) for kind in kinds
+                                  if getattr(runner, kind)})
 
-        def label(q):
-            calls.setdefault(("label", k), []).append(q)
-            return runner.label(q)
-
-        def accepting(q):
-            calls.setdefault(("accepting", k), []).append(q)
-            return runner.accepting(q)
-        return runner._replace(step=step, label=label, accepting=accepting)
-
-    branches = [([0], [1]), ([], [0, 1])]
-    runners = [counted(k, _last_letter(p)) for k, p in enumerate("pq")]
+    copy = Runner(init="b", step=None, accepting=lambda q: q == "a",
+                  restarts=lambda q: True, restart=str, view=str)
+    branches = [([0], [1]), ([2], [0, 1])]
+    runners = [counted(k, r) for k, r in enumerate(
+        [_last_letter("p"), _last_letter("q"), copy])]
     plain = _plain_product(bed, runners, branches)
     walk, calls = calls, {}
-    auto = cascade(bed, runners, branches)
+    auto = cascade(bed, runners, branches, labels=True)
     auto.audit()
     assert auto.n_states() == 6
     assert (auto.trans, auto.labels, auto.acc[1]) == plain
     assert len(walk["step", 0]) == 6 * 4 and len(walk["label", 0]) == 6
-    # each runner is stepped once per distinct (state, bed state, letter),
-    # labelled and tested once per distinct state, first calls in walk order
+    assert len(walk["restart", 2]) == 6 * 4
+    # each runner is stepped once per distinct (state, letter), restarted
+    # once per distinct view of the reached bed state other than that of
+    # bed state 0, which gave its initial state, and labelled and tested
+    # once per distinct state, first calls in walk order
     assert sorted(calls) == sorted(walk)
     for key, seq in walk.items():
-        assert calls[key] == list(dict.fromkeys(seq)), key
-    assert [len(calls["step", k]) for k in (0, 1)] == [10, 12]
+        distinct = list(dict.fromkeys(seq))
+        if key == ("restart", 2):
+            distinct.remove(("b",))
+        assert calls[key] == distinct, key
+    assert [len(calls["step", k]) for k in (0, 1)] == [8, 8]
+    assert calls["restart", 2] == [("a",)]
     assert [len(calls[kind, k]) for kind in ("label", "accepting")
-            for k in (0, 1)] == [2, 2, 2, 2]
+            for k in (0, 1, 2)] == [2, 2, 2, 2, 2, 2]
+    # without labels no label is computed
+    calls.clear()
+    unnamed = cascade(bed, runners, branches)
+    assert (unnamed.trans, unnamed.acc[1]) == (plain[0], plain[2])
+    assert unnamed.labels == [""] * 6
+    assert not [key for key in calls if key[0] == "label"]
 
 
 def test_cascade_state_limit():
     bed = _one_state_bed(("p",))
-    run = Runner(init=0, step=lambda q, obj, s: q + 1,
-                 accepting=lambda q: False)
+    run = Runner(init=0, step=lambda q, s: q + 1, accepting=lambda q: False)
     with pytest.raises(StateLimitExceeded):
         cascade(bed, [run], [], max_states=10)
 
@@ -367,8 +382,7 @@ def test_cascade_state_limit():
 def test_cascade_stops_at_the_default_cap():
     # no call runs uncapped: a runner that counts forever stops at the
     # library default
-    run = Runner(init=0, step=lambda q, obj, s: q + 1,
-                 accepting=lambda q: False)
+    run = Runner(init=0, step=lambda q, s: q + 1, accepting=lambda q: False)
     with pytest.raises(StateLimitExceeded) as info:
         cascade(_one_state_bed(()), [run], [])
     assert info.value.args == (DEFAULT_MAX_STATES,)

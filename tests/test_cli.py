@@ -86,6 +86,23 @@ def test_translate_dot(capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+@pytest.mark.parametrize("acceptance", ["generalized", "rabin"])
+def test_translate_names_states_only_with_labels(capsys, acceptance):
+    # states are unnamed by default; --labels names every state, in HOA
+    # after its number and in DOT on a line of its own
+    for flags, named in (([], False), (["--labels"], True)):
+        argv = ["translate", "G(p -> O q)", "--acceptance", acceptance]
+        code, hoa, _ = run(capsys, *argv, *flags)
+        lines = re.findall(r"^State: .*$", hoa, re.M)
+        assert code == 0 and len(lines) >= 8
+        assert [bool(re.match(r'State: \d+ "[^"]', line))
+                for line in lines] == [named] * len(lines), lines
+        code, dot, _ = run(capsys, *argv, "--format", "dot", *flags)
+        nodes = re.findall(r"^  q\d+ \[.*$", dot, re.M)
+        assert code == 0 and len(nodes) == len(lines)
+        assert [("\\n" in node) for node in nodes] == [named] * len(nodes)
+
+
 def test_translate_state_cap(capsys):
     code, _, err = run(capsys, "translate", "G(p <-> O q & O r)",
                        "--max-states", "4")
@@ -193,8 +210,8 @@ def _check_hoa(capsys, text):
     return err
 
 
-def _fq_hoa(capsys):
-    code, text, _ = run(capsys, "translate", "F q")
+def _fq_hoa(capsys, *flags):
+    code, text, _ = run(capsys, "translate", *flags, "F q")
     assert code == 0
     return text
 
@@ -340,7 +357,8 @@ def test_check_hoa_unsupported_edge_label(capsys, label):
     ("[0] 2\n", "[1] 2\n"),                  # proposition past the last one
 ])
 def test_check_hoa_out_of_range(capsys, old, new):
-    text = _fq_hoa(capsys).replace(old, new, 1)
+    # labelled, so that a state line goes on after its number
+    text = _fq_hoa(capsys, "--labels").replace(old, new, 1)
     assert "out of range" in _check_hoa(capsys, text)
 
 

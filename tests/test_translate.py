@@ -1,10 +1,11 @@
+import itertools
 import random
 import re
 import sys
 from dataclasses import replace
 
 import pytest
-from test_acceptance import FUTURE_HISTORY_SPEC
+from test_acceptance import CORPUS, FUTURE_HISTORY_SPEC
 
 from pastdra import automata
 from pastdra import formula as F
@@ -105,40 +106,44 @@ def test_rabin_component_is_one_witness():
 
 def test_components_are_stepped_once(monkeypatch):
     # Each distinct safety or limit runner is stepped once per distinct
-    # (runner state, bed state, letter), not once per product transition
-    # or per (M, N) guess that uses it: the future history spec has 64
-    # guesses but only 7 distinct components.  The package attribute
-    # ``pastdra.translate`` is the function, not the module.
+    # (runner state, letter) and restarted once per distinct part of the
+    # bed state it reads, not once per product transition or per (M, N)
+    # guess that uses it: the future history spec has 64 guesses but only
+    # 7 distinct components.  The package attribute ``pastdra.translate``
+    # is the function, not the module.
     module = sys.modules["pastdra.translate"]
-    af_class, cascade = module.af_class, module.cascade
-    calls, steps, made = [], [], []
+    cascade = module.cascade
+    beds, steps, restarts = [], [], []
 
-    def counted(b, sigma):
-        calls.append(b)
-        return af_class(b, sigma)
-
-    def counted_cascade(bed, components, branches, max_states):
+    def counted_cascade(bed, components, branches, max_states, labels):
         def counting(k, runner):
-            def step(q, obj, sigma):
-                before = len(calls)
-                out = runner.step(q, obj, sigma)
-                steps.append((k, q, obj, sigma))
-                made.append(len(calls) - before)
-                return out
-            return runner._replace(step=step)
-        return cascade(bed, [counting(k, c) for k, c in enumerate(components)],
-                       branches, max_states)
+            def step(q, sigma):
+                steps.append((k, q, sigma))
+                return runner.step(q, sigma)
 
-    monkeypatch.setattr(module, "af_class", counted)
+            def restart(seen):
+                restarts.append((k, seen))
+                return runner.restart(seen)
+            return runner._replace(step=step, restart=restart)
+        beds.append(bed)
+        return cascade(bed, [counting(k, c) for k, c in enumerate(components)],
+                       branches, max_states, labels)
+
     monkeypatch.setattr(module, "cascade", counted_cascade)
     auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
     assert len(auto.acc[1]) == 64
     assert len(steps) == len(set(steps))
-    # a runner state is one derivative, so a step calls af_class at most
-    # once; the bed makes the other calls, one per bed transition
-    transitions = auto.n_states() * len(auto.letters)
-    assert max(made) <= 1
-    assert len(steps) < transitions and len(calls) < transitions
+    assert len(restarts) == len(set(restarts))
+    assert len(steps) < auto.n_states() * len(auto.letters)
+    # an S runner reads the whole bed state, a G or F runner its tracks
+    # alone.  This formula has no past operator, so the tracks never change
+    # and only the 2^|mu| S runners restart after they start.
+    [bed] = beds
+    objs = set(bed.state_objs)
+    assert {obj[1] for obj in objs} == {bed.state_objs[0][1]}
+    assert restarts and all(seen in objs for _, seen in restarts)
+    mu = TranslationContext(parse(FUTURE_HISTORY_SPEC)).mu
+    assert len({k for k, _ in restarts}) <= 1 << len(mu) < 7
 
 
 def test_one_letter_table_per_automaton(monkeypatch):
@@ -162,7 +167,8 @@ def test_one_letter_table_per_automaton(monkeypatch):
 def test_labels_name_each_component_once():
     # 64 guesses share 7 components; a label names each component once, so
     # it has 7 parts.  Count "; ", not " | ": formula text contains " | ".
-    auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
+    auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"),
+                     labels=True)
     assert len(auto.acc[1]) == 64
     assert auto.labels[0].count("; ") == 6
 
@@ -172,8 +178,8 @@ def test_labels_print_the_derivative_once():
     # once, in the bed part after the runners; each runner part is a tag
     # and one formula.  G(F p & F q) has 4 safety runners among its 12.
     phi = parse("G(F p & F q)")
-    auto = translate(phi)
-    bed = build_wc_automaton(TranslationContext(phi))
+    auto = translate(phi, labels=True)
+    bed = build_wc_automaton(TranslationContext(phi), labels=True)
     assert auto.n_states() == 55
     for label in auto.labels:
         [j] = [j for j, text in enumerate(bed.labels)
@@ -187,11 +193,28 @@ def test_labels_print_the_derivative_once():
         assert psi not in "; ".join(runners), label
 
 
+def test_default_translation_formats_no_formula(monkeypatch):
+    # without labels, translating and exporting the corpus prints no formula
+    def refuse(f, prec):
+        raise AssertionError("a formula was printed")
+
+    monkeypatch.setattr(F, "_format", refuse)
+    with pytest.raises(AssertionError):
+        str(parse("p"))
+    for text in CORPUS:
+        auto = translate(parse(text), ("p", "q", "r"))
+        assert auto.labels == [""] * auto.n_states()
+        for a in (auto, degeneralize(auto)):
+            assert '"' not in export_hoa(a).split("--BODY--")[1]
+            export_dot(a)
+
+
 def test_hoa_round_trip():
-    # both forms read back as they were written, acceptance sets included;
-    # the second formula has pairs with two meet sets
-    for f in ("G(p -> O q)", "G(F p & F q)"):
-        auto = translate(parse(f))
+    # both forms read back as they were written, acceptance sets and state
+    # names included; the second formula has pairs with two meet sets
+    for f, labels in itertools.product(("G(p -> O q)", "G(F p & F q)"),
+                                       (False, True)):
+        auto = translate(parse(f), labels=labels)
         for a in (auto, degeneralize(auto)):
             back = parse_hoa(export_hoa(a, name="x"))
             assert (back.ap, back.init, back.trans, back.labels,
@@ -247,11 +270,13 @@ def test_hoa_header():
 
 
 def test_dot_export_mentions_all_states():
+    # an unnamed state shows its number and acceptance sets alone
     auto = translate(parse("F p"))
     dot = export_dot(auto)
     assert dot.startswith("digraph")
     for q in range(auto.n_states()):
-        assert "q%d [" % q in dot
+        assert re.search(r'^  q%d \[shape=\w+,label="%d( \[[\d,]+\])?"\];$'
+                         % (q, q), dot, re.M), q
 
 
 def test_dot_labels_are_escaped():
