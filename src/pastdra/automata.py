@@ -13,16 +13,15 @@ a plain Rabin pair has one meet set.
 
 Translation has one product step: per column, :func:`cascade` reads the bed
 successor off the bed's table and each component's successor off that
-component's step tables, filled on first use.  A component state that does
-not restart reads the letter alone and is keyed by (state, column); a
-restart reads the reached bed state alone and is keyed by the part of it
-that the component reads.  So a runner is stepped once per distinct key,
-not once per product transition.  It then reads one generalized pair per
-branch off the explored states, testing each distinct component state once.
-State labels are a debugging aid, built only on request: a label names each
-component once, however many branches share it, and without labels every
-state's label is ``""``.  :func:`degeneralize` turns the result into a
-plain Rabin automaton with one counter per pair; both stop at
+component's step table, keyed by (state, column) and filled on first use,
+so a runner is stepped once per distinct key, not once per product
+transition.  A step may answer :data:`RESTART`; the component then restarts
+from the reached bed state, and remembers its restarts itself.  ``cascade``
+then reads one generalized pair per branch off the explored states, testing
+each distinct component state once.  State labels are a debugging aid:
+``cascade`` names the states only when given a ``name`` function, and
+otherwise every state's label is ``""``.  :func:`degeneralize` turns the
+result into a plain Rabin automaton with one counter per pair; both stop at
 ``max_states``, ``DEFAULT_MAX_STATES`` unless given.  :func:`accepts` reads
 a lasso word through the letter table and walks its cycle a lap at a time.
 """
@@ -85,35 +84,23 @@ class BedAutomaton:
     ap: tuple
     letters: list             # letters_for(ap), the table it was explored on
     trans: list
-    labels: list
     state_objs: list          # opaque payload per state, passed to runners
 
 
-def _never(q):
-    return False
+RESTART = object()              # a step result: restart from the bed
 
-
-Runner = namedtuple("Runner",
-                    "init step accepting label restarts restart view",
-                    defaults=(str, _never, None, None))
+Runner = namedtuple("Runner", "init step accepting restart", defaults=(None,))
 Runner.__doc__ = """\
 A Büchi or co-Büchi component that also observes the bed.
 
 ``step(q, sigma)`` is the successor of ``q`` on a letter, and
-``accepting(q)`` marks the states of its set.  A state with ``restarts(q)``
-reads no letter: its successor is ``restart(view(s))``, where ``s`` is the
-payload of the bed state *reached* on the current letter and ``view``
-picks the part of it that the component reads.  A runner with a
-``restart`` starts restarted from the bed's initial state: ``init`` is
-``restart(view(s0))`` for the payload ``s0`` of bed state 0.  ``label(q)``
-names a state."""
+``accepting(q)`` marks the states of its set.  A step that returns
+:data:`RESTART` reads no letter: the successor is ``restart(s)`` for the
+payload ``s`` of the bed state *reached* on the current letter."""
 
 
 class StateLimitExceeded(Exception):
     pass
-
-
-_RESTART = object()             # a step-table entry: the state restarts
 
 
 def _explore(width, init_state, succ, max_states):
@@ -138,62 +125,42 @@ def _explore(width, init_state, succ, max_states):
 
 
 def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
-            labels=False):
+            name=None):
     """Generalized Rabin automaton of the union over the branches of the
     intersection of their components, all observing the bed.
 
     ``components`` are runners, each stepped once per distinct (component
-    state, letter), restarted once per distinct view of the reached bed
-    state and tested for its set once per distinct state, however many
-    product states and branches share it; first calls come in the order of
-    a plain product walk.  A branch ``(co-Büchi indices, Büchi indices)``
-    gives one pair.  It avoids the states where one of its co-Büchi
-    components is in its set, and has one meet set per Büchi component: the
-    states where that component is in its set.  States are ``(component
-    states, bed state)`` in BFS order; the pairs come in branch order.
-    With ``labels``, a state is labelled ``label; ... | bed`` with one label
-    per component in component order, each computed once per distinct
-    component state; without, no label is computed and each is ``""``.
+    state, letter) and tested for its set once per distinct state, however
+    many product states and branches share it; first calls come in the
+    order of a plain product walk.  A branch ``(co-Büchi indices, Büchi
+    indices)`` gives one pair.  It avoids the states where one of its
+    co-Büchi components is in its set, and has one meet set per Büchi
+    component: the states where that component is in its set.  States are
+    ``(component states, bed state)`` in BFS order; the pairs come in
+    branch order.  ``name(component states, bed payload)`` labels a state
+    once the product is explored; without it every label is ``""``.
     Raises :class:`StateLimitExceeded` when exploration would pass
     ``max_states``.
     """
-    steps = [{} for _ in components]     # (q, column) -> q', or _RESTART
-    # view of the bed state -> q'; a runner starts restarted from bed state 0
-    restarts = [{} if c.restart is None
-                else {c.view(bed.state_objs[0]): c.init} for c in components]
+    steps = [{} for _ in components]     # (q, column) -> q', or RESTART
 
     def succ(state, i):
         qs, s = state
         s2 = bed.trans[s][i]
         out = []
-        for c, table, fresh, q in zip(components, steps, restarts, qs):
+        for c, table, q in zip(components, steps, qs):
             key = q, i
             if key not in table:
-                table[key] = (_RESTART if c.restarts(q)
-                              else c.step(q, bed.letters[i]))
+                table[key] = c.step(q, bed.letters[i])
             q2 = table[key]
-            if q2 is _RESTART:
-                seen = c.view(bed.state_objs[s2])
-                if seen not in fresh:
-                    fresh[seen] = c.restart(seen)
-                q2 = fresh[seen]
-            out.append(q2)
+            out.append(c.restart(bed.state_objs[s2]) if q2 is RESTART
+                       else q2)
         return tuple(out), s2
 
     init = (tuple(c.init for c in components), 0)
     order, trans = _explore(len(bed.letters), init, succ, max_states)
-    if labels:
-        names = [{} for _ in components]    # q -> label
-        texts = []
-        for qs, s in order:
-            parts = []
-            for c, seen, q in zip(components, names, qs):
-                if q not in seen:
-                    seen[q] = c.label(q)
-                parts.append(seen[q])
-            texts.append("%s | %s" % ("; ".join(parts), bed.labels[s]))
-    else:
-        texts = [""] * len(order)
+    labels = ([name(qs, bed.state_objs[s]) for qs, s in order] if name
+              else [""] * len(order))
     marked = []
     for j, c in enumerate(components):
         inside = {q for q in dict.fromkeys(qs[j] for qs, _ in order)
@@ -204,7 +171,7 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
         (frozenset().union(*(marked[j] for j in co)),
          tuple(marked[j] for j in bu))
         for co, bu in branches))
-    return OmegaAutomaton(bed.ap, 0, trans, texts, acc)
+    return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 
 def degeneralize(auto, max_states=DEFAULT_MAX_STATES):

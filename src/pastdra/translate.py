@@ -22,13 +22,11 @@ sorted fixpoint subformulas by size, then lexicographically.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
-from .automata import (DEFAULT_MAX_STATES, BedAutomaton, Runner, cascade,
-                       letters_for)
+from .automata import (DEFAULT_MAX_STATES, RESTART, BedAutomaton, Runner,
+                       cascade, letters_for)
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, subsets,
                        wc)
@@ -84,12 +82,10 @@ class TranslationContext:
         return tuple(parts)
 
 
-def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES, labels=False):
+def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
     """The bed: the formula's derivative and one weakening-obligation track
     per enumerated past set; raises :class:`StateLimitExceeded` past
-    ``max_states``.  With ``labels``, a state is labelled with the
-    derivative and its tracks, ``psi <b0, b1, ...>``; without, with ``""``.
-    """
+    ``max_states``."""
     letters = letters_for(ctx.ap)
     rc = {}                   # (tracks, column) -> successor tracks
 
@@ -103,12 +99,7 @@ def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES, labels=False):
     # ``automata._explore`` (the benchmark's tracer) sees the bed too.
     from .automata import _explore
     order, trans = _explore(len(letters), ctx.bed_init, step, max_states)
-    if labels:
-        texts = ["%s <%s>" % (P.to_formula(psi), ", ".join(
-            str(P.to_formula(b)) for b in tracks)) for psi, tracks in order]
-    else:
-        texts = [""] * len(order)
-    return BedAutomaton(ctx.ap, letters, trans, texts, list(order))
+    return BedAutomaton(ctx.ap, letters, trans, list(order))
 
 
 _limit_memo = F.memo()
@@ -144,23 +135,47 @@ def _limit_runner(ctx, tag, psi, S):
     rw = [rewrite_set(S, c) for c in ctx.past_sets]
     seeds = None if wrap is None else [
         P.canonicalize(wrap(rewrite_under(psi, c))) for c in ctx.past_sets]
-    # what a restart reads: the whole bed state, or its tracks
-    view = (lambda bed_state: bed_state) if seeds is None else itemgetter(1)
+    restarts = {}             # what a restart reads -> the runner state
 
-    def restart(seen):
-        derivative, tracks = seen if seeds is None else (None, seen)
-        return P.disj_all(
-            P.conj(_limit_view(derivative if seeds is None else seeds[i],
-                               limit, rw[i]),
-                   _limit_view(track, limit, rw[i]))
-            for i, track in enumerate(tracks))
+    def restart(bed_state):
+        derivative, tracks = bed_state
+        seen = bed_state if seeds is None else tracks
+        if seen not in restarts:
+            restarts[seen] = P.disj_all(
+                P.conj(_limit_view(derivative if seeds is None else seeds[i],
+                                   limit, rw[i]),
+                       _limit_view(track, limit, rw[i]))
+                for i, track in enumerate(tracks))
+        return restarts[seen]
 
-    def triggered(zeta):
-        return zeta is trigger
+    def step(zeta, sigma):
+        return RESTART if zeta is trigger else af_class(zeta, sigma)
 
-    return Runner(restart(view(ctx.bed_init)), af_class, triggered,
-                  label=lambda z: "%s:%s" % (tag, P.to_formula(z)),
-                  restarts=triggered, restart=restart, view=view)
+    return Runner(restart(ctx.bed_init), step, lambda z: z is trigger,
+                  restart)
+
+
+def _namer(keys):
+    """``name`` for :func:`~pastdra.automata.cascade`: a state is labelled
+    ``tag:zeta; ... | psi <b0, b1, ...>``, one part per runner in runner
+    order, then the bed's derivative and tracks.  Each distinct runner or
+    bed state is printed once."""
+    texts = [{} for _ in keys]      # runner state -> its text
+    beds = {}                       # bed state -> its text
+
+    def name(qs, bed_state):
+        parts = []
+        for (tag, _, _), seen, q in zip(keys, texts, qs):
+            if q not in seen:
+                seen[q] = "%s:%s" % (tag, P.to_formula(q))
+            parts.append(seen[q])
+        if bed_state not in beds:
+            psi, tracks = bed_state
+            beds[bed_state] = "%s <%s>" % (P.to_formula(psi), ", ".join(
+                str(P.to_formula(b)) for b in tracks))
+        return "%s | %s" % ("; ".join(parts), beds[bed_state])
+
+    return name
 
 
 def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
@@ -187,8 +202,8 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
     # both intern formulas, and the interning order fixes the BDD variable
     # order and so the state labels.
     components = [_limit_runner(ctx, *key) for key in index]
-    return cascade(build_wc_automaton(ctx, max_states, labels), components,
-                   branches, max_states, labels)
+    return cascade(build_wc_automaton(ctx, max_states), components, branches,
+                   max_states, _namer(index) if labels else None)
 
 
 def translation_stats(phi, auto):

@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -172,14 +173,27 @@ _CORPUS_HOA_SCRIPT = _HOA_SCRIPT % ("map(parse, json.load(sys.stdin))",
 
 def _hoa_in_fresh_interpreter(script, stdin=b""):
     """The texts written by ``script``, each as (default text, labelled
-    text); each mode runs in a new interpreter."""
+    text); the two modes run side by side, each in a new interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
-    runs = [json.loads(subprocess.run(
-        [sys.executable, "-c", script] + mode, input=stdin,
-        capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=src),
-        timeout=600).stdout) for mode in ([], ["labels"])]
+    runs = []
+    for mode in ([], ["labels"]):
+        out, err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script] + mode, stdin=subprocess.PIPE,
+            stdout=out, stderr=err, env=dict(os.environ, PYTHONPATH=src))
+        proc.stdin.write(stdin)
+        proc.stdin.close()
+        runs.append((proc, out, err))
+    texts = []
+    for proc, out, err in runs:
+        with out, err:
+            code = proc.wait(timeout=600)
+            err.seek(0)
+            assert code == 0, err.read().decode()
+            out.seek(0)
+            texts.append(json.loads(out.read()))
     return [(plain.encode(), labelled.encode())
-            for plain, labelled in zip(*runs)]
+            for plain, labelled in zip(*texts)]
 
 
 def _assert_golden(pair, structure_bytes, structure_sha, text_bytes,

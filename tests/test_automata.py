@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pastdra.automata import (DEFAULT_MAX_STATES, BedAutomaton,
+from pastdra.automata import (DEFAULT_MAX_STATES, RESTART, BedAutomaton,
                               OmegaAutomaton, Runner, StateLimitExceeded,
                               _explore, accepts, cascade, degeneralize,
                               letters_for)
@@ -206,16 +206,18 @@ def test_accepts_matches_step_per_position(rng):
 
 def _one_state_bed(ap):
     return BedAutomaton(ap=tuple(ap), letters=letters_for(ap),
-                        trans=[[0] * (1 << len(ap))],
-                        labels=["-"], state_objs=[None])
+                        trans=[[0] * (1 << len(ap))], state_objs=["-"])
 
 
 def _last_letter(prop):
     # state 1 iff the last letter contained the given proposition; the
     # accepting set is {1}
     return Runner(init=0, step=lambda q, s: int(prop in s),
-                  accepting=lambda q: q == 1,
-                  label=lambda q: ("" if q else "!") + prop)
+                  accepting=lambda q: q == 1)
+
+
+def _name(qs, bed_state):
+    return "%s | %s" % ("; ".join(map(str, qs)), bed_state)
 
 
 def test_rabin_union_is_language_union():
@@ -230,11 +232,11 @@ def test_rabin_union_is_language_union():
         steps.append((q, sigma))
         return last_p.step(q, sigma)
 
-    counted = Runner(0, counted_step, last_p.accepting, last_p.label)
-    u = cascade(bed, [counted], [([], [0]), ([0], [])], labels=True)
+    counted = Runner(0, counted_step, last_p.accepting)
+    u = cascade(bed, [counted], [([], [0]), ([0], [])], name=_name)
     u.audit()
     assert len(u.acc[1]) == 2
-    assert u.labels[0] == "!p | -"
+    assert u.labels == ["0 | -", "1 | -"]
     # stepped once per (state, letter), not once per branch
     assert len(steps) == len(set(steps)) == u.n_states() * 2
     inf_p = cascade(bed, [last_p], [([], [0])])
@@ -254,17 +256,17 @@ def test_rabin_conjunction_single_pair():
     bed = _one_state_bed(("p", "q"))
     buchi = _last_letter("p")
     cob = _last_letter("q")
-    a = cascade(bed, [cob, buchi], [([0], [1])], labels=True)
+    a = cascade(bed, [cob, buchi], [([0], [1])], name=_name)
     a.audit()
     assert a.acc[0] == "generalized-rabin" and len(a.acc[1]) == 1
-    assert a.labels[0] == "!q; !p | -"
+    assert a.labels[0] == "0; 0 | -"
     assert accepts(a, parse_word("; {p}"))
     assert accepts(a, parse_word("{q} ; {p},{}"))
     assert not accepts(a, parse_word("; {p,q}"))
     assert not accepts(a, parse_word("; {}"))
     # two Büchi components: one meet set each, no counter in the product
     both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])],
-                   labels=True)
+                   name=_name)
     assert both.n_states() == 4
     assert [len(meets) for _, meets in both.acc[1]] == [2]
     # degeneralized, they are watched in turn: 2 x 2 component states x 2
@@ -282,13 +284,12 @@ def test_rabin_conjunction_single_pair():
 
 
 def test_cascade_runner_sees_reached_bed_state():
-    # bed flips between two states on p; the runner restarts from every
-    # state and copies what it observes
+    # bed flips between two states on p; the runner restarts on every
+    # letter and copies what it observes
     bed = BedAutomaton(ap=("p",), letters=letters_for(("p",)),
-                       trans=[[0, 1], [1, 0]], labels=["a", "b"],
-                       state_objs=["a", "b"])
-    run = Runner(init="a", step=None, accepting=lambda q: q == "b",
-                 restarts=lambda q: True, restart=str, view=str)
+                       trans=[[0, 1], [1, 0]], state_objs=["a", "b"])
+    run = Runner(init="a", step=lambda q, s: RESTART,
+                 accepting=lambda q: q == "b", restart=str)
     a = cascade(bed, [run], [([], [0])])
     a.audit()
     assert accepts(a, parse_word("{p} ; {}"))  # bed reaches b and stays
@@ -296,20 +297,21 @@ def test_cascade_runner_sees_reached_bed_state():
 
 
 def _plain_product(bed, components, branches):
-    # the product as a plain walk: every runner is stepped or restarted on
-    # every transition and labelled in every state
+    # the product as a plain walk: every runner is stepped on every
+    # transition, and restarted whenever its step says so
     def succ(state, i):
         qs, s = state
         s2 = bed.trans[s][i]
-        return tuple(c.restart(c.view(bed.state_objs[s2])) if c.restarts(q)
-                     else c.step(q, bed.letters[i])
-                     for c, q in zip(components, qs)), s2
+        out = []
+        for c, q in zip(components, qs):
+            q2 = c.step(q, bed.letters[i])
+            out.append(c.restart(bed.state_objs[s2]) if q2 is RESTART
+                       else q2)
+        return tuple(out), s2
 
     init = (tuple(c.init for c in components), 0)
     order, trans = _explore(len(bed.letters), init, succ, 100)
-    labels = ["%s | %s" % ("; ".join(c.label(q)
-                                     for c, q in zip(components, qs)),
-                           bed.labels[s]) for qs, s in order]
+    labels = [_name(qs, bed.state_objs[s]) for qs, s in order]
     marked = [frozenset(n for n, (qs, _) in enumerate(order)
                         if c.accepting(qs[j]))
               for j, c in enumerate(components)]
@@ -321,55 +323,46 @@ def _plain_product(bed, components, branches):
 def test_cascade_steps_each_component_state_once():
     # the bed records whether p has been seen, so both bed states reach
     # state 1 on {p}; two runners remember the last letter, and a third
-    # restarts from every state and copies the bed state it reaches
+    # restarts on every letter and copies the bed state it reaches
     bed = BedAutomaton(ap=("p", "q"), letters=letters_for(("p", "q")),
-                       trans=[[0, 1, 0, 1], [1, 1, 1, 1]],
-                       labels=["before p", "after p"], state_objs="ba")
+                       trans=[[0, 1, 0, 1], [1, 1, 1, 1]], state_objs="ba")
     calls = {}
 
     def counted(k, runner):
         def count(kind):
-            def call(arg, *rest):
-                calls.setdefault((kind, k), []).append((arg,) + rest)
-                return getattr(runner, kind)(arg, *rest)
+            def call(*args):
+                calls.setdefault((kind, k), []).append(args)
+                return getattr(runner, kind)(*args)
             return call
-        kinds = ("step", "label", "accepting", "restart")
+        kinds = ("step", "accepting", "restart")
         return runner._replace(**{kind: count(kind) for kind in kinds
                                   if getattr(runner, kind)})
 
-    copy = Runner(init="b", step=None, accepting=lambda q: q == "a",
-                  restarts=lambda q: True, restart=str, view=str)
+    copy = Runner(init="b", step=lambda q, s: RESTART,
+                  accepting=lambda q: q == "a", restart=str)
     branches = [([0], [1]), ([2], [0, 1])]
     runners = [counted(k, r) for k, r in enumerate(
         [_last_letter("p"), _last_letter("q"), copy])]
     plain = _plain_product(bed, runners, branches)
     walk, calls = calls, {}
-    auto = cascade(bed, runners, branches, labels=True)
+    auto = cascade(bed, runners, branches, name=_name)
     auto.audit()
     assert auto.n_states() == 6
     assert (auto.trans, auto.labels, auto.acc[1]) == plain
-    assert len(walk["step", 0]) == 6 * 4 and len(walk["label", 0]) == 6
-    assert len(walk["restart", 2]) == 6 * 4
-    # each runner is stepped once per distinct (state, letter), restarted
-    # once per distinct view of the reached bed state other than that of
-    # bed state 0, which gave its initial state, and labelled and tested
-    # once per distinct state, first calls in walk order
+    assert len(walk["step", 0]) == 6 * 4
+    # each runner is stepped once per distinct (state, letter) and tested
+    # once per distinct state, first calls in walk order; a restart follows
+    # every step that asks for one, and the runner keeps what it computed
     assert sorted(calls) == sorted(walk)
     for key, seq in walk.items():
-        distinct = list(dict.fromkeys(seq))
-        if key == ("restart", 2):
-            distinct.remove(("b",))
-        assert calls[key] == distinct, key
-    assert [len(calls["step", k]) for k in (0, 1)] == [8, 8]
-    assert calls["restart", 2] == [("a",)]
-    assert [len(calls[kind, k]) for kind in ("label", "accepting")
-            for k in (0, 1, 2)] == [2, 2, 2, 2, 2, 2]
-    # without labels no label is computed
-    calls.clear()
+        expected = seq if key[0] == "restart" else list(dict.fromkeys(seq))
+        assert calls[key] == expected, key
+    assert [len(calls["step", k]) for k in (0, 1, 2)] == [8, 8, 8]
+    assert [len(calls["accepting", k]) for k in (0, 1, 2)] == [2, 2, 2]
+    # without a name function no state is named
     unnamed = cascade(bed, runners, branches)
     assert (unnamed.trans, unnamed.acc[1]) == (plain[0], plain[2])
     assert unnamed.labels == [""] * 6
-    assert not [key for key in calls if key[0] == "label"]
 
 
 def test_cascade_state_limit():

@@ -106,44 +106,76 @@ def test_rabin_component_is_one_witness():
 
 def test_components_are_stepped_once(monkeypatch):
     # Each distinct safety or limit runner is stepped once per distinct
-    # (runner state, letter) and restarted once per distinct part of the
-    # bed state it reads, not once per product transition or per (M, N)
-    # guess that uses it: the future history spec has 64 guesses but only
-    # 7 distinct components.  The package attribute ``pastdra.translate``
-    # is the function, not the module.
+    # (runner state, letter) and computes a restart once per distinct part
+    # of the bed state it reads, not once per product transition or per
+    # (M, N) guess that uses it: the future history spec has 64 guesses but
+    # only 7 distinct components.  The package attribute
+    # ``pastdra.translate`` is the function, not the module.
     module = sys.modules["pastdra.translate"]
-    cascade = module.cascade
-    beds, steps, restarts = [], [], []
+    af_class, disj_all = module.af_class, P.disj_all
+    cascade, limit_runner = module.cascade, module._limit_runner
+    calls, computed, tags, beds = [], [], [], []
+    steps, made, restarts = [], [], []
 
-    def counted_cascade(bed, components, branches, max_states, labels):
+    def counted(b, sigma):
+        calls.append(b)
+        return af_class(b, sigma)
+
+    def counted_disj_all(bs):
+        computed.append(None)
+        return disj_all(bs)
+
+    def tagged_runner(ctx, tag, psi, S):
+        tags.append(tag)
+        return limit_runner(ctx, tag, psi, S)
+
+    def counted_cascade(bed, components, branches, max_states, name):
         def counting(k, runner):
             def step(q, sigma):
+                before = len(calls)
+                out = runner.step(q, sigma)
                 steps.append((k, q, sigma))
-                return runner.step(q, sigma)
+                made.append(len(calls) - before)
+                return out
 
-            def restart(seen):
-                restarts.append((k, seen))
-                return runner.restart(seen)
+            def restart(bed_state):
+                restarts.append((k, bed_state))
+                return runner.restart(bed_state)
             return runner._replace(step=step, restart=restart)
         beds.append(bed)
         return cascade(bed, [counting(k, c) for k, c in enumerate(components)],
-                       branches, max_states, labels)
+                       branches, max_states, name)
 
+    monkeypatch.setattr(module, "af_class", counted)
+    monkeypatch.setattr(P, "disj_all", counted_disj_all)
+    monkeypatch.setattr(module, "_limit_runner", tagged_runner)
     monkeypatch.setattr(module, "cascade", counted_cascade)
     auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
-    assert len(auto.acc[1]) == 64
+    assert len(auto.acc[1]) == 64 and len(tags) == 7
     assert len(steps) == len(set(steps))
-    assert len(restarts) == len(set(restarts))
-    assert len(steps) < auto.n_states() * len(auto.letters)
+    # a runner state is one derivative, so a step calls af_class at most
+    # once; the bed makes the other calls, one per bed transition
+    transitions = auto.n_states() * len(auto.letters)
+    assert max(made) <= 1
+    assert len(steps) < transitions and len(calls) < transitions
     # an S runner reads the whole bed state, a G or F runner its tracks
-    # alone.  This formula has no past operator, so the tracks never change
-    # and only the 2^|mu| S runners restart after they start.
+    # alone; each runner computed its initial state from bed state 0
     [bed] = beds
-    objs = set(bed.state_objs)
-    assert {obj[1] for obj in objs} == {bed.state_objs[0][1]}
-    assert restarts and all(seen in objs for _, seen in restarts)
-    mu = TranslationContext(parse(FUTURE_HISTORY_SPEC)).mu
-    assert len({k for k, _ in restarts}) <= 1 << len(mu) < 7
+
+    def view(k, bed_state):
+        return bed_state if tags[k] == "S" else bed_state[1]
+
+    read = {(k, view(k, bed.state_objs[0])) for k in range(len(tags))}
+    read |= {(k, view(k, bed_state)) for k, bed_state in restarts}
+    assert len(computed) == len(read) < len(tags) + len(restarts)
+    # This formula has no past operator, so the tracks never change, and
+    # only the S runners compute more than their initial state.
+    assert {obj[1] for obj in bed.state_objs} == {bed.state_objs[0][1]}
+    per_runner = [[seen for j, seen in read if j == k]
+                  for k in range(len(tags))]
+    assert all(len(seen) == 1 for seen, tag in zip(per_runner, tags)
+               if tag != "S")
+    assert len(read) > len(tags)
 
 
 def test_one_letter_table_per_automaton(monkeypatch):
@@ -179,17 +211,19 @@ def test_labels_print_the_derivative_once():
     # and one formula.  G(F p & F q) has 4 safety runners among its 12.
     phi = parse("G(F p & F q)")
     auto = translate(phi, labels=True)
-    bed = build_wc_automaton(TranslationContext(phi), labels=True)
+    bed = build_wc_automaton(TranslationContext(phi))
+    texts = ["%s <%s>" % (P.to_formula(psi), ", ".join(
+        str(P.to_formula(b)) for b in tracks))
+             for psi, tracks in bed.state_objs]
     assert auto.n_states() == 55
     for label in auto.labels:
-        [j] = [j for j, text in enumerate(bed.labels)
+        [j] = [j for j, text in enumerate(texts)
                if label.endswith(" | " + text)]
-        runners = label[:-len(" | " + bed.labels[j])].split("; ")
+        runners = label[:-len(" | " + texts[j])].split("; ")
         assert len(runners) == 12, label
         assert sum(part.startswith("S:") for part in runners) == 4, label
         assert all(part[:2] in ("S:", "G:", "F:") for part in runners), label
         psi = str(P.to_formula(bed.state_objs[j][0]))
-        assert bed.labels[j].startswith(psi + " <"), label
         assert psi not in "; ".join(runners), label
 
 
