@@ -4,17 +4,20 @@ States are integers in discovery order; the alphabet is the powerset of the
 atomic propositions, with letter index ``i`` setting proposition ``ap[j]``
 iff bit ``j`` of ``i`` is set.  :func:`_explore` steps on these columns, so
 each automaton builds one letter table: ``letters[i]`` is letter ``i`` as a
-frozenset, ``letter_index`` maps it back to ``i``.  Acceptance has one form,
-generalized Rabin, ``("generalized-rabin", pairs)``: a pair ``(avoid,
-meets)`` is a set and a tuple of sets, and the automaton accepts iff for
-some pair Inf avoids ``avoid`` and meets every set in ``meets``.  A Büchi
-set S is the one pair (∅, (S,)), a co-Büchi set S the one pair (S, ()), and
-a plain Rabin pair has one meet set.
+frozenset, ``letter_index`` maps it back to ``i``.  A bed carries a column
+mask, the propositions its formula reads: columns ``i`` and ``i & mask``
+step alike, so the bed and the product step one column per class and copy
+the others, and the tables stay complete over every column.  Acceptance
+has one form, generalized Rabin, ``("generalized-rabin", pairs)``: a pair
+``(avoid, meets)`` is a set and a tuple of sets, and the automaton accepts
+iff for some pair Inf avoids ``avoid`` and meets every set in ``meets``.
+A Büchi set S is the one pair (∅, (S,)), a co-Büchi set S the one pair
+(S, ()), and a plain Rabin pair has one meet set.
 
-Translation has one product step: per column, :func:`cascade` reads the bed
-successor off the bed's table and each component's successor off that
-component's step table, keyed by (state, column) and filled on first use,
-so a runner is stepped once per distinct key, not once per product
+Translation has one product step: per stepped column, :func:`cascade` reads
+the bed successor off the bed's table and each component's successor off
+that component's step table, keyed by (state, column) and filled on first
+use, so a runner is stepped once per distinct key, not once per product
 transition.  A step may answer :data:`RESTART`; the component then restarts
 from the reached bed state, and remembers its restarts itself.  ``cascade``
 then reads one generalized pair per branch off the explored states, testing
@@ -85,6 +88,7 @@ class BedAutomaton:
     letters: list             # letters_for(ap), the table it was explored on
     trans: list
     state_objs: list          # opaque payload per state, passed to runners
+    mask: int = -1            # columns i and i & mask step alike (-1: all)
 
 
 RESTART = object()              # a step result: restart from the bed
@@ -103,14 +107,24 @@ class StateLimitExceeded(Exception):
     pass
 
 
-def _explore(width, init_state, succ, max_states):
+def _explore(width, init_state, succ, max_states, mask=-1):
     """Deterministic BFS materialization: the states in discovery order and
     the transition table over their indices, ``succ(q, i)`` stepping on
-    column ``i`` for ``i < width``; no letter is built here."""
+    column ``i`` for ``i < width``; no letter is built here.
+
+    Column ``i`` steps like its representative ``i & mask``, so ``succ``
+    is called on representatives only and every other column copies its
+    representative's entry.  A representative is never greater than the
+    columns it stands for, so it is stepped first, and states are
+    discovered in the same order as with every column stepped."""
     index, order, trans = {init_state: 0}, [init_state], []
+    reps = [i & mask for i in range(width)]
     for q in order:             # grows as states are discovered
         row = []
-        for i in range(width):
+        for i, r in enumerate(reps):
+            if r != i:
+                row.append(row[r])
+                continue
             q2 = succ(q, i)
             j = index.get(q2)
             if j is None:
@@ -130,15 +144,18 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
     intersection of their components, all observing the bed.
 
     ``components`` are runners, each stepped once per distinct (component
-    state, letter) and tested for its set once per distinct state, however
-    many product states and branches share it; first calls come in the
-    order of a plain product walk.  A branch ``(co-Büchi indices, Büchi
-    indices)`` gives one pair.  It avoids the states where one of its
-    co-Büchi components is in its set, and has one meet set per Büchi
-    component: the states where that component is in its set.  States are
-    ``(component states, bed state)`` in BFS order; the pairs come in
-    branch order.  ``name(component states, bed payload)`` labels a state
-    once the product is explored; without it every label is ``""``.
+    state, stepped column) and tested for its set once per distinct state,
+    however many product states and branches share it; first calls come in
+    the order of a plain product walk.  The product steps only the columns
+    that ``bed.mask`` keeps (``i & bed.mask == i``), since the components
+    read no other proposition than the bed does, and copies the others.
+    A branch ``(co-Büchi indices, Büchi indices)`` gives one pair.  It
+    avoids the states where one of its co-Büchi components is in its set,
+    and has one meet set per Büchi component: the states where that
+    component is in its set.  States are ``(component states, bed state)``
+    in BFS order; the pairs come in branch order.  ``name(component states,
+    bed payload)`` labels a state once the product is explored; without it
+    every label is ``""``.
     Raises :class:`StateLimitExceeded` when exploration would pass
     ``max_states``.
     """
@@ -158,7 +175,8 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
         return tuple(out), s2
 
     init = (tuple(c.init for c in components), 0)
-    order, trans = _explore(len(bed.letters), init, succ, max_states)
+    order, trans = _explore(len(bed.letters), init, succ, max_states,
+                            bed.mask)
     labels = ([name(qs, bed.state_objs[s]) for qs, s in order] if name
               else [""] * len(order))
     marked = []

@@ -47,7 +47,9 @@ def cmd_translate(args):
     if args.format == "dot":
         sys.stdout.write(export_dot(auto))
     else:
-        sys.stdout.write(export_hoa(auto, name=str(phi)))
+        # the text as given: ``str(phi)`` prints shared subformulas
+        # once per occurrence
+        sys.stdout.write(export_hoa(auto, name=args.formula))
     if args.stats:
         stats = translation_stats(phi, auto)
         sys.stderr.write(

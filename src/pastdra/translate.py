@@ -12,12 +12,15 @@ co-Büchi sets of the first two kinds and has one meet set per ``F``
 runner.  A runner state is one derivative, and every runner starts and
 restarts from the bed by one rule.  Runners are shared across guesses, so
 each distinct one is built once, stepped once per distinct (runner state,
-letter) and restarted once per distinct part of the bed state it reads, and
-:func:`~pastdra.automata.cascade` explores the bed, the runners and the
-branches in one product, so the bed is never duplicated.  State labels
-print formula text and are built only on request.  The branches,
-and so the pairs, come M-major: M and N each run over the subsets of the
-sorted fixpoint subformulas by size, then lexicographically.
+letter class) and restarted once per distinct part of the bed state it
+reads, and :func:`~pastdra.automata.cascade` explores the bed, the runners
+and the branches in one product, so the bed is never duplicated.  Letters
+that agree on the formula's propositions form one class: every derivative,
+track and runner state reads those propositions only, so the bed and the
+product step one letter per class and copy its row entry to the others.
+State labels print formula text and are built only on request.  The
+branches, and so the pairs, come M-major: M and N each run over the
+subsets of the sorted fixpoint subformulas by size, then lexicographically.
 """
 
 from __future__ import annotations
@@ -85,8 +88,11 @@ class TranslationContext:
 def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
     """The bed: the formula's derivative and one weakening-obligation track
     per enumerated past set; raises :class:`StateLimitExceeded` past
-    ``max_states``."""
+    ``max_states``.  Its mask keeps the columns of the formula's
+    propositions, and only the letters it keeps are stepped."""
     letters = letters_for(ctx.ap)
+    read = F.props(ctx.phi)   # every state reads these propositions only
+    mask = sum(1 << j for j, p in enumerate(ctx.ap) if p in read)
     rc = {}                   # (tracks, column) -> successor tracks
 
     def step(q, i):
@@ -98,8 +104,9 @@ def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
     # Looked up at call time so that a wrapper installed on
     # ``automata._explore`` (the benchmark's tracer) sees the bed too.
     from .automata import _explore
-    order, trans = _explore(len(letters), ctx.bed_init, step, max_states)
-    return BedAutomaton(ctx.ap, letters, trans, list(order))
+    order, trans = _explore(len(letters), ctx.bed_init, step, max_states,
+                            mask)
+    return BedAutomaton(ctx.ap, letters, trans, list(order), mask)
 
 
 _limit_memo = F.memo()

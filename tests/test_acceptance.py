@@ -117,6 +117,54 @@ def test_translation_end_to_end(corpus_automata):
     assert time.monotonic() - start < 600
 
 
+def _bfs_numbers(auto, columns):
+    """The states of ``auto`` in BFS order over ``columns``, and the number
+    of each state in that order."""
+    order, number = [auto.init], {auto.init: 0}
+    for q in order:
+        for c in columns:
+            if auto.trans[q][c] not in number:
+                number[auto.trans[q][c]] = len(order)
+                order.append(auto.trans[q][c])
+    return order, number
+
+
+@pytest.mark.parametrize("extra, narrowed", [((), 49), (("a", "s"), 55)],
+                         ids=["pqr", "apqrs"])
+def test_unread_propositions_change_no_transition(corpus_automata, extra,
+                                                  narrowed):
+    # A formula translated over a wider alphabet is its translation over
+    # its own propositions, each letter read as its restriction to them:
+    # the same states and pairs, and row i equal to the narrow row at the
+    # restriction of letter i, compared after a BFS renumbering.  With
+    # "a", the propositions the corpus reads are not the first ones.
+    wide_ap = sorted(AP3 + extra)
+    for text in CORPUS:
+        ap = sorted(F.props(parse(text)))
+        if len(ap) == len(wide_ap):
+            continue
+        narrowed -= 1
+        wide = (translate(parse(text), wide_ap) if extra
+                else corpus_automata[text])
+        narrow = translate(parse(text), ap)
+        project = [narrow.letter_index[s & frozenset(ap)]
+                   for s in wide.letters]
+        embed = [wide.letter_index[s] for s in narrow.letters]
+        wide_order, wn = _bfs_numbers(wide, embed)
+        narrow_order, nn = _bfs_numbers(narrow, range(len(narrow.letters)))
+        assert len(wide_order) == wide.n_states() == narrow.n_states(), text
+        for qw, qn in zip(wide_order, narrow_order):
+            assert [wn[q] for q in wide.trans[qw]] == [
+                nn[narrow.trans[qn][c]] for c in project], text
+
+        def pairs(auto, number):
+            return [(sorted(number[q] for q in avoid),
+                     [sorted(number[q] for q in meet) for meet in meets])
+                    for avoid, meets in auto.acc[1]]
+        assert pairs(wide, wn) == pairs(narrow, nn), text
+    assert narrowed == 0
+
+
 def test_negated_future_spec_translates():
     # 64 guesses with up to 6 recurrence runners each.  One counter per
     # guess in the product multiplied past the default state cap; without

@@ -86,6 +86,15 @@ def test_translate_dot(capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+def test_translate_names_the_formula_as_given(capsys):
+    # each <-> mentions both operands twice, so the formula printed as a
+    # tree doubles per level: 16 levels print to about 1.1 MB
+    text = "F(%s)" % " <-> ".join("qp"[i % 2] for i in range(17))
+    code, hoa, _ = run(capsys, "translate", text)
+    assert code == 0 and len(hoa.encode()) < 10000
+    assert re.findall(r"^name: (.*)$", hoa, re.M) == ['"%s"' % text]
+
+
 @pytest.mark.parametrize("acceptance", ["generalized", "rabin"])
 def test_translate_names_states_only_with_labels(capsys, acceptance):
     # states are unnamed by default; --labels names every state, in HOA

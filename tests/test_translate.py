@@ -88,6 +88,23 @@ def test_extra_ap():
     assert accepts(auto, parse_word("; {p,q}"))
 
 
+def test_bed_steps_one_letter_per_class(monkeypatch):
+    # G p over p and 12 propositions it does not read: the bed steps only
+    # the letters that differ on p, two per state, not 8,192
+    module = sys.modules["pastdra.translate"]
+    af_class, calls = module.af_class, []
+
+    def counted(b, sigma):
+        calls.append(sigma)
+        return af_class(b, sigma)
+
+    monkeypatch.setattr(module, "af_class", counted)
+    ap = ["p"] + ["x%02d" % i for i in range(12)]
+    bed = build_wc_automaton(TranslationContext(parse("G p"), ap))
+    assert len(bed.letters) == 1 << 13
+    assert 0 < len(calls) <= 2 * len(bed.trans)
+
+
 def test_state_limit():
     with pytest.raises(StateLimitExceeded):
         translate(parse("G(p <-> O q & O r)"), max_states=4)
