@@ -23,8 +23,12 @@ from the reached bed state, and remembers its restarts itself.  ``cascade``
 then reads one generalized pair per branch off the explored states, testing
 each distinct component state once.  State labels are a debugging aid:
 ``cascade`` names the states only when given a ``name`` function, and
-otherwise every state's label is ``""``.  :func:`degeneralize` turns the
-result into a plain Rabin automaton with one counter per pair; both stop at
+otherwise every state's label is ``""``.  :func:`minimize` merges the
+states that no word tells apart (a Moore quotient, which steps no runner):
+the pairs keep their branch order, less the repeated ones and those that
+accept nothing, and a merged state is named after its first product state.
+:func:`degeneralize` turns a generalized automaton into a plain Rabin
+automaton with one counter per pair; it and ``cascade`` stop at
 ``max_states``, ``DEFAULT_MAX_STATES`` unless given.  :func:`accepts` reads
 a lasso word through the letter table and walks its cycle a lap at a time.
 """
@@ -190,6 +194,76 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
          tuple(marked[j] for j in bu))
         for co, bu in branches))
     return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
+
+
+def minimize(auto, mask=-1):
+    """The Moore quotient of a generalized Rabin automaton, less the pairs
+    that cannot accept; it accepts the same words.
+
+    A pair is dropped when it repeats an earlier pair or when, on the
+    reachable states, one of its meet sets lies inside its avoid set: no
+    run meets that set and avoids the avoid set.  The reachable states are
+    split by their membership in every set of the kept pairs, then by the
+    classes of their successors until no class splits.  Every kept set is
+    then a union of classes, so a run and its image visit the same sets
+    infinitely often (Hopcroft 1971).  Only the columns ``i`` with
+    ``i & mask == i`` are compared; the others step like ``i & mask``, as
+    in :func:`_explore`.  The classes are numbered in BFS order from the
+    initial state's, each is named after its first state in BFS order (in
+    a product, its first product state), and the kept pairs keep their
+    order.  No two states of the result are equivalent, but a smaller
+    equivalent automaton with other sets may exist: minimal deterministic
+    Büchi automata are NP-hard to find (Schewe, FSTTCS 2010).
+    """
+    trans = auto.trans
+    cols = [i for i in range(len(auto.letters)) if i & mask == i]
+    order, pos = [auto.init], {auto.init: 0}
+    for q in order:             # grows as states are reached
+        for c in cols:
+            if trans[q][c] not in pos:
+                pos[trans[q][c]] = len(order)
+                order.append(trans[q][c])
+    rows = [[pos[trans[q][c]] for c in cols] for q in order]
+    pairs = []                  # the pairs kept, on the reached states
+    for avoid, meets in auto.acc[1]:
+        pair = avoid & pos.keys(), tuple(m & pos.keys() for m in meets)
+        if pair not in pairs and not any(m <= pair[0] for m in pair[1]):
+            pairs.append(pair)
+    sets = [s for avoid, meets in pairs for s in (avoid,) + meets]
+    marks = [[] for _ in order]     # position -> the sets it lies in
+    for k, s in enumerate(sets):
+        for q in s:
+            marks[pos[q]].append(k)
+    blocks = {}
+    cls = [blocks.setdefault(tuple(m), len(blocks)) for m in marks]
+    while True:                 # each round refines the last
+        count, blocks, get = len(blocks), {}, cls.__getitem__
+        refined = [blocks.setdefault((b, *map(get, row)), len(blocks))
+                   for b, row in zip(cls, rows)]
+        if len(blocks) == count:
+            break
+        cls = refined
+    first = {}                  # class -> its first state's position
+    for p, b in enumerate(cls):
+        first.setdefault(b, p)
+    number, reps = {cls[0]: 0}, [0]
+    for p in reps:              # BFS over the classes
+        for r in rows[p]:
+            if cls[r] not in number:
+                number[cls[r]] = len(reps)
+                reps.append(first[cls[r]])
+    h = {q: number[cls[p]] for q, p in pos.items()}
+    groups = [[] for _ in sets]
+    for j, p in enumerate(reps):    # a set holds whole classes
+        for k in marks[p]:
+            groups[k].append(j)
+    groups = iter(map(frozenset, groups))
+    acc = tuple((next(groups), tuple(next(groups) for _ in meets))
+                for _, meets in pairs)
+    return OmegaAutomaton(auto.ap, 0,
+                          [[h[q] for q in trans[order[p]]] for p in reps],
+                          [auto.labels[order[p]] for p in reps],
+                          ("generalized-rabin", acc))
 
 
 def degeneralize(auto, max_states=DEFAULT_MAX_STATES):

@@ -5,11 +5,14 @@ state-based acceptance sets, and is deterministic: same automaton, same
 bytes.  A state is named only when its label is not ``""``: HOA makes state
 names optional, and the DOT writer then shows the state number alone.  Each
 pair's sets are numbered consecutively, its avoid set first, then its meet
-sets.  An automaton whose pairs each have one meet set is written as
-``Rabin``, any other as ``generalized-Rabin``.  The reader only understands
-that shape (plus whitespace slack); it exists for round-trip checks and for
-feeding previously exported automata back into the membership checker.  It
-also reads ``Buchi`` and ``co-Buchi``, as one pair.  The roles of the sets
+sets.  The pairs are written in the automaton's order: for a translation,
+the branch order less the pairs that minimization drops.  With labels on,
+a merged state is written with the label of its first product state.  An
+automaton whose pairs each have one meet set is written as ``Rabin``, any
+other as ``generalized-Rabin``.  The reader only understands that shape
+(plus whitespace slack); it exists for round-trip checks and for feeding
+previously exported automata back into the membership checker.  It also
+reads ``Buchi`` and ``co-Buchi``, as one pair.  The roles of the sets
 come from the ``Acceptance:`` condition, a disjunction of conjunctions of
 ``Fin(k)`` and ``Inf(k)`` (``f`` has no disjunct) that names every set
 once.  Its shape (disjuncts, and the Fin and Inf sets of each), its set

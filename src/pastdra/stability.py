@@ -131,8 +131,9 @@ def check_master(f, w):
     """Search for (M, N) limit-set witnesses and compare with ground truth.
 
     The witness reported is the first (M, N) that meets the premises in the
-    automaton's own pair order (``translate``): M-major, each of M and N in
-    subset order over the sorted fixpoint subformulas.
+    cascade product's pair order (``translate._product``, one pair per
+    guess): M-major, each of M and N in subset order over the sorted
+    fixpoint subformulas.
     """
     r = stability_index(f, w)
     mu = F.sorted_set(F.mu_subformulas(f))

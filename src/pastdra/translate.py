@@ -19,8 +19,12 @@ that agree on the formula's propositions form one class: every derivative,
 track and runner state reads those propositions only, so the bed and the
 product step one letter per class and copy its row entry to the others.
 State labels print formula text and are built only on request.  The
-branches, and so the pairs, come M-major: M and N each run over the
-subsets of the sorted fixpoint subformulas by size, then lexicographically.
+branches, and so the product's pairs, come M-major: M and N each run over
+the subsets of the sorted fixpoint subformulas by size, then
+lexicographically.  :func:`translate` returns the product's Moore quotient
+(:func:`~pastdra.automata.minimize`): its pairs keep that order, less the
+ones that repeat an earlier pair or accept nothing, and a merged state is
+named after its first product state.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
 from .automata import (DEFAULT_MAX_STATES, RESTART, BedAutomaton, Runner,
-                       cascade, letters_for)
+                       cascade, letters_for, minimize)
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, subsets,
                        wc)
@@ -185,17 +189,9 @@ def _namer(keys):
     return name
 
 
-def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
-    """Deterministic generalized Rabin automaton for ``phi``; one pair per
-    (M, N) guess, M-major, each of M and N in subset order (by size, then
-    lexicographic over ``ctx.mu`` or ``ctx.nu``).
-    :func:`~pastdra.automata.degeneralize` gives the plain Rabin automaton.
-    With ``labels``, each state is labelled with the formula text of its
-    runner states and bed state (a debugging aid, computed after
-    exploration); without, no label is built and each is ``""``.
-
-    Raises :class:`StateLimitExceeded` when exploration would pass the cap.
-    """
+def _product(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
+    """The cascade product that :func:`translate` minimizes, one pair per
+    (M, N) guess in branch order, and the bed's column mask."""
     ctx = TranslationContext(phi, ap)
     index = {}                # component key -> number, first appearance
     branches = []
@@ -209,8 +205,27 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
     # both intern formulas, and the interning order fixes the BDD variable
     # order and so the state labels.
     components = [_limit_runner(ctx, *key) for key in index]
-    return cascade(build_wc_automaton(ctx, max_states), components, branches,
-                   max_states, _namer(index) if labels else None)
+    bed = build_wc_automaton(ctx, max_states)
+    return cascade(bed, components, branches, max_states,
+                   _namer(index) if labels else None), bed.mask
+
+
+def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
+    """Deterministic generalized Rabin automaton for ``phi``: the Moore
+    quotient (:func:`~pastdra.automata.minimize`) of the cascade product.
+    The product has one pair per (M, N) guess, M-major, each of M and N in
+    subset order (by size, then lexicographic over ``ctx.mu`` or
+    ``ctx.nu``); the quotient keeps that order, dropping the pairs that
+    repeat an earlier one or can accept no run.
+    :func:`~pastdra.automata.degeneralize` gives the plain Rabin automaton.
+    With ``labels``, each state is labelled with the formula text of the
+    runner states and bed state of its first product state (a debugging
+    aid, computed after exploration); without, no label is built and each
+    is ``""``.
+
+    Raises :class:`StateLimitExceeded` when exploration would pass the cap.
+    """
+    return minimize(*_product(phi, ap, max_states, labels))
 
 
 def translation_stats(phi, auto):

@@ -5,9 +5,10 @@ are ``p``, ``!p``, ``tt`` and ``ff`` for each proposition ``p``, with the
 unary ``X``, ``Y`` and ``wY`` and the ten binary kinds ``&``, ``|``, ``U``,
 ``W``, ``R``, ``M``, ``S``, ``wS``, ``B`` and ``wB``; and every lasso
 u v^omega with |u| <= 2 and 1 <= |v| <= 2.  Each formula is translated
-with ``max_states=5000``.  On every lasso its automaton, the automaton's
-degeneralization and ``holds`` must agree, and so must ``holds`` and
-``naive_holds``.  With ``--complement`` the automaton of ``!f`` must
+with ``max_states=5000``.  Its automaton, the Moore quotient of the
+cascade product, must pass ``certificate.certify`` against that product.
+On every lasso its automaton, the automaton's degeneralization and
+``holds`` must agree, and so must ``holds`` and ``naive_holds``.  With ``--complement`` the automaton of ``!f`` must
 also accept exactly the lassos that f's automaton rejects.  Formulas come
 by size and lassos by length, so the mismatch reported is a smallest one.
 
@@ -22,10 +23,11 @@ import argparse
 import sys
 from itertools import product
 
+from certificate import certify
 from pastdra import formula as F
-from pastdra.automata import accepts, degeneralize
+from pastdra.automata import accepts, degeneralize, minimize
 from pastdra.lasso import LassoWord, holds, naive_holds
-from pastdra.translate import translate
+from pastdra.translate import _product, translate
 
 UNARY = (F.NEXT, F.YESTERDAY, F.WYESTERDAY)
 BINARY = (F.AND, F.OR, F.UNTIL, F.WUNTIL, F.RELEASE, F.SRELEASE, F.SINCE,
@@ -59,8 +61,13 @@ def lassos(ap, max_prefix=2, max_cycle=2):
 
 def mismatch(f, words, ap, complement=False):
     """The first word on which a check fails for ``f``, with the check's
-    name, or None."""
-    auto = translate(f, ap, max_states=MAX_STATES)
+    name, or None; the word is None when the certificate fails."""
+    raw, mask = _product(f, ap, max_states=MAX_STATES)
+    auto = minimize(raw, mask)
+    try:
+        certify(raw, auto)
+    except AssertionError as e:
+        return None, "the certificate of minimize: %s" % (e,)
     rabin = degeneralize(auto, max_states=MAX_STATES)
     neg = translate(F.parse("!(%s)" % f), ap, max_states=MAX_STATES) \
         if complement else None
@@ -84,8 +91,9 @@ def sweep(max_size, ap, complement=False):
     for f in fs:
         found = mismatch(f, words, ap, complement)
         if found is not None:
-            raise AssertionError("%s fails on the lasso '%s': %s"
-                                 % (f, *found))
+            w, check = found
+            where = "" if w is None else " on the lasso '%s'" % (w,)
+            raise AssertionError("%s fails%s: %s" % (f, where, check))
     return len(fs), len(words)
 
 

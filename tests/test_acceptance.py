@@ -20,14 +20,15 @@ import pytest
 from pastdra import formula as F
 from pastdra import proplogic as P
 from pastdra.after import af_ext
-from pastdra.automata import accepts, degeneralize
+from pastdra.automata import accepts, degeneralize, minimize
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.lasso import holds, naive_holds
 from pastdra.rewrites import (compose_sequence, enumerate_past_sets,
                               is_saturated, rewrite_mu_limit,
                               rewrite_nu_limit, rewrite_set, rewrite_under)
 from pastdra.stability import check_master, entailed_seq, limit_sets
-from pastdra.translate import (TranslationContext, build_wc_automaton, translate,
+from pastdra.translate import (TranslationContext, _product,
+                               build_wc_automaton, translate,
                                translation_stats)
 
 parse = F.parse
@@ -168,51 +169,74 @@ def test_unread_propositions_change_no_transition(corpus_automata, extra,
 def test_negated_future_spec_translates():
     # 64 guesses with up to 6 recurrence runners each.  One counter per
     # guess in the product multiplied past the default state cap; without
-    # them the product has 1,422 states.
+    # them the product has 1,422 states, and its Moore quotient 101.
+    from certificate import certify     # see test_minimize_is_certified
     f = parse("!(%s)" % FUTURE_HISTORY_SPEC)
+    raw, _ = _product(f, list(AP3))
+    raw.audit()
+    assert raw.n_states() == 1422 and len(raw.acc[1]) == 64
+    assert max(len(meets) for _, meets in raw.acc[1]) == 6
     auto = translate(f, list(AP3))
     auto.audit()
-    assert auto.n_states() == 1422 and len(auto.acc[1]) == 64
-    assert max(len(meets) for _, meets in auto.acc[1]) == 6
+    assert auto.n_states() == 101 and len(auto.acc[1]) == 64
+    certify(raw, auto)
     rng = random.Random(106)
     for _ in range(200):
         w = random_lasso(rng, AP3, max_prefix=4, max_cycle=4)
         assert accepts(auto, w) == holds(f, w, 0), w
 
 
-# The generalized Rabin automata that ``translate(..., labels=True)``
-# returns.
+# The cascade products that ``translate(..., labels=True)`` minimizes.
 CORPUS_HOA_SHA256 = (
     "e2d7591196f9ad6dd2d9e6e0e93a449d7858ce115d6efccc41bcee4331ce8208")
 CORPUS_HOA_BYTES = 330572
 # The same text with every state label dropped: states, edges and
-# acceptance.  This is what ``translate`` writes by default, and a change
-# that only edits labels leaves these two as they are.
+# acceptance, as the product is built by default.  A change that only
+# edits labels leaves these two as they are.
 CORPUS_STRUCTURE_SHA256 = (
     "cda48944c4b2be46be0f097bb43f848cb5a28e553e6361dc4d9a7a77004bf9c2")
 CORPUS_STRUCTURE_BYTES = 184412
-# Their plain Rabin form, ``degeneralize(translate(phi))``.
+# Their plain Rabin form, ``degeneralize`` of the product.
 CORPUS_RABIN_HOA_SHA256 = (
     "e369255ab3cb273f50c3b8427283a1a0e35773046d25c7c5141a9ce77d6c227c")
 CORPUS_RABIN_HOA_BYTES = 424091
 CORPUS_RABIN_STRUCTURE_SHA256 = (
     "af8a21b77722740b07584baa75dbf16cb1738fc3bec4348d88fc22373394da50")
 CORPUS_RABIN_STRUCTURE_BYTES = 260746
+# The Moore quotients that ``translate`` returns (298 states and 129 pairs,
+# against the products' 847 and 186), then their plain Rabin form (335
+# states, against 920).
+CORPUS_REDUCED_HOA_SHA256 = (
+    "bf40754c75503113ab728357e018adc94cfcd61336aa760e3e24fd9af482a165")
+CORPUS_REDUCED_HOA_BYTES = 95675
+CORPUS_REDUCED_STRUCTURE_SHA256 = (
+    "8955a888331e5cb98869903888d9f28a9f7213a97b0f92fd09ca3ff78df017a8")
+CORPUS_REDUCED_STRUCTURE_BYTES = 55679
+CORPUS_REDUCED_RABIN_HOA_SHA256 = (
+    "764e394bf2648176af537dda023c6a7b3592eeb0d91e6769878cf25b317839cc")
+CORPUS_REDUCED_RABIN_HOA_BYTES = 113268
+CORPUS_REDUCED_RABIN_STRUCTURE_SHA256 = (
+    "b52b34a52f1e3b66913868bc50ba00e02aba9dcb8de666af4c12039581e6195a")
+CORPUS_REDUCED_RABIN_STRUCTURE_BYTES = 64928
 
-# Each script prints a JSON list of two texts: the HOA of every automaton,
-# then the HOA of its degeneralization, labelled when its argument is
-# ``labels``.  ``degeneralize`` interns nothing, so the first text is what
-# translating alone writes.
+# Each script prints a JSON list of four texts, labelled when its argument
+# is ``labels``: the HOA of every cascade product, of its degeneralization,
+# of its Moore quotient (what ``translate`` returns) and of the quotient's
+# degeneralization.  ``minimize`` and ``degeneralize`` intern nothing, so
+# the first text is what building the product alone writes.
 _HOA_SCRIPT = """
 import json, random, sys
-from pastdra import degeneralize, export_hoa, parse, translate
+from pastdra import degeneralize, export_hoa, parse
+from pastdra.automata import minimize
 from pastdra.gen import random_formula_bounded
+from pastdra.translate import _product
 labels = sys.argv[1:] == ["labels"]
 out = []
 for phi in %s:
-    auto = translate(phi, %r, max_states=200000, labels=labels)
-    out.append((export_hoa(auto, name=str(phi)),
-                export_hoa(degeneralize(auto), name=str(phi))))
+    raw, mask = _product(phi, %r, max_states=200000, labels=labels)
+    reduced = minimize(raw, mask)
+    out.append([export_hoa(auto, name=str(phi)) for auto in
+                (raw, degeneralize(raw), reduced, degeneralize(reduced))])
 sys.stdout.write(json.dumps(["".join(form) for form in zip(*out)]))
 """
 _CORPUS_HOA_SCRIPT = _HOA_SCRIPT % ("map(parse, json.load(sys.stdin))",
@@ -242,6 +266,10 @@ def _hoa_in_fresh_interpreter(script, stdin=b""):
             texts.append(json.loads(out.read()))
     return [(plain.encode(), labelled.encode())
             for plain, labelled in zip(*texts)]
+
+
+def _state_counts(text):
+    return [int(n) for n in re.findall(rb"^States: (\d+)", text, re.M)]
 
 
 def _assert_golden(pair, structure_bytes, structure_sha, text_bytes,
@@ -279,6 +307,19 @@ def test_corpus_rabin_hoa_is_golden(corpus_hoa):
                    CORPUS_RABIN_HOA_SHA256)
 
 
+def test_corpus_reduced_hoa_is_golden(corpus_hoa):
+    _assert_golden(corpus_hoa[2], CORPUS_REDUCED_STRUCTURE_BYTES,
+                   CORPUS_REDUCED_STRUCTURE_SHA256, CORPUS_REDUCED_HOA_BYTES,
+                   CORPUS_REDUCED_HOA_SHA256)
+
+
+def test_corpus_reduced_rabin_hoa_is_golden(corpus_hoa):
+    _assert_golden(corpus_hoa[3], CORPUS_REDUCED_RABIN_STRUCTURE_BYTES,
+                   CORPUS_REDUCED_RABIN_STRUCTURE_SHA256,
+                   CORPUS_REDUCED_RABIN_HOA_BYTES,
+                   CORPUS_REDUCED_RABIN_HOA_SHA256)
+
+
 RANDOM_HOA_SHA256 = (
     "ae3751686f90381895a2a0cb0b5cf5daa7895ddf204c4454e00886d23a5527fc")
 RANDOM_HOA_BYTES = 748058
@@ -291,6 +332,20 @@ RANDOM_RABIN_HOA_BYTES = 779940
 RANDOM_RABIN_STRUCTURE_SHA256 = (
     "0554652493f014b93f94c35b4fc197bf912d3b04f1dad0bb633819986de068e7")
 RANDOM_RABIN_STRUCTURE_BYTES = 597641
+# Their Moore quotients (2,011 states, against the products' 3,261), then
+# the quotients' plain Rabin form (2,059 states, against 3,359).
+RANDOM_REDUCED_HOA_SHA256 = (
+    "438f018a8487ced86910c9cdec7c51d76abf748b28ac2822828bfb9ed034c01b")
+RANDOM_REDUCED_HOA_BYTES = 487971
+RANDOM_REDUCED_STRUCTURE_SHA256 = (
+    "516b25dd555af1427ac1c89cdafc449875d2aebe4554cce9e36561fc894c7d31")
+RANDOM_REDUCED_STRUCTURE_BYTES = 399738
+RANDOM_REDUCED_RABIN_HOA_SHA256 = (
+    "518bf3af65ea24ec54c0538778fd667876404921ed34e87ab3c207d669682cfd")
+RANDOM_REDUCED_RABIN_HOA_BYTES = 501840
+RANDOM_REDUCED_RABIN_STRUCTURE_SHA256 = (
+    "28fb6da170bc9a87264a4b62771c946272c8f6d6b58a2bec8a5f10ed85611dc9")
+RANDOM_REDUCED_RABIN_STRUCTURE_BYTES = 409695
 
 # 600 seeded random formulas with up to two past operators each, drawn
 # lazily, so that each is translated before the next is drawn: the atoms of
@@ -319,37 +374,78 @@ def test_random_rabin_hoa_is_golden(random_hoa):
                    RANDOM_RABIN_HOA_SHA256)
 
 
-# The deciding cases of the benchmark's ``past_width`` workload: per case its
-# states, then the bytes and sha256 of its labelled HOA text and of its
-# structure, the default text.
+def test_random_reduced_hoa_is_golden(random_hoa):
+    _assert_golden(random_hoa[2], RANDOM_REDUCED_STRUCTURE_BYTES,
+                   RANDOM_REDUCED_STRUCTURE_SHA256, RANDOM_REDUCED_HOA_BYTES,
+                   RANDOM_REDUCED_HOA_SHA256)
+
+
+def test_random_reduced_rabin_hoa_is_golden(random_hoa):
+    _assert_golden(random_hoa[3], RANDOM_REDUCED_RABIN_STRUCTURE_BYTES,
+                   RANDOM_REDUCED_RABIN_STRUCTURE_SHA256,
+                   RANDOM_REDUCED_RABIN_HOA_BYTES,
+                   RANDOM_REDUCED_RABIN_HOA_SHA256)
+
+
+# The deciding cases of the benchmark's ``past_width`` workload: per case
+# the states of its Moore quotient, then the bytes and sha256 of the
+# labelled HOA text of its cascade product and of the product's structure,
+# the default text.
 PAST_WIDTH_GOLDEN = {
     "G(p <-> O q1)": (
-        9, 2467,
+        3, 2467,
         "c9c2b2bb54b45e439dbafca28fff1576a38f4f889bc90c4ee886b089853e4f1e",
         756,
         "045dc3e0fdf4eccc0e762c381e142641219b47a65038a47b5c9e8ee3ef7c02d3"),
     "G(p <-> O q1 & O q2)": (
-        17, 21309,
+        5, 21309,
         "9ce6b0c8fb2338da5f58a344077c595869a9acadbd1bd2928262d5764e09d2d0",
         2672,
         "239c3ac3a5be3e09551276160c832144235b1fa26fbf731e0cd32d523b19c0c1"),
     "G(p <-> Y q)": (
-        9, 2233,
+        3, 2233,
         "9d41ac1c82dffe4494bceacb9e858de1ec855da1592c7ad9756e4e4bb529912f",
         750,
         "8160772264a648563f7bcff5c602baf5cf35257a148c07e65cb998ec9b0a5b37"),
     "G(p <-> Y Y q)": (
-        17, 13203,
+        5, 13203,
         "33606a4d7b8c6cac82c2ad7b5717efe8b0cfde360c30c9429f6e09e6b2e38c23",
         1253,
         "e9ae8c237b4d8e7454f03789007261eb46c82c598a064f708d84851510078e79"),
 }
+# The same for the quotient, what ``translate`` returns: bytes and sha256
+# of its labelled text and of its structure (products of 9 and 17 states).
+PAST_WIDTH_REDUCED_GOLDEN = {
+    "G(p <-> O q1)": (
+        960,
+        "9c7a2eca0a2912f0654d7192c3ce2ed4becc741c55442eaa9337995473b2cd1c",
+        393,
+        "758ee3ce1f8bb0eb48eb7deea6a674d834e4c2506c27969d3bc4f037d1a3c097"),
+    "G(p <-> O q1 & O q2)": (
+        8311,
+        "1706fe6f51bbca5af4ca8f4e9683ba40088dc6d9aa1d9280aa4bd1d1fbe51099",
+        925,
+        "b9bb788dcf99d8d69cf7cd75fa520e04856f4750d455867abe75f787162ea805"),
+    "G(p <-> Y q)": (
+        871,
+        "884e81df6493125da205998b4f32572472a79a790578aa6d6da0b91870bef283",
+        387,
+        "dd27048bf7b813ac659b8cf6211d4f967fd3610d1ecb6f03e7683a4c796b65ab"),
+    "G(p <-> Y Y q)": (
+        5127,
+        "1b610afe60b0fcb8ddb3781398c5396a6fbbec8cf6bab6d43333c9b977f3864d",
+        498,
+        "6d67ebf7f2eec0071c7bdfdfae4731bc9330cbbfded1b2f85c75df49f5db86ed"),
+}
 _PAST_WIDTH_SCRIPT = """
 import json, sys
-from pastdra import export_hoa, parse, translate
+from pastdra import export_hoa, parse
+from pastdra.automata import minimize
+from pastdra.translate import _product
 phi = parse(%r)
-auto = translate(phi, %r, labels=sys.argv[1:] == ["labels"])
-sys.stdout.write(json.dumps([export_hoa(auto, name=str(phi))]))
+raw, mask = _product(phi, %r, labels=sys.argv[1:] == ["labels"])
+sys.stdout.write(json.dumps([export_hoa(auto, name=str(phi))
+                             for auto in (raw, minimize(raw, mask))]))
 """
 
 
@@ -359,19 +455,43 @@ def test_past_width_hoa_is_golden(text):
     states, text_bytes, text_sha, structure_bytes, structure_sha = \
         PAST_WIDTH_GOLDEN[text]
     ap = ["p"] + sorted(F.props(F.parse(text)) - {"p"})
-    [pair] = _hoa_in_fresh_interpreter(_PAST_WIDTH_SCRIPT % (text, ap))
-    assert re.findall(rb"^States: (\d+)", pair[0], re.M) == [
-        str(states).encode()]
-    _assert_golden(pair, structure_bytes, structure_sha, text_bytes, text_sha)
+    raw, reduced = _hoa_in_fresh_interpreter(_PAST_WIDTH_SCRIPT % (text, ap))
+    assert _state_counts(reduced[0]) == [states]
+    _assert_golden(raw, structure_bytes, structure_sha, text_bytes, text_sha)
+    text_bytes, text_sha, structure_bytes, structure_sha = \
+        PAST_WIDTH_REDUCED_GOLDEN[text]
+    _assert_golden(reduced, structure_bytes, structure_sha, text_bytes,
+                   text_sha)
 
 
 def test_golden_automata_are_no_larger_than_degeneralized(corpus_hoa,
                                                           random_hoa):
-    for (general, _), (rabin, _) in (corpus_hoa, random_hoa):
-        sizes = [[int(n) for n in re.findall(rb"^States: (\d+)", text, re.M)]
-                 for text in (general, rabin)]
-        assert len(sizes[0]) == len(sizes[1])
-        assert all(g <= r for g, r in zip(*sizes)), sizes
+    # each form no larger than its degeneralization, and each quotient no
+    # larger than its product
+    for forms in (corpus_hoa, random_hoa):
+        sizes = [_state_counts(plain) for plain, _ in forms]
+        assert len(set(map(len, sizes))) == 1
+        for small, large in ((0, 1), (2, 3), (2, 0), (3, 1)):
+            assert all(a <= b for a, b in zip(sizes[small], sizes[large])), (
+                small, large)
+
+
+def test_minimize_is_certified(corpus_automata):
+    # translate's output against the product it reduces, on the corpus, the
+    # random-golden formulas (drawn as _RANDOM_FORMULAS draws them) and the
+    # deciding past_width cases.  Imported here: the benchmark's own tests
+    # load this module by its path, without tests/ on sys.path.
+    from certificate import certify
+    for text, auto in corpus_automata.items():
+        certify(_product(parse(text), list(AP3))[0], auto)
+    cases = [(random_formula_bounded(rng, AP3, max_size=6, max_past=2), AP3)
+             for rng in (random.Random(1), random.Random(2))
+             for _ in range(300)]
+    cases += [(parse(text), ["p"] + sorted(F.props(parse(text)) - {"p"}))
+              for text in PAST_WIDTH_GOLDEN]
+    for phi, ap in cases:
+        raw, mask = _product(phi, ap)
+        certify(raw, minimize(raw, mask))
 
 
 def test_past_and_pure_future_phrasings_agree(corpus_automata):

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificate import certify
 from pastdra.automata import (DEFAULT_MAX_STATES, RESTART, BedAutomaton,
                               OmegaAutomaton, Runner, StateLimitExceeded,
                               _explore, accepts, cascade, degeneralize,
-                              letters_for)
+                              letters_for, minimize)
 from pastdra.hoa import parse_hoa
 from pastdra.lasso import LassoWord, parse_word
 
@@ -388,3 +389,89 @@ def test_degeneralize_state_limit():
     assert degeneralize(both, max_states=8).n_states() == 8
     with pytest.raises(StateLimitExceeded):
         degeneralize(both, max_states=7)
+
+
+def _over_p(trans, *pairs, init=0):
+    # an automaton over {p}, state q labelled str(q)
+    return OmegaAutomaton(("p",), init, trans,
+                          [str(q) for q in range(len(trans))],
+                          ("generalized-rabin", pairs))
+
+
+def _set(*states):
+    return frozenset(states)
+
+
+# 0 goes to 1 on {} and to 2 on {p}; 1 and 2 loop, so they are equivalent
+# unless some acceptance set holds one of them only
+_FORK = [[1, 2], [1, 1], [2, 2]]
+
+
+def test_minimize_merges_equivalent_states():
+    got = minimize(_over_p(_FORK, (_set(), (_set(1, 2),))))
+    assert got.trans == [[1, 1], [1, 1]]
+    assert got.acc == ("generalized-rabin", ((_set(), (_set(1),)),))
+
+
+def test_minimize_names_a_class_after_its_first_state():
+    auto = _over_p(_FORK, (_set(), (_set(1, 2),)))
+    auto.labels = ["a", "b", "c"]
+    assert minimize(auto).labels == ["a", "b"]
+
+
+def test_minimize_keeps_states_apart_by_one_meet_set():
+    pair = (_set(), (_set(1, 2), _set(1)))
+    auto = _over_p(_FORK, pair)
+    assert minimize(auto) == auto
+
+
+def test_minimize_drops_a_repeated_pair():
+    buchi, cobuchi = (_set(), (_set(1, 2),)), (_set(0), ())
+    got = minimize(_over_p(_FORK, buchi, cobuchi, buchi))
+    assert got.acc[1] == ((_set(), (_set(1),)), (_set(0), ()))
+
+
+def test_minimize_drops_a_pair_that_accepts_nothing():
+    # a meet set inside the avoid set (the empty meet set too) leaves no
+    # run to accept; a pair without meet sets is co-Büchi and stays
+    dead = [(_set(1, 2), (_set(1, 2),)), (_set(), (_set(),)),
+            (_set(0), (_set(1, 2), _set(0)))]
+    cobuchi = (_set(1, 2), ())
+    got = minimize(_over_p(_FORK, *dead[:2], cobuchi, dead[2]))
+    assert got.acc[1] == ((_set(1), ()),)
+    assert got.n_states() == 2
+
+
+def test_minimize_drops_unreachable_states_and_numbers_in_bfs_order():
+    # from 3: 1 on {}, 0 on {p}; 1 -> 2; 0 and 2 apart by their sets; 4 is
+    # unreachable, so the pair that meets it alone accepts nothing
+    auto = _over_p([[0, 0], [2, 2], [2, 3], [1, 0], [4, 4]],
+                   (_set(4), (_set(0),)), (_set(), (_set(4),)),
+                   (_set(), (_set(2, 4),)), init=3)
+    got = minimize(auto)
+    assert got.init == 0 and got.labels == ["3", "1", "0", "2"]
+    assert got.trans == [[1, 2], [3, 3], [2, 2], [3, 0]]
+    assert got.acc[1] == ((_set(), (_set(2),)), (_set(), (_set(3),)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=True))
+def test_minimize_is_an_idempotent_exact_quotient(rng):
+    auto, words = _random_case(rng)
+    got = minimize(auto)
+    got.audit()
+    certify(auto, got)
+    assert minimize(got) == got
+    for w in words:
+        assert accepts(got, w) == accepts(auto, w), (auto, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=True), st.integers(0, 7))
+def test_minimize_steps_only_the_masked_columns(rng, mask):
+    # when column i steps like i & mask, comparing the masked columns
+    # alone gives what comparing every column gives
+    auto, _ = _random_case(rng)
+    auto.trans = [[row[i & mask] for i in range(len(row))]
+                  for row in auto.trans]
+    assert minimize(auto, mask) == minimize(auto)

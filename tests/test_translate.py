@@ -14,8 +14,9 @@ from pastdra.automata import StateLimitExceeded, accepts, degeneralize
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import holds, parse_word
-from pastdra.translate import (TranslationContext, build_wc_automaton,
-                               translate, translation_stats)
+from pastdra.translate import (TranslationContext, _product,
+                               build_wc_automaton, translate,
+                               translation_stats)
 
 parse = F.parse
 
@@ -167,7 +168,7 @@ def test_components_are_stepped_once(monkeypatch):
     monkeypatch.setattr(P, "disj_all", counted_disj_all)
     monkeypatch.setattr(module, "_limit_runner", tagged_runner)
     monkeypatch.setattr(module, "cascade", counted_cascade)
-    auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
+    auto, _ = _product(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
     assert len(auto.acc[1]) == 64 and len(tags) == 7
     assert len(steps) == len(set(steps))
     # a runner state is one derivative, so a step calls af_class at most
@@ -196,8 +197,9 @@ def test_components_are_stepped_once(monkeypatch):
 
 
 def test_one_letter_table_per_automaton(monkeypatch):
-    # exploration steps on columns, so only the bed and the product build a
-    # letter table during a translation, and degeneralize only its output
+    # exploration steps on columns, so only the bed, the product and its
+    # quotient build a letter table during a translation, and degeneralize
+    # only its output
     letters_for, calls = automata.letters_for, []
 
     def counted(ap):
@@ -207,7 +209,7 @@ def test_one_letter_table_per_automaton(monkeypatch):
     for module in (automata, sys.modules["pastdra.translate"]):
         monkeypatch.setattr(module, "letters_for", counted)
     auto = translate(parse("G(p -> O q) & GF r"))
-    assert calls == [("p", "q", "r")] * 2
+    assert calls == [("p", "q", "r")] * 3
     del calls[:]
     degeneralize(auto)
     assert calls == [("p", "q", "r")]
@@ -216,8 +218,8 @@ def test_one_letter_table_per_automaton(monkeypatch):
 def test_labels_name_each_component_once():
     # 64 guesses share 7 components; a label names each component once, so
     # it has 7 parts.  Count "; ", not " | ": formula text contains " | ".
-    auto = translate(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"),
-                     labels=True)
+    auto, _ = _product(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"),
+                       labels=True)
     assert len(auto.acc[1]) == 64
     assert auto.labels[0].count("; ") == 6
 
@@ -225,14 +227,15 @@ def test_labels_name_each_component_once():
 def test_labels_print_the_derivative_once():
     # The bed carries the formula's derivative, so a state label prints it
     # once, in the bed part after the runners; each runner part is a tag
-    # and one formula.  G(F p & F q) has 4 safety runners among its 12.
+    # and one formula.  G(F p & F q) has 4 safety runners among its 12,
+    # and 55 product states in 22 classes.
     phi = parse("G(F p & F q)")
     auto = translate(phi, labels=True)
     bed = build_wc_automaton(TranslationContext(phi))
     texts = ["%s <%s>" % (P.to_formula(psi), ", ".join(
         str(P.to_formula(b)) for b in tracks))
              for psi, tracks in bed.state_objs]
-    assert auto.n_states() == 55
+    assert auto.n_states() == 22
     for label in auto.labels:
         [j] = [j for j, text in enumerate(texts)
                if label.endswith(" | " + text)]
@@ -300,8 +303,9 @@ def test_hoa_strings_are_escaped():
 
 def test_hoa_header():
     # Rabin when every pair has one meet set, else generalized Rabin: a
-    # pair with no meet set is one Fin, one with two meet sets Fin&Inf&Inf
-    auto = translate(parse("G p"))
+    # pair with no meet set is one Fin, one with two meet sets Fin&Inf&Inf.
+    # The products keep a pair per guess.
+    auto, _ = _product(parse("G p"))
     lines = export_hoa(auto).splitlines()
     assert lines[0] == "HOA: v1"
     assert "acc-name: generalized-Rabin 2 0 0" in lines
@@ -309,7 +313,7 @@ def test_hoa_header():
     lines = export_hoa(degeneralize(auto)).splitlines()
     assert "acc-name: Rabin 2" in lines
     assert "Acceptance: 4 (Fin(0)&Inf(1)) | (Fin(2)&Inf(3))" in lines
-    lines = export_hoa(translate(parse("G(F p & F q)"))).splitlines()
+    lines = export_hoa(_product(parse("G(F p & F q)"))[0]).splitlines()
     assert "acc-name: generalized-Rabin 8 0 0 1 1 1 1 2 2" in lines
     assert ("Acceptance: 16 (Fin(0)) | (Fin(1)) | (Fin(2)&Inf(3)) | "
             "(Fin(4)&Inf(5)) | (Fin(6)&Inf(7)) | (Fin(8)&Inf(9)) | "
