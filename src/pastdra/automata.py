@@ -4,20 +4,19 @@ States are integers in discovery order; the alphabet is the powerset of the
 atomic propositions, with letter index ``i`` setting proposition ``ap[j]``
 iff bit ``j`` of ``i`` is set.  :func:`_explore` steps on these columns, so
 each automaton builds one letter table: ``letters[i]`` is letter ``i`` as a
-frozenset, ``letter_index`` maps it back to ``i``.  A bed carries a column
-mask, the propositions its formula reads: columns ``i`` and ``i & mask``
-step alike, so the bed and the product step one column per class and copy
-the others, and the tables stay complete over every column.  Acceptance
-has one form, generalized Rabin, ``("generalized-rabin", pairs)``: a pair
+frozenset, ``letter_index`` maps it back to ``i``.  :func:`widen` adds
+propositions that no state reads: each letter steps like its restriction
+to the old ones, so the table is copied, not explored.  Acceptance has one
+form, generalized Rabin, ``("generalized-rabin", pairs)``: a pair
 ``(avoid, meets)`` is a set and a tuple of sets, and the automaton accepts
 iff for some pair Inf avoids ``avoid`` and meets every set in ``meets``.
 A Büchi set S is the one pair (∅, (S,)), a co-Büchi set S the one pair
 (S, ()), and a plain Rabin pair has one meet set.
 
-Translation has one product step: per stepped column, :func:`cascade` reads
-the bed successor off the bed's table and each component's successor off
-that component's step table, keyed by (state, column) and filled on first
-use, so a runner is stepped once per distinct key, not once per product
+Translation has one product step: per column, :func:`cascade` reads the bed
+successor off the bed's table and each component's successor off that
+component's step table, keyed by (state, column) and filled on first use,
+so a runner is stepped once per distinct key, not once per product
 transition.  A step may answer :data:`RESTART`; the component then restarts
 from the reached bed state, and remembers its restarts itself.  ``cascade``
 then reads one generalized pair per branch off the explored states, testing
@@ -92,7 +91,6 @@ class BedAutomaton:
     letters: list             # letters_for(ap), the table it was explored on
     trans: list
     state_objs: list          # opaque payload per state, passed to runners
-    mask: int = -1            # columns i and i & mask step alike (-1: all)
 
 
 RESTART = object()              # a step result: restart from the bed
@@ -111,24 +109,14 @@ class StateLimitExceeded(Exception):
     pass
 
 
-def _explore(width, init_state, succ, max_states, mask=-1):
+def _explore(width, init_state, succ, max_states):
     """Deterministic BFS materialization: the states in discovery order and
     the transition table over their indices, ``succ(q, i)`` stepping on
-    column ``i`` for ``i < width``; no letter is built here.
-
-    Column ``i`` steps like its representative ``i & mask``, so ``succ``
-    is called on representatives only and every other column copies its
-    representative's entry.  A representative is never greater than the
-    columns it stands for, so it is stepped first, and states are
-    discovered in the same order as with every column stepped."""
+    column ``i`` for ``i < width``; no letter is built here."""
     index, order, trans = {init_state: 0}, [init_state], []
-    reps = [i & mask for i in range(width)]
     for q in order:             # grows as states are discovered
         row = []
-        for i, r in enumerate(reps):
-            if r != i:
-                row.append(row[r])
-                continue
+        for i in range(width):
             q2 = succ(q, i)
             j = index.get(q2)
             if j is None:
@@ -148,18 +136,15 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
     intersection of their components, all observing the bed.
 
     ``components`` are runners, each stepped once per distinct (component
-    state, stepped column) and tested for its set once per distinct state,
-    however many product states and branches share it; first calls come in
-    the order of a plain product walk.  The product steps only the columns
-    that ``bed.mask`` keeps (``i & bed.mask == i``), since the components
-    read no other proposition than the bed does, and copies the others.
-    A branch ``(co-Büchi indices, Büchi indices)`` gives one pair.  It
-    avoids the states where one of its co-Büchi components is in its set,
-    and has one meet set per Büchi component: the states where that
-    component is in its set.  States are ``(component states, bed state)``
-    in BFS order; the pairs come in branch order.  ``name(component states,
-    bed payload)`` labels a state once the product is explored; without it
-    every label is ``""``.
+    state, column) and tested for its set once per distinct state, however
+    many product states and branches share it; first calls come in the
+    order of a plain product walk.  A branch ``(co-Büchi indices, Büchi
+    indices)`` gives one pair.  It avoids the states where one of its
+    co-Büchi components is in its set, and has one meet set per Büchi
+    component: the states where that component is in its set.  States are
+    ``(component states, bed state)`` in BFS order; the pairs come in
+    branch order.  ``name(component states, bed payload)`` labels a state
+    once the product is explored; without it every label is ``""``.
     Raises :class:`StateLimitExceeded` when exploration would pass
     ``max_states``.
     """
@@ -179,8 +164,7 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
         return tuple(out), s2
 
     init = (tuple(c.init for c in components), 0)
-    order, trans = _explore(len(bed.letters), init, succ, max_states,
-                            bed.mask)
+    order, trans = _explore(len(bed.letters), init, succ, max_states)
     labels = ([name(qs, bed.state_objs[s]) for qs, s in order] if name
               else [""] * len(order))
     marked = []
@@ -196,7 +180,7 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
     return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 
-def minimize(auto, mask=-1):
+def minimize(auto):
     """The Moore quotient of a generalized Rabin automaton, less the pairs
     that cannot accept; it accepts the same words.
 
@@ -206,24 +190,21 @@ def minimize(auto, mask=-1):
     split by their membership in every set of the kept pairs, then by the
     classes of their successors until no class splits.  Every kept set is
     then a union of classes, so a run and its image visit the same sets
-    infinitely often (Hopcroft 1971).  Only the columns ``i`` with
-    ``i & mask == i`` are compared; the others step like ``i & mask``, as
-    in :func:`_explore`.  The classes are numbered in BFS order from the
-    initial state's, each is named after its first state in BFS order (in
-    a product, its first product state), and the kept pairs keep their
-    order.  No two states of the result are equivalent, but a smaller
-    equivalent automaton with other sets may exist: minimal deterministic
-    Büchi automata are NP-hard to find (Schewe, FSTTCS 2010).
+    infinitely often (Hopcroft 1971).  The classes are numbered in BFS
+    order from the initial state's, each is named after its first state in
+    BFS order (in a product, its first product state), and the kept pairs
+    keep their order.  No two states of the result are equivalent, but a
+    smaller equivalent automaton with other sets may exist: minimal
+    deterministic Büchi automata are NP-hard to find (Schewe, FSTTCS 2010).
     """
     trans = auto.trans
-    cols = [i for i in range(len(auto.letters)) if i & mask == i]
     order, pos = [auto.init], {auto.init: 0}
     for q in order:             # grows as states are reached
-        for c in cols:
-            if trans[q][c] not in pos:
-                pos[trans[q][c]] = len(order)
-                order.append(trans[q][c])
-    rows = [[pos[trans[q][c]] for c in cols] for q in order]
+        for q2 in trans[q]:
+            if q2 not in pos:
+                pos[q2] = len(order)
+                order.append(q2)
+    rows = [[pos[q2] for q2 in trans[q]] for q in order]
     pairs = []                  # the pairs kept, on the reached states
     for avoid, meets in auto.acc[1]:
         pair = avoid & pos.keys(), tuple(m & pos.keys() for m in meets)
@@ -264,6 +245,24 @@ def minimize(auto, mask=-1):
                           [[h[q] for q in trans[order[p]]] for p in reps],
                           [auto.labels[order[p]] for p in reps],
                           ("generalized-rabin", acc))
+
+
+def widen(auto, ap):
+    """``auto`` over the sorted superset ``ap`` of its propositions, each
+    letter stepping like its restriction to ``auto.ap``; ``auto`` itself
+    when the two are equal.  The rows are copied, so no state is stepped."""
+    ap = tuple(ap)
+    if ap == auto.ap:
+        return auto
+    if not set(auto.ap) <= set(ap):
+        raise ValueError("%r does not widen %r" % (ap, auto.ap))
+    bit = {p: 1 << j for j, p in enumerate(auto.ap)}
+    cols = [0]                  # column -> its restriction's column
+    for p in ap:                # as in letters_for
+        cols += [c | bit.get(p, 0) for c in cols]
+    return OmegaAutomaton(ap, auto.init,
+                          [[row[c] for c in cols] for row in auto.trans],
+                          list(auto.labels), auto.acc)
 
 
 def degeneralize(auto, max_states=DEFAULT_MAX_STATES):

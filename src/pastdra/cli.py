@@ -40,7 +40,7 @@ def _load_target(arg):
 
 def cmd_translate(args):
     phi = F.parse(args.formula)
-    ap = args.ap.split(",") if args.ap else None
+    ap = [name.strip() for name in args.ap.split(",")] if args.ap else None
     auto = translate(phi, ap, args.max_states, labels=args.labels)
     if args.acceptance == "rabin":
         auto = degeneralize(auto, args.max_states)

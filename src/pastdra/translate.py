@@ -12,19 +12,18 @@ co-Büchi sets of the first two kinds and has one meet set per ``F``
 runner.  A runner state is one derivative, and every runner starts and
 restarts from the bed by one rule.  Runners are shared across guesses, so
 each distinct one is built once, stepped once per distinct (runner state,
-letter class) and restarted once per distinct part of the bed state it
-reads, and :func:`~pastdra.automata.cascade` explores the bed, the runners
-and the branches in one product, so the bed is never duplicated.  Letters
-that agree on the formula's propositions form one class: every derivative,
-track and runner state reads those propositions only, so the bed and the
-product step one letter per class and copy its row entry to the others.
-State labels print formula text and are built only on request.  The
-branches, and so the product's pairs, come M-major: M and N each run over
-the subsets of the sorted fixpoint subformulas by size, then
-lexicographically.  :func:`translate` returns the product's Moore quotient
+letter) and restarted once per distinct part of the bed state it reads, and
+:func:`~pastdra.automata.cascade` explores the bed, the runners and the
+branches in one product, so the bed is never duplicated.  State labels
+print formula text and are built only on request.  The branches, and so
+the product's pairs, come M-major: M and N each run over the subsets of
+the sorted fixpoint subformulas by size, then lexicographically.
+:func:`translate` returns the product's Moore quotient
 (:func:`~pastdra.automata.minimize`): its pairs keep that order, less the
 ones that repeat an earlier pair or accept nothing, and a merged state is
-named after its first product state.
+named after its first product state.  All three are built over the
+formula's own propositions, the only ones its states read, and
+:func:`~pastdra.automata.widen` adds the caller's others last.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
 from .automata import (DEFAULT_MAX_STATES, RESTART, BedAutomaton, Runner,
-                       cascade, letters_for, minimize)
+                       cascade, letters_for, minimize, widen)
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, subsets,
                        wc)
@@ -46,13 +45,10 @@ class TranslationContext:
     tables take no lock, so one process runs one translation at a time.
     """
 
-    def __init__(self, phi, ap=None):
+    def __init__(self, phi):
         F.clear_memos()
         self.phi = phi
-        for name in ap or ():
-            if not F.is_prop_name(name):
-                raise ValueError("not a proposition name: %r" % (name,))
-        self.ap = tuple(sorted(set(F.props(phi)) | set(ap or ())))
+        self.ap = tuple(sorted(F.props(phi)))
         self.past_sets = enumerate_past_sets(phi)
         self.k = len(self.past_sets)
         # The bed starts at the formula, with tt on the all-weak set only.
@@ -92,11 +88,8 @@ class TranslationContext:
 def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
     """The bed: the formula's derivative and one weakening-obligation track
     per enumerated past set; raises :class:`StateLimitExceeded` past
-    ``max_states``.  Its mask keeps the columns of the formula's
-    propositions, and only the letters it keeps are stepped."""
+    ``max_states``."""
     letters = letters_for(ctx.ap)
-    read = F.props(ctx.phi)   # every state reads these propositions only
-    mask = sum(1 << j for j, p in enumerate(ctx.ap) if p in read)
     rc = {}                   # (tracks, column) -> successor tracks
 
     def step(q, i):
@@ -108,9 +101,8 @@ def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
     # Looked up at call time so that a wrapper installed on
     # ``automata._explore`` (the benchmark's tracer) sees the bed too.
     from .automata import _explore
-    order, trans = _explore(len(letters), ctx.bed_init, step, max_states,
-                            mask)
-    return BedAutomaton(ctx.ap, letters, trans, list(order), mask)
+    order, trans = _explore(len(letters), ctx.bed_init, step, max_states)
+    return BedAutomaton(ctx.ap, letters, trans, list(order))
 
 
 _limit_memo = F.memo()
@@ -189,10 +181,11 @@ def _namer(keys):
     return name
 
 
-def _product(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
-    """The cascade product that :func:`translate` minimizes, one pair per
-    (M, N) guess in branch order, and the bed's column mask."""
-    ctx = TranslationContext(phi, ap)
+def _product(phi, max_states=DEFAULT_MAX_STATES, labels=False):
+    """The cascade product that :func:`translate` minimizes, over the
+    formula's own propositions, one pair per (M, N) guess in branch
+    order."""
+    ctx = TranslationContext(phi)
     index = {}                # component key -> number, first appearance
     branches = []
     for M in subsets(ctx.mu):
@@ -207,12 +200,14 @@ def _product(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
     components = [_limit_runner(ctx, *key) for key in index]
     bed = build_wc_automaton(ctx, max_states)
     return cascade(bed, components, branches, max_states,
-                   _namer(index) if labels else None), bed.mask
+                   _namer(index) if labels else None)
 
 
 def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
-    """Deterministic generalized Rabin automaton for ``phi``: the Moore
-    quotient (:func:`~pastdra.automata.minimize`) of the cascade product.
+    """Deterministic generalized Rabin automaton for ``phi`` over its
+    propositions and the names in ``ap``: the Moore quotient
+    (:func:`~pastdra.automata.minimize`) of the cascade product, widened to
+    ``ap`` (:func:`~pastdra.automata.widen`).
     The product has one pair per (M, N) guess, M-major, each of M and N in
     subset order (by size, then lexicographic over ``ctx.mu`` or
     ``ctx.nu``); the quotient keeps that order, dropping the pairs that
@@ -223,9 +218,14 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
     aid, computed after exploration); without, no label is built and each
     is ``""``.
 
-    Raises :class:`StateLimitExceeded` when exploration would pass the cap.
+    Raises ValueError, before any work, for a name in ``ap`` that no
+    formula can mention, and :class:`StateLimitExceeded` past the cap.
     """
-    return minimize(*_product(phi, ap, max_states, labels))
+    for name in ap or ():
+        if not F.is_prop_name(name):
+            raise ValueError("not a proposition name: %r" % (name,))
+    auto = minimize(_product(phi, max_states, labels))
+    return widen(auto, sorted(F.props(phi).union(ap or ())))
 
 
 def translation_stats(phi, auto):

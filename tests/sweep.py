@@ -5,12 +5,15 @@ are ``p``, ``!p``, ``tt`` and ``ff`` for each proposition ``p``, with the
 unary ``X``, ``Y`` and ``wY`` and the ten binary kinds ``&``, ``|``, ``U``,
 ``W``, ``R``, ``M``, ``S``, ``wS``, ``B`` and ``wB``; and every lasso
 u v^omega with |u| <= 2 and 1 <= |v| <= 2.  Each formula is translated
-with ``max_states=5000``.  Its automaton, the Moore quotient of the
-cascade product, must pass ``certificate.certify`` against that product.
-On every lasso its automaton, the automaton's degeneralization and
-``holds`` must agree, and so must ``holds`` and ``naive_holds``.  With ``--complement`` the automaton of ``!f`` must
-also accept exactly the lassos that f's automaton rejects.  Formulas come
-by size and lassos by length, so the mismatch reported is a smallest one.
+with ``max_states=5000``.  The Moore quotient of its cascade product, over
+its own propositions, must pass ``certificate.certify`` against that
+product.  Its automaton is what ``translate`` returns, that quotient
+widened to every proposition of the sweep.  On every lasso its automaton,
+the automaton's degeneralization and ``holds`` must agree, and so must
+``holds`` and ``naive_holds``.  With ``--complement`` the automaton of
+``!f`` must also accept exactly the lassos that f's automaton rejects.
+Formulas come by size and lassos by length, so the mismatch reported is a
+smallest one.
 
     PYTHONPATH=src python tests/sweep.py --size 4 --ap p
     PYTHONPATH=src python tests/sweep.py --size 4 --ap p,q --complement
@@ -25,7 +28,7 @@ from itertools import product
 
 from certificate import certify
 from pastdra import formula as F
-from pastdra.automata import accepts, degeneralize, minimize
+from pastdra.automata import accepts, degeneralize, minimize, widen
 from pastdra.lasso import LassoWord, holds, naive_holds
 from pastdra.translate import _product, translate
 
@@ -62,12 +65,13 @@ def lassos(ap, max_prefix=2, max_cycle=2):
 def mismatch(f, words, ap, complement=False):
     """The first word on which a check fails for ``f``, with the check's
     name, or None; the word is None when the certificate fails."""
-    raw, mask = _product(f, ap, max_states=MAX_STATES)
-    auto = minimize(raw, mask)
+    raw = _product(f, max_states=MAX_STATES)
+    reduced = minimize(raw)
     try:
-        certify(raw, auto)
+        certify(raw, reduced)
     except AssertionError as e:
         return None, "the certificate of minimize: %s" % (e,)
+    auto = widen(reduced, ap)
     rabin = degeneralize(auto, max_states=MAX_STATES)
     neg = translate(F.parse("!(%s)" % f), ap, max_states=MAX_STATES) \
         if complement else None

@@ -20,7 +20,7 @@ import pytest
 from pastdra import formula as F
 from pastdra import proplogic as P
 from pastdra.after import af_ext
-from pastdra.automata import accepts, degeneralize, minimize
+from pastdra.automata import accepts, degeneralize, minimize, widen
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.lasso import holds, naive_holds
 from pastdra.rewrites import (compose_sequence, enumerate_past_sets,
@@ -172,7 +172,7 @@ def test_negated_future_spec_translates():
     # them the product has 1,422 states, and its Moore quotient 101.
     from certificate import certify     # see test_minimize_is_certified
     f = parse("!(%s)" % FUTURE_HISTORY_SPEC)
-    raw, _ = _product(f, list(AP3))
+    raw = _product(f)
     raw.audit()
     assert raw.n_states() == 1422 and len(raw.acc[1]) == 64
     assert max(len(meets) for _, meets in raw.acc[1]) == 6
@@ -186,7 +186,8 @@ def test_negated_future_spec_translates():
         assert accepts(auto, w) == holds(f, w, 0), w
 
 
-# The cascade products that ``translate(..., labels=True)`` minimizes.
+# The cascade products that ``translate(..., labels=True)`` minimizes,
+# widened to {p, q, r}.
 CORPUS_HOA_SHA256 = (
     "e2d7591196f9ad6dd2d9e6e0e93a449d7858ce115d6efccc41bcee4331ce8208")
 CORPUS_HOA_BYTES = 330572
@@ -222,19 +223,22 @@ CORPUS_REDUCED_RABIN_STRUCTURE_BYTES = 64928
 # Each script prints a JSON list of four texts, labelled when its argument
 # is ``labels``: the HOA of every cascade product, of its degeneralization,
 # of its Moore quotient (what ``translate`` returns) and of the quotient's
-# degeneralization.  ``minimize`` and ``degeneralize`` intern nothing, so
-# the first text is what building the product alone writes.
+# degeneralization, each widened to the script's alphabet.  ``minimize``,
+# ``widen`` and ``degeneralize`` intern nothing, so the first text is what
+# building the product alone writes.
 _HOA_SCRIPT = """
 import json, random, sys
 from pastdra import degeneralize, export_hoa, parse
-from pastdra.automata import minimize
+from pastdra.automata import minimize, widen
+from pastdra.formula import props
 from pastdra.gen import random_formula_bounded
 from pastdra.translate import _product
 labels = sys.argv[1:] == ["labels"]
 out = []
 for phi in %s:
-    raw, mask = _product(phi, %r, max_states=200000, labels=labels)
-    reduced = minimize(raw, mask)
+    ap = sorted(props(phi).union(%r))
+    narrow = _product(phi, max_states=200000, labels=labels)
+    raw, reduced = widen(narrow, ap), widen(minimize(narrow), ap)
     out.append([export_hoa(auto, name=str(phi)) for auto in
                 (raw, degeneralize(raw), reduced, degeneralize(reduced))])
 sys.stdout.write(json.dumps(["".join(form) for form in zip(*out)]))
@@ -440,12 +444,13 @@ PAST_WIDTH_REDUCED_GOLDEN = {
 _PAST_WIDTH_SCRIPT = """
 import json, sys
 from pastdra import export_hoa, parse
-from pastdra.automata import minimize
+from pastdra.automata import minimize, widen
 from pastdra.translate import _product
 phi = parse(%r)
-raw, mask = _product(phi, %r, labels=sys.argv[1:] == ["labels"])
-sys.stdout.write(json.dumps([export_hoa(auto, name=str(phi))
-                             for auto in (raw, minimize(raw, mask))]))
+raw = _product(phi, labels=sys.argv[1:] == ["labels"])
+sys.stdout.write(json.dumps([export_hoa(widen(auto, sorted(%r)),
+                                        name=str(phi))
+                             for auto in (raw, minimize(raw))]))
 """
 
 
@@ -483,15 +488,14 @@ def test_minimize_is_certified(corpus_automata):
     # load this module by its path, without tests/ on sys.path.
     from certificate import certify
     for text, auto in corpus_automata.items():
-        certify(_product(parse(text), list(AP3))[0], auto)
-    cases = [(random_formula_bounded(rng, AP3, max_size=6, max_past=2), AP3)
+        certify(widen(_product(parse(text)), AP3), auto)
+    cases = [random_formula_bounded(rng, AP3, max_size=6, max_past=2)
              for rng in (random.Random(1), random.Random(2))
              for _ in range(300)]
-    cases += [(parse(text), ["p"] + sorted(F.props(parse(text)) - {"p"}))
-              for text in PAST_WIDTH_GOLDEN]
-    for phi, ap in cases:
-        raw, mask = _product(phi, ap)
-        certify(raw, minimize(raw, mask))
+    cases += [parse(text) for text in PAST_WIDTH_GOLDEN]
+    for phi in cases:
+        raw = _product(phi)
+        certify(raw, minimize(raw))
 
 
 def test_past_and_pure_future_phrasings_agree(corpus_automata):
@@ -514,7 +518,7 @@ def test_size_bounds_and_audits(corpus_automata):
         assert stats["pairs"] <= 1 << k, text
         # the shared acceptance-free component respects the doubly
         # exponential state bound (compared in the log to stay cheap)
-        bed = build_wc_automaton(TranslationContext(f, list(AP3)))
+        bed = build_wc_automaton(TranslationContext(f))
         states = len(bed.trans)
         n, m = F.size(f)
         assert max(states - 1, 1).bit_length() <= 2 ** (n + 2 * m), text

@@ -6,7 +6,7 @@ from certificate import certify
 from pastdra.automata import (DEFAULT_MAX_STATES, RESTART, BedAutomaton,
                               OmegaAutomaton, Runner, StateLimitExceeded,
                               _explore, accepts, cascade, degeneralize,
-                              letters_for, minimize)
+                              letters_for, minimize, widen)
 from pastdra.hoa import parse_hoa
 from pastdra.lasso import LassoWord, parse_word
 
@@ -466,12 +466,37 @@ def test_minimize_is_an_idempotent_exact_quotient(rng):
         assert accepts(got, w) == accepts(auto, w), (auto, w)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.randoms(use_true_random=True), st.integers(0, 7))
-def test_minimize_steps_only_the_masked_columns(rng, mask):
-    # when column i steps like i & mask, comparing the masked columns
-    # alone gives what comparing every column gives
+def test_widen_copies_each_row_by_restriction():
+    # over (b, d) a letter's column has b at bit 0 and d at bit 1; over
+    # (a, b, c, d) they move to bits 1 and 3, and a and c are ignored
+    auto = OmegaAutomaton(("b", "d"), 0, [[0, 1, 2, 3]] * 4,
+                          ["", "b", "d", "bd"], INF_P)
+    wide = widen(auto, ("a", "b", "c", "d"))
+    assert wide.ap == ("a", "b", "c", "d")
+    assert wide.trans == [[0, 0, 1, 1, 0, 0, 1, 1,
+                           2, 2, 3, 3, 2, 2, 3, 3]] * 4
+    assert (wide.init, wide.labels, wide.acc) == (0, auto.labels, INF_P)
+    assert accepts(wide, parse_word("; {a,b,c},{}"))
+    assert not accepts(wide, parse_word("; {a,c}"))
+    with pytest.raises(ValueError):
+        widen(auto, ("a", "b"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=True))
+def test_widen_commutes_with_minimize(rng):
+    # names drawn among and between the automaton's own, so its bits need
+    # not come first
     auto, _ = _random_case(rng)
-    auto.trans = [[row[i & mask] for i in range(len(row))]
-                  for row in auto.trans]
-    assert minimize(auto, mask) == minimize(auto)
+    ap = tuple(sorted(set(auto.ap) | {
+        p for p in ("a", "pq", "qr", "s") if rng.random() < 0.5}))
+    wide = widen(auto, ap)
+    wide.audit()
+    assert minimize(wide) == widen(minimize(auto), ap)
+    assert widen(auto, auto.ap) is auto
+    for _ in range(5):
+        word = tuple(frozenset(p for p in ap + ("z",) if rng.random() < 0.5)
+                     for _ in range(rng.randint(1, 6)))
+        k = rng.randrange(len(word))
+        w = LassoWord(word[:k], word[k:])
+        assert accepts(wide, w) == accepts(auto, w), (auto, ap, w)

@@ -126,6 +126,16 @@ def test_translate_rejects_unnameable_ap(capsys, ap):
     assert code == 1 and not out and "not a proposition name" in err
 
 
+def test_translate_strips_spaces_around_ap_names(capsys):
+    # as in a word's letters; an empty name is still refused
+    code, spaced, err = run(capsys, "translate", "G p", "--ap", " p, q ")
+    assert code == 0 and not err
+    assert spaced == run(capsys, "translate", "G p", "--ap", "p,q")[1]
+    assert 'AP: 2 "p" "q"' in spaced
+    code, out, err = run(capsys, "translate", "G p", "--ap", "p,,q")
+    assert code == 1 and not out and "not a proposition name: ''" in err
+
+
 def test_translate_output_round_trips_through_check(capsys, tmp_path):
     for acceptance, name in (("generalized", "generalized-Rabin 1 0"),
                              ("rabin", "Rabin 1")):
@@ -223,7 +233,7 @@ def _check_hoa(capsys, text):
 def _fq_hoa(labels=False):
     # the HOA of the five-state cascade product of F q, whose text the
     # reader's tests edit
-    raw, _ = _product(parse("F q"), labels=labels)
+    raw = _product(parse("F q"), labels=labels)
     return export_hoa(raw, name="F q")
 
 

@@ -138,7 +138,7 @@ def test_master_witness_pair_accepts():
         if text == FUTURE_HISTORY_SPEC:
             continue
         f = parse(text)
-        auto, _ = _product(f, AP3)
+        auto = _product(f)
         guesses = [(frozenset(M), frozenset(N))
                    for M in subsets(F.sorted_set(F.mu_subformulas(f)))
                    for N in subsets(F.sorted_set(F.nu_subformulas(f)))]

@@ -90,20 +90,43 @@ def test_extra_ap():
 
 
 def test_bed_steps_one_letter_per_class(monkeypatch):
-    # G p over p and 12 propositions it does not read: the bed steps only
-    # the letters that differ on p, two per state, not 8,192
+    # G p over p and 12 propositions it does not read: unread propositions
+    # cost nothing before the output.  The bed steps the two letters over
+    # p, not 8,192, and only the output builds a table of the 8,192.
     module = sys.modules["pastdra.translate"]
     af_class, calls = module.af_class, []
+    letters_for, tables = automata.letters_for, []
+    build, beds, bed_calls = module.build_wc_automaton, [], []
 
     def counted(b, sigma):
         calls.append(sigma)
         return af_class(b, sigma)
 
+    def counted_letters(ap):
+        tables.append(tuple(ap))
+        return letters_for(ap)
+
+    def kept_bed(*args):
+        before = len(calls)
+        beds.append(build(*args))
+        bed_calls.append(len(calls) - before)
+        return beds[-1]
+
     monkeypatch.setattr(module, "af_class", counted)
+    for m in (automata, module):
+        monkeypatch.setattr(m, "letters_for", counted_letters)
+    monkeypatch.setattr(module, "build_wc_automaton", kept_bed)
     ap = ["p"] + ["x%02d" % i for i in range(12)]
-    bed = build_wc_automaton(TranslationContext(parse("G p"), ap))
-    assert len(bed.letters) == 1 << 13
-    assert 0 < len(calls) <= 2 * len(bed.trans)
+    auto = translate(parse("G p"), ap)
+    [bed], [made] = beds, bed_calls
+    assert auto.ap == tuple(ap) and len(bed.letters) == 2
+    assert 0 < made <= 2 * len(bed.trans)
+    assert tables.count(tuple(ap)) == 1
+    # the runners too make the calls they make without the extra names
+    wide = calls[:]
+    del calls[:]
+    translate(parse("G p"))
+    assert calls == wide
 
 
 def test_state_limit():
@@ -168,7 +191,7 @@ def test_components_are_stepped_once(monkeypatch):
     monkeypatch.setattr(P, "disj_all", counted_disj_all)
     monkeypatch.setattr(module, "_limit_runner", tagged_runner)
     monkeypatch.setattr(module, "cascade", counted_cascade)
-    auto, _ = _product(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"))
+    auto = _product(parse(FUTURE_HISTORY_SPEC))
     assert len(auto.acc[1]) == 64 and len(tags) == 7
     assert len(steps) == len(set(steps))
     # a runner state is one derivative, so a step calls af_class at most
@@ -218,8 +241,7 @@ def test_one_letter_table_per_automaton(monkeypatch):
 def test_labels_name_each_component_once():
     # 64 guesses share 7 components; a label names each component once, so
     # it has 7 parts.  Count "; ", not " | ": formula text contains " | ".
-    auto, _ = _product(parse(FUTURE_HISTORY_SPEC), ("p", "q", "r"),
-                       labels=True)
+    auto = _product(parse(FUTURE_HISTORY_SPEC), labels=True)
     assert len(auto.acc[1]) == 64
     assert auto.labels[0].count("; ") == 6
 
@@ -305,7 +327,7 @@ def test_hoa_header():
     # Rabin when every pair has one meet set, else generalized Rabin: a
     # pair with no meet set is one Fin, one with two meet sets Fin&Inf&Inf.
     # The products keep a pair per guess.
-    auto, _ = _product(parse("G p"))
+    auto = _product(parse("G p"))
     lines = export_hoa(auto).splitlines()
     assert lines[0] == "HOA: v1"
     assert "acc-name: generalized-Rabin 2 0 0" in lines
@@ -313,7 +335,7 @@ def test_hoa_header():
     lines = export_hoa(degeneralize(auto)).splitlines()
     assert "acc-name: Rabin 2" in lines
     assert "Acceptance: 4 (Fin(0)&Inf(1)) | (Fin(2)&Inf(3))" in lines
-    lines = export_hoa(_product(parse("G(F p & F q)"))[0]).splitlines()
+    lines = export_hoa(_product(parse("G(F p & F q)"))).splitlines()
     assert "acc-name: generalized-Rabin 8 0 0 1 1 1 1 2 2" in lines
     assert ("Acceptance: 16 (Fin(0)) | (Fin(1)) | (Fin(2)&Inf(3)) | "
             "(Fin(4)&Inf(5)) | (Fin(6)&Inf(7)) | (Fin(8)&Inf(9)) | "
