@@ -1,17 +1,19 @@
 """Deterministic omega-automata with explicit, complete transition tables.
 
-States are integers in discovery order; the alphabet is the powerset of the
-atomic propositions, with letter index ``i`` setting proposition ``ap[j]``
-iff bit ``j`` of ``i`` is set.  :func:`_explore` steps on these columns, so
-each automaton builds one letter table: ``letters[i]`` is letter ``i`` as a
-frozenset, ``letter_index`` maps it back to ``i``.  :func:`widen` adds
+States are integers in BFS order: :func:`_explore` numbers every automaton
+built here.  The alphabet is the powerset of the atomic propositions, with
+letter index ``i`` setting proposition ``ap[j]`` iff bit ``j`` of ``i`` is
+set.  :func:`_explore` steps on these columns, so each automaton builds
+one letter table: ``letters[i]`` is letter ``i`` as a frozenset,
+``letter_index`` maps it back to ``i``.  :func:`widen` adds
 propositions that no state reads: each letter steps like its restriction
 to the old ones, so the table is copied, not explored.  Acceptance has one
 form, generalized Rabin, ``("generalized-rabin", pairs)``: a pair
 ``(avoid, meets)`` is a set and a tuple of sets, and the automaton accepts
 iff for some pair Inf avoids ``avoid`` and meets every set in ``meets``.
 A Büchi set S is the one pair (∅, (S,)), a co-Büchi set S the one pair
-(S, ()), and a plain Rabin pair has one meet set.
+(S, ()), and a plain Rabin pair has one meet set.  :func:`state_marks` is
+the one reader of the sets each state lies in.
 
 Translation has one product step: per column, :func:`cascade` reads the bed
 successor off the bed's table and each component's successor off that
@@ -69,6 +71,8 @@ class OmegaAutomaton:
         kind, pairs = self.acc
         if kind != "generalized-rabin":
             raise AssertionError("unknown acceptance %r" % (kind,))
+        if len(set(self.ap)) != len(self.ap):
+            raise AssertionError("repeated proposition in %r" % (self.ap,))
         if not (0 <= self.init < n and len(self.labels) == n):
             raise AssertionError("initial state or labels do not fit")
         for row in self.trans:
@@ -180,6 +184,19 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
     return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 
+def state_marks(pairs, n):
+    """For each of the ``n`` states, the acceptance sets it lies in, in
+    ascending order.  The sets are numbered as in HOA: each pair's
+    consecutively, its avoid set first, then its meet sets."""
+    marks, k = [[] for _ in range(n)], 0
+    for avoid, meets in pairs:
+        for group in (avoid,) + meets:
+            for q in group:
+                marks[q].append(k)
+            k += 1
+    return marks
+
+
 def minimize(auto):
     """The Moore quotient of a generalized Rabin automaton, less the pairs
     that cannot accept; it accepts the same words.
@@ -190,68 +207,54 @@ def minimize(auto):
     split by their membership in every set of the kept pairs, then by the
     classes of their successors until no class splits.  Every kept set is
     then a union of classes, so a run and its image visit the same sets
-    infinitely often (Hopcroft 1971).  The classes are numbered in BFS
-    order from the initial state's, each is named after its first state in
-    BFS order (in a product, its first product state), and the kept pairs
-    keep their order.  No two states of the result are equivalent, but a
-    smaller equivalent automaton with other sets may exist: minimal
-    deterministic Büchi automata are NP-hard to find (Schewe, FSTTCS 2010).
+    infinitely often (Hopcroft 1971).  :func:`_explore` numbers the
+    classes in BFS order from the initial state's, each is named after its
+    first state in BFS order (in a product, its first product state), and
+    the kept pairs keep their order.  No two states of the result are
+    equivalent, but a smaller equivalent automaton with other sets may
+    exist: minimal deterministic Büchi automata are NP-hard to find
+    (Schewe, FSTTCS 2010).
     """
-    trans = auto.trans
-    order, pos = [auto.init], {auto.init: 0}
-    for q in order:             # grows as states are reached
-        for q2 in trans[q]:
-            if q2 not in pos:
-                pos[q2] = len(order)
-                order.append(q2)
-    rows = [[pos[q2] for q2 in trans[q]] for q in order]
+    trans, width = auto.trans, len(auto.letters)
+    order, rows = _explore(width, auto.init, lambda q, i: trans[q][i],
+                           len(trans))
+    seen = frozenset(order)
     pairs = []                  # the pairs kept, on the reached states
     for avoid, meets in auto.acc[1]:
-        pair = avoid & pos.keys(), tuple(m & pos.keys() for m in meets)
+        pair = avoid & seen, tuple(m & seen for m in meets)
         if pair not in pairs and not any(m <= pair[0] for m in pair[1]):
             pairs.append(pair)
-    sets = [s for avoid, meets in pairs for s in (avoid,) + meets]
-    marks = [[] for _ in order]     # position -> the sets it lies in
-    for k, s in enumerate(sets):
-        for q in s:
-            marks[pos[q]].append(k)
-    blocks = {}
-    cls = [blocks.setdefault(tuple(m), len(blocks)) for m in marks]
+    marks = state_marks(pairs, len(trans))
+    blocks = {}                 # a class is numbered by its first position
+    cls = [blocks.setdefault(tuple(marks[q]), p) for p, q in enumerate(order)]
     while True:                 # each round refines the last
         count, blocks, get = len(blocks), {}, cls.__getitem__
-        refined = [blocks.setdefault((b, *map(get, row)), len(blocks))
-                   for b, row in zip(cls, rows)]
+        refined = [blocks.setdefault((b, *map(get, row)), p)
+                   for p, (b, row) in enumerate(zip(cls, rows))]
         if len(blocks) == count:
             break
         cls = refined
-    first = {}                  # class -> its first state's position
-    for p, b in enumerate(cls):
-        first.setdefault(b, p)
-    number, reps = {cls[0]: 0}, [0]
-    for p in reps:              # BFS over the classes
-        for r in rows[p]:
-            if cls[r] not in number:
-                number[cls[r]] = len(reps)
-                reps.append(first[cls[r]])
-    h = {q: number[cls[p]] for q, p in pos.items()}
-    groups = [[] for _ in sets]
-    for j, p in enumerate(reps):    # a set holds whole classes
-        for k in marks[p]:
-            groups[k].append(j)
-    groups = iter(map(frozenset, groups))
-    acc = tuple((next(groups), tuple(next(groups) for _ in meets))
-                for _, meets in pairs)
-    return OmegaAutomaton(auto.ap, 0,
-                          [[h[q] for q in trans[order[p]]] for p in reps],
-                          [auto.labels[order[p]] for p in reps],
+    firsts, qtrans = _explore(width, 0, lambda p, i: cls[rows[p][i]],
+                              len(order))
+    reps = [order[p] for p in firsts]
+
+    def image(s):               # a set holds whole classes
+        return frozenset(j for j, q in enumerate(reps) if q in s)
+
+    acc = tuple((image(avoid), tuple(map(image, meets)))
+                for avoid, meets in pairs)
+    return OmegaAutomaton(auto.ap, 0, qtrans, [auto.labels[q] for q in reps],
                           ("generalized-rabin", acc))
 
 
 def widen(auto, ap):
     """``auto`` over the sorted superset ``ap`` of its propositions, each
     letter stepping like its restriction to ``auto.ap``; ``auto`` itself
-    when the two are equal.  The rows are copied, so no state is stepped."""
+    when the two are equal.  A name missing or repeated in ``ap`` raises
+    ValueError.  The rows are copied, so no state is stepped."""
     ap = tuple(ap)
+    if len(set(ap)) != len(ap):
+        raise ValueError("%r repeats a proposition" % (ap,))
     if ap == auto.ap:
         return auto
     if not set(auto.ap) <= set(ap):

@@ -3,9 +3,9 @@
 The writer emits one edge per letter with an explicit conjunction label and
 state-based acceptance sets, and is deterministic: same automaton, same
 bytes.  A state is named only when its label is not ``""``: HOA makes state
-names optional, and the DOT writer then shows the state number alone.  Each
-pair's sets are numbered consecutively, its avoid set first, then its meet
-sets.  The pairs are written in the automaton's order: for a translation,
+names optional, and the DOT writer then shows the state number alone.  The
+sets, and the marks of each state, are numbered as in
+:func:`~pastdra.automata.state_marks`.  The pairs are written in the automaton's order: for a translation,
 the branch order less the pairs that minimization drops.  With labels on,
 a merged state is written with the label of its first product state.  An
 automaton whose pairs each have one meet set is written as ``Rabin``, any
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .automata import OmegaAutomaton
+from .automata import OmegaAutomaton, state_marks
 
 
 def _acc_header(pairs):
@@ -42,17 +42,6 @@ def _acc_header(pairs):
         name = "generalized-Rabin %d %s" % (
             len(pairs), " ".join(str(len(meets)) for _, meets in pairs))
     return "acc-name: %s\nAcceptance: %d %s" % (name, k, " | ".join(terms))
-
-
-def _state_sets(auto):
-    """The acceptance sets of every state, each list in ascending order."""
-    sets, k = [[] for _ in range(auto.n_states())], 0
-    for avoid, meets in auto.acc[1]:
-        for group in (avoid,) + meets:
-            for q in group:
-                sets[q].append(k)
-            k += 1
-    return sets
 
 
 def _escape(text):
@@ -80,7 +69,7 @@ def export_hoa(auto, name=None):
     exprs = [" & ".join(("%d" if li >> j & 1 else "!%d") % j
                         for j in range(len(auto.ap))) or "t"
              for li in range(width)]
-    for q, sets in enumerate(_state_sets(auto)):
+    for q, sets in enumerate(state_marks(auto.acc[1], auto.n_states())):
         label = auto.labels[q]
         lines.append("State: %d%s%s" % (
             q, " " + _quote(label) if label else "",
@@ -94,7 +83,7 @@ def export_dot(auto):
     out = ["digraph automaton {", "  rankdir=LR;",
            '  __init [shape=point,label=""];',
            "  __init -> q%d;" % auto.init]
-    for q, sets in enumerate(_state_sets(auto)):
+    for q, sets in enumerate(state_marks(auto.acc[1], auto.n_states())):
         extra = " [%s]" % ",".join(map(str, sets)) if sets else ""
         shape = "doublecircle" if sets else "circle"
         label = auto.labels[q] and "\\n" + _escape(auto.labels[q])

@@ -28,6 +28,7 @@ formula's own propositions, the only ones its states read, and
 
 from __future__ import annotations
 
+from . import automata
 from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
@@ -47,7 +48,6 @@ class TranslationContext:
 
     def __init__(self, phi):
         F.clear_memos()
-        self.phi = phi
         self.ap = tuple(sorted(F.props(phi)))
         self.past_sets = enumerate_past_sets(phi)
         self.k = len(self.past_sets)
@@ -98,10 +98,8 @@ def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
             rc[tracks, i] = ctx.rc(tracks, letters[i])
         return af_class(psi, letters[i]), rc[tracks, i]
 
-    # Looked up at call time so that a wrapper installed on
-    # ``automata._explore`` (the benchmark's tracer) sees the bed too.
-    from .automata import _explore
-    order, trans = _explore(len(letters), ctx.bed_init, step, max_states)
+    order, trans = automata._explore(len(letters), ctx.bed_init, step,
+                                     max_states)
     return BedAutomaton(ctx.ap, letters, trans, list(order))
 
 

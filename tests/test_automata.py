@@ -6,8 +6,8 @@ from certificate import certify
 from pastdra.automata import (DEFAULT_MAX_STATES, RESTART, BedAutomaton,
                               OmegaAutomaton, Runner, StateLimitExceeded,
                               _explore, accepts, cascade, degeneralize,
-                              letters_for, minimize, widen)
-from pastdra.hoa import parse_hoa
+                              letters_for, minimize, state_marks, widen)
+from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import LassoWord, parse_word
 
 
@@ -69,6 +69,34 @@ def test_audit_rejects_bad_transition():
     a.trans[0][1] = 7
     with pytest.raises(AssertionError):
         a.audit()
+
+
+def test_audit_rejects_a_repeated_proposition():
+    a = OmegaAutomaton(("p", "p"), 0, [[0] * 4], [""],
+                       ("generalized-rabin", ()))
+    with pytest.raises(AssertionError):
+        a.audit()
+
+
+def test_state_marks_number_the_sets_as_hoa_does():
+    # pair 0 is sets 0-2 and shares state 2 with the co-Büchi pair 1 (set
+    # 3) and state 1 with pair 2 (sets 4 and 5); state 3 lies in no set
+    pairs = ((frozenset({0}), (frozenset({1, 2}), frozenset({2}))),
+             (frozenset({2}), ()),
+             (frozenset(), (frozenset({1}),)))
+    assert state_marks(pairs, 4) == [[0], [1, 5], [1, 2, 3], []]
+    auto = _mod_counter(("p",), 4, ("generalized-rabin", pairs))
+    auto.labels = [""] * 4
+    hoa, dot = export_hoa(auto), export_dot(auto)
+    for line in ("State: 0 {0}", "State: 1 {1 5}", "State: 2 {1 2 3}",
+                 "State: 3"):
+        assert "\n%s\n" % line in hoa
+    for line in ('q0 [shape=doublecircle,label="0 [0]"];',
+                 'q1 [shape=doublecircle,label="1 [1,5]"];',
+                 'q2 [shape=doublecircle,label="2 [1,2,3]"];',
+                 'q3 [shape=circle,label="3"];'):
+        assert "\n  %s\n" % line in dot
+    assert parse_hoa(hoa).acc == auto.acc
 
 
 def test_accepts_buchi():
@@ -478,8 +506,9 @@ def test_widen_copies_each_row_by_restriction():
     assert (wide.init, wide.labels, wide.acc) == (0, auto.labels, INF_P)
     assert accepts(wide, parse_word("; {a,b,c},{}"))
     assert not accepts(wide, parse_word("; {a,c}"))
-    with pytest.raises(ValueError):
-        widen(auto, ("a", "b"))
+    for ap in (("a", "b"), ("b", "b", "d"), ("b", "d", "d")):
+        with pytest.raises(ValueError):     # a name missing or repeated
+            widen(auto, ap)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
