@@ -1,23 +1,28 @@
 """HOA v1 and Graphviz DOT serialization of the explicit automata.
 
-The writer emits one edge per letter with an explicit conjunction label and
-state-based acceptance sets, and is deterministic: same automaton, same
-bytes.  A state is named only when its label is not ``""``: HOA makes state
-names optional, and the DOT writer then shows the state number alone.  The
-sets, and the marks of each state, are numbered as in
-:func:`~pastdra.automata.state_marks`.  The pairs are written in the automaton's order: for a translation,
-the branch order less the pairs that minimization drops.  With labels on,
-a merged state is written with the label of its first product state.  An
-automaton whose pairs each have one meet set is written as ``Rabin``, any
-other as ``generalized-Rabin``.  The reader only understands that shape
-(plus whitespace slack); it exists for round-trip checks and for feeding
-previously exported automata back into the membership checker.  It also
-reads ``Buchi`` and ``co-Buchi``, as one pair.  The roles of the sets
-come from the ``Acceptance:`` condition, a disjunction of conjunctions of
-``Fin(k)`` and ``Inf(k)`` (``f`` has no disjunct) that names every set
-once.  Its shape (disjuncts, and the Fin and Inf sets of each), its set
-count and every state mark must agree with ``acc-name:``, which allows at
-most one Fin per disjunct.
+The writer uses HOA's implicit labels and state-based acceptance sets, and
+is deterministic: same automaton, same bytes.  Under each ``State:`` line
+it writes the state's 2^|AP| successors on one line, in the letter order
+that the HOA spec gives for implicit labels and that
+:func:`~pastdra.automata.letters_for` uses: proposition 0 is the least
+significant bit, so over two propositions ``[!0&!1]``, ``[0&!1]``,
+``[!0&1]``, ``[0&1]``.  A state is named only when its label is not ``""``:
+HOA makes state names optional, and the DOT writer then shows the state
+number alone.  The sets, and the marks of each state, are numbered as in
+:func:`~pastdra.automata.state_marks`.  The pairs are written in the
+automaton's order: for a translation, the branch order less the pairs that
+minimization drops.  With labels on, a merged state is written with the
+label of its first product state.  An automaton whose pairs each have one
+meet set is written as ``Rabin``, any other as ``generalized-Rabin``.  The
+reader only understands that shape, with whitespace slack (a state's
+successors may span lines); an explicit edge such as ``[0] 1`` is an
+unsupported body line.  It serves round-trip checks and the membership
+checker, and also reads ``Buchi`` and ``co-Buchi``, as one pair.  The roles
+of the sets come from the ``Acceptance:`` condition, a disjunction of
+conjunctions of ``Fin(k)`` and ``Inf(k)`` (``f`` has no disjunct) that
+names every set once.  Its shape (disjuncts, and the Fin and Inf sets of
+each), its set count and every state mark must agree with ``acc-name:``,
+which allows at most one Fin per disjunct.
 """
 
 from __future__ import annotations
@@ -60,21 +65,17 @@ def export_hoa(auto, name=None):
         lines.append("name: " + _quote(name))
     lines.append("States: %d" % auto.n_states())
     lines.append("Start: %d" % auto.init)
-    lines.append("AP: %d %s" % (len(auto.ap), " ".join(map(_quote, auto.ap))))
+    lines.append(" ".join(["AP: %d" % len(auto.ap), *map(_quote, auto.ap)]))
     lines.append(_acc_header(auto.acc[1]))
-    lines.append("properties: trans-labels explicit-labels state-acc "
-                 "deterministic complete")
+    lines.append("properties: implicit-labels state-acc deterministic "
+                 "complete")
     lines.append("--BODY--")
-    width = 1 << len(auto.ap)
-    exprs = [" & ".join(("%d" if li >> j & 1 else "!%d") % j
-                        for j in range(len(auto.ap))) or "t"
-             for li in range(width)]
     for q, sets in enumerate(state_marks(auto.acc[1], auto.n_states())):
         label = auto.labels[q]
         lines.append("State: %d%s%s" % (
             q, " " + _quote(label) if label else "",
             " {%s}" % " ".join(map(str, sets)) if sets else ""))
-        lines.extend(["[%s] %d" % edge for edge in zip(exprs, auto.trans[q])])
+        lines.append(" ".join(map(str, auto.trans[q])))
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -104,12 +105,10 @@ def export_dot(auto):
 
 _HOA_STATE_RE = re.compile(
     r'State:\s*(\d+)(?:\s+"((?:[^"\\]|\\.)*)")?(?:\s*\{([\d\s]*)\})?\s*$')
-_HOA_EDGE_RE = re.compile(r"\[([^\]]*)\]\s*(\d+)\s*$")
-_HOA_LITERAL_RE = re.compile(r"!?[0-9]+")
 # A header line: newlines inside a quoted string do not end it.
 _HOA_LINE_RE = re.compile(r'(?:[^"\n]|"(?:[^"\\]|\\.)*")+')
 _INCOMPLETE = ("HOA transition table is incomplete: only complete automata "
-               "with one edge per letter are supported")
+               "with one successor per letter are supported")
 
 
 def _header_line(header, name, pattern):
@@ -184,14 +183,15 @@ def parse_hoa(text):
                          % (condm.group(2).strip(), nsets))
     width = 1 << len(ap)
     lines = [line for line in map(str.strip, body.splitlines()) if line]
-    # One edge line per state and letter: count them before the table is
-    # allocated, so a short body cannot announce a huge one.
-    if sum(line.startswith("[") for line in lines) < n * width:
+    # Count the successors before the table is allocated, so a short body
+    # cannot announce a huge one.
+    if sum(len(line.split()) for line in lines
+           if not line.startswith("State:")) < n * width:
         raise ValueError(_INCOMPLETE)
 
     labels = [""] * n
     sets = [[] for _ in range(n)]
-    trans = [[None] * width for _ in range(n)]
+    trans = [[] for _ in range(n)]
     cur = None
     for line in lines:
         m = _HOA_STATE_RE.match(line)
@@ -204,16 +204,11 @@ def parse_hoa(text):
                                  "declares %d sets"
                                  % (cur, max(sets[cur]), nsets))
             continue
-        m = _HOA_EDGE_RE.match(line)
-        if m and cur is not None:
-            li = _expr_letter_index(m.group(1), len(ap))
-            q2 = _state(m.group(2), n)
-            if trans[cur][li] is not None:
-                raise ValueError(_INCOMPLETE)
-            trans[cur][li] = q2
-            continue
-        raise ValueError("unsupported HOA body line: %r" % line)
-    if any(None in row for row in trans):
+        succ = line.split()
+        if cur is None or not all(map(str.isdecimal, succ)):
+            raise ValueError("unsupported HOA body line: %r" % line)
+        trans[cur] += [_state(q, n) for q in succ]
+    if any(len(row) != width for row in trans):
         raise ValueError(_INCOMPLETE)
 
     def marked(i):
@@ -244,24 +239,3 @@ def _condition(text):
                                for kind in ("Fin", "Inf")))
     return disjuncts
 
-
-def _expr_letter_index(expr, nap):
-    """The letter of an edge label that names every proposition once, as
-    ``0 & !1``, or ``t`` when there are none."""
-    expr = expr.strip()
-    tokens = [] if expr == "t" else [t.strip() for t in expr.split("&")]
-    li = named = 0
-    for token in tokens:
-        if _HOA_LITERAL_RE.fullmatch(token) is None:
-            raise ValueError("HOA edge label [%s] is not a conjunction of "
-                             "literals such as [0 & !1]" % expr)
-        j = int(token.lstrip("!"))
-        if not 0 <= j < nap:
-            raise ValueError("HOA proposition %d out of range (AP: %d)"
-                             % (j, nap))
-        named |= 1 << j
-        if not token.startswith("!"):
-            li |= 1 << j
-    if len(tokens) != nap or named != (1 << nap) - 1:
-        raise ValueError(_INCOMPLETE)
-    return li

@@ -22,6 +22,7 @@ from pastdra import proplogic as P
 from pastdra.after import af_ext
 from pastdra.automata import accepts, degeneralize, minimize, widen
 from pastdra.gen import random_formula_bounded, random_lasso
+from pastdra.hoa import export_hoa, parse_hoa
 from pastdra.lasso import holds, naive_holds
 from pastdra.rewrites import (compose_sequence, enumerate_past_sets,
                               is_saturated, rewrite_mu_limit,
@@ -189,36 +190,36 @@ def test_negated_future_spec_translates():
 # The cascade products that ``translate(..., labels=True)`` minimizes,
 # widened to {p, q, r}.
 CORPUS_HOA_SHA256 = (
-    "e2d7591196f9ad6dd2d9e6e0e93a449d7858ce115d6efccc41bcee4331ce8208")
-CORPUS_HOA_BYTES = 330572
+    "e538d0395dccf52bfaa297cac3f4ac31971f9e64a49f7aa2a1b8429ce0c43596")
+CORPUS_HOA_BYTES = 238381
 # The same text with every state label dropped: states, edges and
 # acceptance, as the product is built by default.  A change that only
 # edits labels leaves these two as they are.
 CORPUS_STRUCTURE_SHA256 = (
-    "cda48944c4b2be46be0f097bb43f848cb5a28e553e6361dc4d9a7a77004bf9c2")
-CORPUS_STRUCTURE_BYTES = 184412
+    "f2a94d6b7b2b90784c88549c0b4afa8e3a58e14a8dc1083f4fd1e971c6d55982")
+CORPUS_STRUCTURE_BYTES = 92221
 # Their plain Rabin form, ``degeneralize`` of the product.
 CORPUS_RABIN_HOA_SHA256 = (
-    "e369255ab3cb273f50c3b8427283a1a0e35773046d25c7c5141a9ce77d6c227c")
-CORPUS_RABIN_HOA_BYTES = 424091
+    "641af1b66e26fb87ab032a7a07d636e7aedcd6a415a1a7622c5a1f5d65538813")
+CORPUS_RABIN_HOA_BYTES = 324016
 CORPUS_RABIN_STRUCTURE_SHA256 = (
-    "af8a21b77722740b07584baa75dbf16cb1738fc3bec4348d88fc22373394da50")
-CORPUS_RABIN_STRUCTURE_BYTES = 260746
+    "c06c16652ff91640102370fc61792d12b8e4085a55fad018dcffb88b4b8e059a")
+CORPUS_RABIN_STRUCTURE_BYTES = 160671
 # The Moore quotients that ``translate`` returns (298 states and 129 pairs,
 # against the products' 847 and 186), then their plain Rabin form (335
 # states, against 920).
 CORPUS_REDUCED_HOA_SHA256 = (
-    "bf40754c75503113ab728357e018adc94cfcd61336aa760e3e24fd9af482a165")
-CORPUS_REDUCED_HOA_BYTES = 95675
+    "272839fbc70aa1d928f75477b46d73c6c9fc8f4a678062c930108b511e4e7dc5")
+CORPUS_REDUCED_HOA_BYTES = 62776
 CORPUS_REDUCED_STRUCTURE_SHA256 = (
-    "8955a888331e5cb98869903888d9f28a9f7213a97b0f92fd09ca3ff78df017a8")
-CORPUS_REDUCED_STRUCTURE_BYTES = 55679
+    "f09183894f0f84b8a46034adfd66a590ea25dfcc4b99b32bd10e1317d0d65d0e")
+CORPUS_REDUCED_STRUCTURE_BYTES = 22780
 CORPUS_REDUCED_RABIN_HOA_SHA256 = (
-    "764e394bf2648176af537dda023c6a7b3592eeb0d91e6769878cf25b317839cc")
-CORPUS_REDUCED_RABIN_HOA_BYTES = 113268
+    "901d5977b337a84da41a75eef0c81c1753f38d4d57aab45c6ef99a56b05ebb10")
+CORPUS_REDUCED_RABIN_HOA_BYTES = 76373
 CORPUS_REDUCED_RABIN_STRUCTURE_SHA256 = (
-    "b52b34a52f1e3b66913868bc50ba00e02aba9dcb8de666af4c12039581e6195a")
-CORPUS_REDUCED_RABIN_STRUCTURE_BYTES = 64928
+    "9d85defcb118d1849cf7f0dd07c633356eac738ed68e9dbf0bdb012d68a14fd2")
+CORPUS_REDUCED_RABIN_STRUCTURE_BYTES = 28033
 
 # Each script prints a JSON list of four texts, labelled when its argument
 # is ``labels``: the HOA of every cascade product, of its degeneralization,
@@ -325,31 +326,31 @@ def test_corpus_reduced_rabin_hoa_is_golden(corpus_hoa):
 
 
 RANDOM_HOA_SHA256 = (
-    "ae3751686f90381895a2a0cb0b5cf5daa7895ddf204c4454e00886d23a5527fc")
-RANDOM_HOA_BYTES = 748058
+    "d085d0e2c658830c745a1e4e4e4bc28c6221f2015389407e77b3ec82be110b2e")
+RANDOM_HOA_BYTES = 388070
 RANDOM_STRUCTURE_SHA256 = (
-    "b5e7839206e5e604b0f1edf9547473b03e50e6c7050ccb560615fede8abaa7c6")
-RANDOM_STRUCTURE_BYTES = 575214
+    "a957eb678dd75feae04d2617adf71aea228adbb5298a846ae8f2c28e3d83386f")
+RANDOM_STRUCTURE_BYTES = 215226
 RANDOM_RABIN_HOA_SHA256 = (
-    "dae7ab9524841dff577633946c496f872dd9f1a29c791da6c86fcf3f4a7ddb2d")
-RANDOM_RABIN_HOA_BYTES = 779940
+    "73f37d3466a3f8d31b99559179f4d611a8ecc7bf9555010cc0c27c81528f93f0")
+RANDOM_RABIN_HOA_BYTES = 409368
 RANDOM_RABIN_STRUCTURE_SHA256 = (
-    "0554652493f014b93f94c35b4fc197bf912d3b04f1dad0bb633819986de068e7")
-RANDOM_RABIN_STRUCTURE_BYTES = 597641
+    "6d478de525894c11ee03bf272e9bdbca39e426fa619afd6e036ca8e554d3a958")
+RANDOM_RABIN_STRUCTURE_BYTES = 227069
 # Their Moore quotients (2,011 states, against the products' 3,261), then
 # the quotients' plain Rabin form (2,059 states, against 3,359).
 RANDOM_REDUCED_HOA_SHA256 = (
-    "438f018a8487ced86910c9cdec7c51d76abf748b28ac2822828bfb9ed034c01b")
-RANDOM_REDUCED_HOA_BYTES = 487971
+    "07edf369bc44aa4190e639df1953617b04fcfc4493221c73420db7ae91540c0c")
+RANDOM_REDUCED_HOA_BYTES = 262983
 RANDOM_REDUCED_STRUCTURE_SHA256 = (
-    "516b25dd555af1427ac1c89cdafc449875d2aebe4554cce9e36561fc894c7d31")
-RANDOM_REDUCED_STRUCTURE_BYTES = 399738
+    "db6b6a863fb4d5db22c098707ab79631293ee3429ca9825866adb535d5486eec")
+RANDOM_REDUCED_STRUCTURE_BYTES = 174750
 RANDOM_REDUCED_RABIN_HOA_SHA256 = (
-    "518bf3af65ea24ec54c0538778fd667876404921ed34e87ab3c207d669682cfd")
-RANDOM_REDUCED_RABIN_HOA_BYTES = 501840
+    "0a007e5403962a795b56bcd7cf2ced25be109151d1b6d2ba8ec4b6037ded6961")
+RANDOM_REDUCED_RABIN_HOA_BYTES = 271668
 RANDOM_REDUCED_RABIN_STRUCTURE_SHA256 = (
-    "28fb6da170bc9a87264a4b62771c946272c8f6d6b58a2bec8a5f10ed85611dc9")
-RANDOM_REDUCED_RABIN_STRUCTURE_BYTES = 409695
+    "8ee119e1688fa0a0ba86fb58396f7e5af8d0a126d893b4f8576560195be6f899")
+RANDOM_REDUCED_RABIN_STRUCTURE_BYTES = 179523
 
 # 600 seeded random formulas with up to two past operators each, drawn
 # lazily, so that each is translated before the next is drawn: the atoms of
@@ -397,49 +398,49 @@ def test_random_reduced_rabin_hoa_is_golden(random_hoa):
 # the default text.
 PAST_WIDTH_GOLDEN = {
     "G(p <-> O q1)": (
-        3, 2467,
-        "c9c2b2bb54b45e439dbafca28fff1576a38f4f889bc90c4ee886b089853e4f1e",
-        756,
-        "045dc3e0fdf4eccc0e762c381e142641219b47a65038a47b5c9e8ee3ef7c02d3"),
+        3, 2130,
+        "8364b2fcdaf0357e90457a432e5fdb8b1f9b399d5860b97731625d756e86ecd1",
+        419,
+        "71b7f09e8edd280b13c3c929caf20824b7ddd10592a221b42490a00dd5fd81c4"),
     "G(p <-> O q1 & O q2)": (
-        5, 21309,
-        "9ce6b0c8fb2338da5f58a344077c595869a9acadbd1bd2928262d5764e09d2d0",
-        2672,
-        "239c3ac3a5be3e09551276160c832144235b1fa26fbf731e0cd32d523b19c0c1"),
+        5, 19460,
+        "da0cc82637a188715992f85164e4f496dc2d62557da4186fc6fb8783d787f086",
+        823,
+        "044158a2752b54a09ddaf71a54862a65e472e71831ad88aa0c65c9e65298e2c8"),
     "G(p <-> Y q)": (
-        3, 2233,
-        "9d41ac1c82dffe4494bceacb9e858de1ec855da1592c7ad9756e4e4bb529912f",
-        750,
-        "8160772264a648563f7bcff5c602baf5cf35257a148c07e65cb998ec9b0a5b37"),
+        3, 1896,
+        "9f66d1c9187756e2f33aaa8202a05c94af657fc14247a317542e70220cf1812c",
+        413,
+        "258ee21150f7fb41902c02e80d43fde700c59779d0a95b425f0b7c6b4e819c87"),
     "G(p <-> Y Y q)": (
-        5, 13203,
-        "33606a4d7b8c6cac82c2ad7b5717efe8b0cfde360c30c9429f6e09e6b2e38c23",
-        1253,
-        "e9ae8c237b4d8e7454f03789007261eb46c82c598a064f708d84851510078e79"),
+        5, 12578,
+        "c4bab63a792c30a4f922436bc29a5460eafe9fe67087f815f0a92727b6e01ef7",
+        628,
+        "8047bda6ffd7f1bbbc627ccfaae99c00081c3b3ac7ca1877234f02c5991643cd"),
 }
 # The same for the quotient, what ``translate`` returns: bytes and sha256
 # of its labelled text and of its structure (products of 9 and 17 states).
 PAST_WIDTH_REDUCED_GOLDEN = {
     "G(p <-> O q1)": (
-        960,
-        "9c7a2eca0a2912f0654d7192c3ce2ed4becc741c55442eaa9337995473b2cd1c",
-        393,
-        "758ee3ce1f8bb0eb48eb7deea6a674d834e4c2506c27969d3bc4f037d1a3c097"),
+        839,
+        "5db9491aaa95a3862f1bc3a30707dc43726f885ac6835540f034e6019994016d",
+        272,
+        "40cf29adee04bf8dbcf15e3810d4c0cadf8b26e28204a1d1bd1234f3b7836998"),
     "G(p <-> O q1 & O q2)": (
-        8311,
-        "1706fe6f51bbca5af4ca8f4e9683ba40088dc6d9aa1d9280aa4bd1d1fbe51099",
-        925,
-        "b9bb788dcf99d8d69cf7cd75fa520e04856f4750d455867abe75f787162ea805"),
+        7758,
+        "5bc5ac0e61005b4d05aac93df7ebb174e3d730c73bff225b3ed4472b31ac8dfb",
+        372,
+        "82074f0c55fc7c786cf6cdb0d06a5c2ca4c0736d494235e987e0a2bd72c5a1c2"),
     "G(p <-> Y q)": (
-        871,
-        "884e81df6493125da205998b4f32572472a79a790578aa6d6da0b91870bef283",
-        387,
-        "dd27048bf7b813ac659b8cf6211d4f967fd3610d1ecb6f03e7683a4c796b65ab"),
+        750,
+        "4454ca2ab261b66054e38ca6aaa5d2d17259252541c74cdcbc8ee3ce9c8ad3dd",
+        266,
+        "b1371957e6cdf59be40070d727de9eeb39935fac713ba017c0d4c8565565fd19"),
     "G(p <-> Y Y q)": (
-        5127,
-        "1b610afe60b0fcb8ddb3781398c5396a6fbbec8cf6bab6d43333c9b977f3864d",
-        498,
-        "6d67ebf7f2eec0071c7bdfdfae4731bc9330cbbfded1b2f85c75df49f5db86ed"),
+        4934,
+        "9ce479339065e02d1f6203967fd8df1a066604c9cb14ced27411a1f412dee9d9",
+        305,
+        "91a52afe36b5bc035163de8ef3788e76e6fae12286c70693bb9e20254e0cbfed"),
 }
 _PAST_WIDTH_SCRIPT = """
 import json, sys
@@ -496,6 +497,29 @@ def test_minimize_is_certified(corpus_automata):
     for phi in cases:
         raw = _product(phi)
         certify(raw, minimize(raw))
+
+
+_ROUND_TRIP_CASES = {
+    "corpus": lambda: [(parse(text), AP3) for text in CORPUS],
+    "random": lambda: [
+        (random_formula_bounded(rng, AP3, max_size=6, max_past=2), AP3)
+        for rng in (random.Random(1), random.Random(2)) for _ in range(300)],
+    "past_width": lambda: [(parse(text), None) for text in PAST_WIDTH_GOLDEN],
+    "wide": lambda: [(parse("G p"), ["p"] + ["x%02d" % i for i in range(12)])],
+}
+
+
+@pytest.mark.parametrize("labels", [False, True])
+@pytest.mark.parametrize("family", sorted(_ROUND_TRIP_CASES))
+def test_hoa_reads_back_what_it_writes(family, labels):
+    # every translation and its plain Rabin form read back exactly
+    for phi, ap in _ROUND_TRIP_CASES[family]():
+        auto = translate(phi, ap, max_states=200000, labels=labels)
+        for a in (auto, degeneralize(auto)):
+            back = parse_hoa(export_hoa(a, name=str(phi)))
+            assert (back.ap, back.init, back.trans, back.labels,
+                    back.acc) == (a.ap, a.init, a.trans, a.labels,
+                                  a.acc), phi
 
 
 def test_past_and_pure_future_phrasings_agree(corpus_automata):

@@ -40,8 +40,8 @@ def _p_tracker_hoa(acc_name, acceptance, marks=("", " {0}")):
     return parse_hoa("\n".join([
         "HOA: v1", "States: 2", "Start: 0", 'AP: 1 "p"',
         "acc-name: " + acc_name, "Acceptance: " + acceptance, "--BODY--",
-        'State: 0 "!p"' + marks[0], "[!0] 0", "[0] 1",
-        'State: 1 "p"' + marks[1], "[!0] 0", "[0] 1", "--END--"]))
+        'State: 0 "!p"' + marks[0], "0 1",
+        'State: 1 "p"' + marks[1], "0 1", "--END--"]))
 
 
 INF_P = ("generalized-rabin", ((frozenset(), (frozenset({1}),)),))

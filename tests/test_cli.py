@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pastdra import cli, export_hoa, parse
+from pastdra import cli, export_hoa, parse, parse_hoa
 from pastdra.cli import main
 from pastdra.translate import _product
 
@@ -223,11 +223,14 @@ def test_out_of_memory_exit_code(capsys, monkeypatch):
     assert err.strip() == "error: out of memory"
 
 
-def _check_hoa(capsys, text):
+def _check_hoa(capsys, text, start="error: HOA"):
     code, out, err = run(capsys, "check", text, "; {q}")
-    assert code == 1 and not out and err.startswith("error: HOA"), err
+    assert code == 1 and not out and err.startswith(start), err
     assert err.count("\n") == 1, err
     return err
+
+
+_BODY_LINE = "error: unsupported HOA body line: "
 
 
 def _fq_hoa(labels=False):
@@ -354,28 +357,69 @@ def test_check_hoa_ignores_foreign_propositions(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("old,new", [
-    ("[0] 2\n", ""),                         # a letter without an edge
-    ("[!0] 1\n[0] 2\n", "[t] 1\n"),          # "t" is one letter of two
-    ("[0] 2\n", "[0] 2\n[0] 0\n"),           # two edges for one letter
-    ("[0] 2\n", "[0 & !0] 2\n"),             # a proposition named twice
+    ("{2}\n3 3\n", "{2}\n3\n"),                # too few successors
+    ("{2}\n3 3\n", "{2}\n3 3 3\n"),            # too many successors
+    ("State: 4\n4 2\n", "State: 4\n4 2\n" * 2),  # a repeated state
 ])
 def test_check_hoa_incomplete_table(capsys, old, new):
     text = _fq_hoa().replace(old, new, 1)
     assert "incomplete" in _check_hoa(capsys, text)
 
 
-@pytest.mark.parametrize("label", ["0 | !0", "", "!!0", "0 & p"])
+@pytest.mark.parametrize("label", ["0", "0 | !0", "", "!!0", "0 & p"])
 def test_check_hoa_unsupported_edge_label(capsys, label):
-    text = _fq_hoa().replace("[0] 2\n", "[%s] 2\n" % label, 1)
-    err = _check_hoa(capsys, text)
-    assert "edge label [%s]" % label in err, err
+    # an edge with an explicit label is not read, whatever its label
+    text = _fq_hoa().replace("{2}\n3 3\n", "{2}\n3\n[%s] 3\n" % label, 1)
+    assert "'[%s] 3'" % label in _check_hoa(capsys, text, _BODY_LINE)
 
 
 @pytest.mark.parametrize("old,new", [
-    ("[0] 2\n", "[0] 5\n"),                  # successor past the last state
+    ("{2}\n3 3\n", "{2}\n3 x\n"),              # a token that is no number
+    ("{2}\n3 3\n", "{2}\n3 -3\n"),
+    ("--BODY--\n", "--BODY--\n1 2\n"),          # successors of no state
+])
+def test_check_hoa_unsupported_body_line(capsys, old, new):
+    text = _fq_hoa().replace(old, new, 1)
+    _check_hoa(capsys, text, _BODY_LINE)
+
+
+def test_check_hoa_rejects_explicit_labels(capsys):
+    # the one-edge-per-letter form that earlier versions wrote
+    text = re.sub(r"^(\d+) (\d+)$", r"[!0] \1\n[0] \2", _fq_hoa(),
+                  flags=re.M)
+    text = text.replace("properties: implicit-labels",
+                        "properties: trans-labels explicit-labels")
+    assert "\n[!0] 1\n[0] 2\n" in text
+    assert "'[!0] 1'" in _check_hoa(capsys, text, _BODY_LINE)
+
+
+def test_check_hoa_reads_successors_over_lines():
+    # a state's successors may span lines, parted by any whitespace
+    text = _fq_hoa()
+    spread = text.replace("{2}\n3 3\n", "{2}\n 3\n\n3\t\n", 1)
+    assert spread != text
+    assert parse_hoa(spread).trans == parse_hoa(text).trans
+
+
+def test_check_reads_implicit_labels_in_the_spec_order(capsys):
+    """The HOA spec lists the implicit labels over two propositions in the
+    order ``[!0&!1]``, ``[0&!1]``, ``[!0&1]``, ``[0&1]``: proposition 0 is
+    the least significant bit.  Only the second successor, the letter {a},
+    stays in the accepting state."""
+    text = ('HOA: v1\nStates: 2\nStart: 0\nAP: 2 "a" "b"\n'
+            "acc-name: Buchi\nAcceptance: 1 Inf(0)\n"
+            "properties: implicit-labels state-acc deterministic complete\n"
+            "--BODY--\nState: 0 {0}\n1 0 1 1\nState: 1\n1 1 1 1\n--END--\n")
+    for word, want in (("; {a}", "accepts"), ("; {b}", "rejects"),
+                       ("; {a,b}", "rejects"), ("; {}", "rejects")):
+        code, out, err = run(capsys, "check", text, word)
+        assert code == 0 and out.strip() == want and not err, word
+
+
+@pytest.mark.parametrize("old,new", [
+    ("}\n1 2\n", "}\n1 5\n"),                  # successor past the last state
     ("Start: 0\n", "Start: 5\n"),
     ("State: 4 ", "State: 5 "),
-    ("[0] 2\n", "[1] 2\n"),                  # proposition past the last one
 ])
 def test_check_hoa_out_of_range(capsys, old, new):
     # labelled, so that a state line goes on after its number

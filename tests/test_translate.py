@@ -346,6 +346,21 @@ def test_hoa_header():
     assert marks and all(m == sorted(m) for m in marks)
 
 
+def test_hoa_over_no_proposition():
+    # one letter, the empty one: the AP: line names nothing and each state
+    # has one successor
+    auto = translate(parse("tt"))
+    text = export_hoa(auto)
+    assert text.splitlines()[:8] == [
+        "HOA: v1", "States: 1", "Start: 0", "AP: 0",
+        "acc-name: generalized-Rabin 1 0", "Acceptance: 1 (Fin(0))",
+        "properties: implicit-labels state-acc deterministic complete",
+        "--BODY--"]
+    back = parse_hoa(text)
+    assert (back.ap, back.init, back.trans, back.labels, back.acc) == (
+        (), 0, [[0]], [""], auto.acc)
+
+
 def test_dot_export_mentions_all_states():
     # an unnamed state shows its number and acceptance sets alone
     auto = translate(parse("F p"))
@@ -367,11 +382,9 @@ acc-name: Rabin 1
 Acceptance: 2 Fin(0)&Inf(1)
 --BODY--
 State: 0 "x\\" {1}
-[!0] 0
-[0] 1
+0 1
 State: 1 "say \"hi\""
-[!0] 1
-[0] 1
+1 1
 --END--
 ''')
     assert auto.labels == ["x\\", 'say "hi"']
