@@ -15,28 +15,18 @@ A Büchi set S is the one pair (∅, (S,)), a co-Büchi set S the one pair
 (S, ()), and a plain Rabin pair has one meet set.  :func:`state_marks` is
 the one reader of the sets each state lies in.
 
-Translation has one product step: per column, :func:`cascade` reads the bed
-successor off the bed's table and each component's successor off that
-component's step table, keyed by (state, column) and filled on first use,
-so a runner is stepped once per distinct key, not once per product
-transition.  A step may answer :data:`RESTART`; the component then restarts
-from the reached bed state, and remembers its restarts itself.  ``cascade``
-then reads one generalized pair per branch off the explored states, testing
-each distinct component state once.  State labels are a debugging aid:
-``cascade`` names the states only when given a ``name`` function, and
-otherwise every state's label is ``""``.  :func:`minimize` merges the
-states that no word tells apart (a Moore quotient, which steps no runner):
-the pairs keep their branch order, less the repeated ones and those that
-accept nothing, and a merged state is named after its first product state.
+State labels are a debugging aid; an unnamed state's label is ``""``.
+:func:`minimize` merges the states that no word tells apart (a Moore
+quotient): the pairs keep their order, less the repeated ones and those
+that accept nothing, and a merged state is named after its first state.
 :func:`degeneralize` turns a generalized automaton into a plain Rabin
-automaton with one counter per pair; it and ``cascade`` stop at
-``max_states``, ``DEFAULT_MAX_STATES`` unless given.  :func:`accepts` reads
-a lasso word through the letter table and walks its cycle a lap at a time.
+automaton with one counter per pair; it stops at ``max_states``,
+``DEFAULT_MAX_STATES`` unless given.  :func:`accepts` reads a lasso word
+through the letter table and walks its cycle a lap at a time.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 DEFAULT_MAX_STATES = 200000
@@ -88,27 +78,6 @@ class OmegaAutomaton:
         return True
 
 
-@dataclass
-class BedAutomaton:
-    """The acceptance-free component the runners observe; starts in 0."""
-    ap: tuple
-    letters: list             # letters_for(ap), the table it was explored on
-    trans: list
-    state_objs: list          # opaque payload per state, passed to runners
-
-
-RESTART = object()              # a step result: restart from the bed
-
-Runner = namedtuple("Runner", "init step accepting restart", defaults=(None,))
-Runner.__doc__ = """\
-A Büchi or co-Büchi component that also observes the bed.
-
-``step(q, sigma)`` is the successor of ``q`` on a letter, and
-``accepting(q)`` marks the states of its set.  A step that returns
-:data:`RESTART` reads no letter: the successor is ``restart(s)`` for the
-payload ``s`` of the bed state *reached* on the current letter."""
-
-
 class StateLimitExceeded(Exception):
     pass
 
@@ -132,56 +101,6 @@ def _explore(width, init_state, succ, max_states):
             row.append(j)
         trans.append(row)
     return order, trans
-
-
-def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
-            name=None):
-    """Generalized Rabin automaton of the union over the branches of the
-    intersection of their components, all observing the bed.
-
-    ``components`` are runners, each stepped once per distinct (component
-    state, column) and tested for its set once per distinct state, however
-    many product states and branches share it; first calls come in the
-    order of a plain product walk.  A branch ``(co-Büchi indices, Büchi
-    indices)`` gives one pair.  It avoids the states where one of its
-    co-Büchi components is in its set, and has one meet set per Büchi
-    component: the states where that component is in its set.  States are
-    ``(component states, bed state)`` in BFS order; the pairs come in
-    branch order.  ``name(component states, bed payload)`` labels a state
-    once the product is explored; without it every label is ``""``.
-    Raises :class:`StateLimitExceeded` when exploration would pass
-    ``max_states``.
-    """
-    steps = [{} for _ in components]     # (q, column) -> q', or RESTART
-
-    def succ(state, i):
-        qs, s = state
-        s2 = bed.trans[s][i]
-        out = []
-        for c, table, q in zip(components, steps, qs):
-            key = q, i
-            if key not in table:
-                table[key] = c.step(q, bed.letters[i])
-            q2 = table[key]
-            out.append(c.restart(bed.state_objs[s2]) if q2 is RESTART
-                       else q2)
-        return tuple(out), s2
-
-    init = (tuple(c.init for c in components), 0)
-    order, trans = _explore(len(bed.letters), init, succ, max_states)
-    labels = ([name(qs, bed.state_objs[s]) for qs, s in order] if name
-              else [""] * len(order))
-    marked = []
-    for j, c in enumerate(components):
-        inside = {q for q in dict.fromkeys(qs[j] for qs, _ in order)
-                  if c.accepting(q)}
-        marked.append(frozenset(i for i, (qs, _) in enumerate(order)
-                                if qs[j] in inside))
-    acc = ("generalized-rabin", tuple(
-        (frozenset().union(*(marked[j] for j in co)),
-         tuple(marked[j] for j in bu))
-        for co, bu in branches))
-    return OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 
 def state_marks(pairs, n):

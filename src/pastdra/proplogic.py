@@ -60,7 +60,8 @@ def _node(var, hi, lo):
 
 def _level(b):
     # Atom order is global first-interning order of the underlying formulas.
-    return b.var.uid if b.var is not None else float("inf")
+    # No constant gets here: ``_apply`` has returned on each one already.
+    return b.var.uid
 
 
 def _apply(op, a, b):

@@ -9,15 +9,17 @@ at the all-weak set.  Each branch contributes one generalized Rabin pair
 and intersects a few runners: the safety runner ``S`` of M, a ``G`` runner
 per (psi, M) and an ``F`` runner per (psi, N).  The pair avoids the
 co-Büchi sets of the first two kinds and has one meet set per ``F``
-runner.  A runner state is one derivative, and every runner starts and
-restarts from the bed by one rule.  Runners are shared across guesses, so
-each distinct one is built once, stepped once per distinct (runner state,
-letter) and restarted once per distinct part of the bed state it reads, and
-:func:`~pastdra.automata.cascade` explores the bed, the runners and the
-branches in one product, so the bed is never duplicated.  State labels
-print formula text and are built only on request.  The branches, and so
-the product's pairs, come M-major: M and N each run over the subsets of
-the sorted fixpoint subformulas by size, then lexicographically.
+runner.  A runner state is one derivative, and a runner starts as a
+restart from the bed's initial state.  The product has one rule: a runner
+in its set is not stepped but restarts from the bed state the letter
+reaches.  Runners are shared across guesses, so each distinct one is
+built once, stepped once per distinct (runner state, letter) and restarted
+once per distinct part of the bed state it reads, and :func:`cascade`
+explores the bed, the runners and the branches in one product, so the bed
+is never duplicated.  State labels print formula text and are built only
+on request.  The branches, and so the product's pairs, come M-major: M
+and N each run over the subsets of the sorted fixpoint subformulas by
+size, then lexicographically.
 :func:`translate` returns the product's Moore quotient
 (:func:`~pastdra.automata.minimize`): its pairs keep that order, less the
 ones that repeat an earlier pair or accept nothing, and a merged state is
@@ -28,12 +30,14 @@ formula's own propositions, the only ones its states read, and
 
 from __future__ import annotations
 
+from collections import namedtuple
+from dataclasses import dataclass
+
 from . import automata
 from . import formula as F
 from . import proplogic as P
 from .after import af_class, af_loc, derive
-from .automata import (DEFAULT_MAX_STATES, RESTART, BedAutomaton, Runner,
-                       cascade, letters_for, minimize, widen)
+from .automata import DEFAULT_MAX_STATES, letters_for, minimize, widen
 from .rewrites import (enumerate_past_sets, is_saturated, rewrite_mu_limit,
                        rewrite_nu_limit, rewrite_set, rewrite_under, subsets,
                        wc)
@@ -85,6 +89,15 @@ class TranslationContext:
         return tuple(parts)
 
 
+@dataclass
+class BedAutomaton:
+    """The acceptance-free component the runners observe; starts in 0."""
+    ap: tuple
+    letters: list             # letters_for(ap), the table it was explored on
+    trans: list
+    state_objs: list          # the bed state per index, passed to restarts
+
+
 def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
     """The bed: the formula's derivative and one weakening-obligation track
     per enumerated past set; raises :class:`StateLimitExceeded` past
@@ -101,6 +114,66 @@ def build_wc_automaton(ctx, max_states=DEFAULT_MAX_STATES):
     order, trans = automata._explore(len(letters), ctx.bed_init, step,
                                      max_states)
     return BedAutomaton(ctx.ap, letters, trans, list(order))
+
+
+Runner = namedtuple("Runner", "init step accepting restart")
+Runner.__doc__ = """\
+A Büchi or co-Büchi component that also observes the bed.
+
+``step(q, sigma)`` is the successor of ``q`` on a letter, ``accepting(q)``
+marks the states of its set, and ``restart(s)`` is the successor of a
+state in its set when the letter takes the bed to state ``s``."""
+
+_RESTART = object()             # a step table entry: the runner restarts
+
+
+def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
+            name=None):
+    """Generalized Rabin automaton of the union over the branches of the
+    intersection of their components, all observing the bed.
+
+    ``components`` are runners.  Each is tested for its set, then stepped
+    or restarted, once per distinct (runner state, column), however many
+    product states and branches share it; first calls come in the order
+    of a plain product walk.  A branch ``(co-Büchi indices, Büchi
+    indices)`` gives one pair.  It avoids the states where one of its
+    co-Büchi components is in its set, and has one meet set per Büchi
+    component: the states where that component is in its set.  States are
+    ``(runner states, bed state index)`` in BFS order; the pairs come in
+    branch order.  ``name(runner states, bed state)`` labels a state once
+    the product is explored; without it every label is ``""``.  Raises
+    :class:`StateLimitExceeded` when exploration would pass ``max_states``.
+    """
+    steps = [{} for _ in components]     # (q, column) -> q', or _RESTART
+
+    def succ(state, i):
+        qs, s = state
+        s2 = bed.trans[s][i]
+        out = []
+        for c, table, q in zip(components, steps, qs):
+            key = q, i
+            if key not in table:
+                table[key] = (_RESTART if c.accepting(q)
+                              else c.step(q, bed.letters[i]))
+            q2 = table[key]
+            out.append(c.restart(bed.state_objs[s2]) if q2 is _RESTART
+                       else q2)
+        return tuple(out), s2
+
+    init = (tuple(c.init for c in components), 0)
+    order, trans = automata._explore(len(bed.letters), init, succ,
+                                     max_states)
+    labels = ([name(qs, bed.state_objs[s]) for qs, s in order] if name
+              else [""] * len(order))
+    # every explored runner state has its column 0 entry, its set's mark
+    marked = [frozenset(n for n, (qs, _) in enumerate(order)
+                        if table[qs[j], 0] is _RESTART)
+              for j, table in enumerate(steps)]
+    acc = ("generalized-rabin", tuple(
+        (frozenset().union(*(marked[j] for j in co)),
+         tuple(marked[j] for j in bu))
+        for co, bu in branches))
+    return automata.OmegaAutomaton(bed.ap, 0, trans, labels, acc)
 
 
 _limit_memo = F.memo()
@@ -121,10 +194,10 @@ def _limit_runner(ctx, tag, psi, S):
     ``F.ev``, Büchi on tt) or premise 3 (tag ``G``: ``rewrite_mu_limit``,
     ``F.alw``, co-Büchi on ff).
 
-    A state is one derivative ``zeta``.  Whenever ``zeta`` is the trigger
-    the runner restarts from the bed state it reaches: the disjunction over
-    the tracks i of a seed and track i, both seen through the limit under
-    ``S`` rewritten under C_i.  The seed of ``S`` is the bed's derivative,
+    A state is one derivative ``zeta``, stepped by ``af_class``; the
+    trigger is the runner's set, so there it restarts from the bed state it
+    reaches: the disjunction over the tracks i of a seed and track i, both
+    seen through the limit under ``S`` rewritten under C_i.  The seed of ``S`` is the bed's derivative,
     so ``S`` reads the whole bed state; that of ``G`` and ``F`` is
     ``wrap(psi)`` rewritten under C_i, so they read the tracks alone.  A
     restart reads no letter, and any other step reads no bed state.  The
@@ -149,15 +222,12 @@ def _limit_runner(ctx, tag, psi, S):
                 for i, track in enumerate(tracks))
         return restarts[seen]
 
-    def step(zeta, sigma):
-        return RESTART if zeta is trigger else af_class(zeta, sigma)
-
-    return Runner(restart(ctx.bed_init), step, lambda z: z is trigger,
+    return Runner(restart(ctx.bed_init), af_class, lambda z: z is trigger,
                   restart)
 
 
 def _namer(keys):
-    """``name`` for :func:`~pastdra.automata.cascade`: a state is labelled
+    """``name`` for :func:`cascade`: a state is labelled
     ``tag:zeta; ... | psi <b0, b1, ...>``, one part per runner in runner
     order, then the bed's derivative and tracks.  Each distinct runner or
     bed state is printed once."""

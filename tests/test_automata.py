@@ -3,12 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certificate import certify
-from pastdra.automata import (DEFAULT_MAX_STATES, RESTART, BedAutomaton,
-                              OmegaAutomaton, Runner, StateLimitExceeded,
-                              _explore, accepts, cascade, degeneralize,
+from pastdra.automata import (DEFAULT_MAX_STATES, OmegaAutomaton,
+                              StateLimitExceeded, accepts, degeneralize,
                               letters_for, minimize, state_marks, widen)
 from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import LassoWord, parse_word
+from pastdra.translate import BedAutomaton, Runner, cascade
 
 
 def test_letters_for_order():
@@ -233,190 +233,28 @@ def test_accepts_matches_step_per_position(rng):
         assert accepts(auto, w) == _reference_accepts(auto, w), (auto, w)
 
 
+def _counter():
+    # counts letters forever; never in its set, so it never restarts
+    return Runner(init=0, step=lambda q, s: q + 1, accepting=lambda q: False,
+                  restart=None)
+
+
 def _one_state_bed(ap):
     return BedAutomaton(ap=tuple(ap), letters=letters_for(ap),
                         trans=[[0] * (1 << len(ap))], state_objs=["-"])
 
 
-def _last_letter(prop):
-    # state 1 iff the last letter contained the given proposition; the
-    # accepting set is {1}
-    return Runner(init=0, step=lambda q, s: int(prop in s),
-                  accepting=lambda q: q == 1)
-
-
-def _name(qs, bed_state):
-    return "%s | %s" % ("; ".join(map(str, qs)), bed_state)
-
-
-def test_rabin_union_is_language_union():
-    # one shared component: Büchi in one branch, co-Büchi in the other
-    words = [parse_word("; {p}"), parse_word("; {}"),
-             parse_word("{p} ; {}"), parse_word("; {p},{}")]
-    bed = _one_state_bed(("p",))
-    last_p = _last_letter("p")
-    steps = []
-
-    def counted_step(q, sigma):
-        steps.append((q, sigma))
-        return last_p.step(q, sigma)
-
-    counted = Runner(0, counted_step, last_p.accepting)
-    u = cascade(bed, [counted], [([], [0]), ([0], [])], name=_name)
-    u.audit()
-    assert len(u.acc[1]) == 2
-    assert u.labels == ["0 | -", "1 | -"]
-    # stepped once per (state, letter), not once per branch
-    assert len(steps) == len(set(steps)) == u.n_states() * 2
-    inf_p = cascade(bed, [last_p], [([], [0])])
-    fin_p = cascade(bed, [last_p], [([0], [])])
-    # one Büchi component: the pair meets its set, so the component alone
-    assert inf_p.n_states() == 2
-    assert inf_p.acc[1] == ((frozenset(), (frozenset({1}),)),)
-    assert fin_p.acc[1] == ((frozenset({1}), ()),)
-    assert not accepts(inf_p, parse_word("{p} ; {}"))
-    assert not accepts(fin_p, parse_word("; {p},{}"))
-    for w in words:
-        assert accepts(u, w) == (accepts(inf_p, w) or accepts(fin_p, w))
-
-
-def test_rabin_conjunction_single_pair():
-    # Büchi "p infinitely often" and co-Büchi "q finitely often" conjoined
-    bed = _one_state_bed(("p", "q"))
-    buchi = _last_letter("p")
-    cob = _last_letter("q")
-    a = cascade(bed, [cob, buchi], [([0], [1])], name=_name)
-    a.audit()
-    assert a.acc[0] == "generalized-rabin" and len(a.acc[1]) == 1
-    assert a.labels[0] == "0; 0 | -"
-    assert accepts(a, parse_word("; {p}"))
-    assert accepts(a, parse_word("{q} ; {p},{}"))
-    assert not accepts(a, parse_word("; {p,q}"))
-    assert not accepts(a, parse_word("; {}"))
-    # two Büchi components: one meet set each, no counter in the product
-    both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])],
-                   name=_name)
-    assert both.n_states() == 4
-    assert [len(meets) for _, meets in both.acc[1]] == [2]
-    # degeneralized, they are watched in turn: 2 x 2 component states x 2
-    # counter values
-    rabin = degeneralize(both)
-    rabin.audit()
-    assert rabin.n_states() == 8
-    assert [len(meets) for _, meets in rabin.acc[1]] == [1]
-    assert set(rabin.labels) == set(both.labels)
-    for w in ("; {p},{q}", "; {p,q}", "{q} ; {p}", "; {q},{},{p}", "; {}"):
-        w = parse_word(w)
-        recur = set().union(*w.period)
-        assert accepts(rabin, w) == accepts(both, w) == (
-            {"p", "q"} <= recur), w
-
-
-def test_cascade_runner_sees_reached_bed_state():
-    # bed flips between two states on p; the runner restarts on every
-    # letter and copies what it observes
-    bed = BedAutomaton(ap=("p",), letters=letters_for(("p",)),
-                       trans=[[0, 1], [1, 0]], state_objs=["a", "b"])
-    run = Runner(init="a", step=lambda q, s: RESTART,
-                 accepting=lambda q: q == "b", restart=str)
-    a = cascade(bed, [run], [([], [0])])
-    a.audit()
-    assert accepts(a, parse_word("{p} ; {}"))  # bed reaches b and stays
-    assert not accepts(a, parse_word("; {}"))  # bed never leaves a
-
-
-def _plain_product(bed, components, branches):
-    # the product as a plain walk: every runner is stepped on every
-    # transition, and restarted whenever its step says so
-    def succ(state, i):
-        qs, s = state
-        s2 = bed.trans[s][i]
-        out = []
-        for c, q in zip(components, qs):
-            q2 = c.step(q, bed.letters[i])
-            out.append(c.restart(bed.state_objs[s2]) if q2 is RESTART
-                       else q2)
-        return tuple(out), s2
-
-    init = (tuple(c.init for c in components), 0)
-    order, trans = _explore(len(bed.letters), init, succ, 100)
-    labels = [_name(qs, bed.state_objs[s]) for qs, s in order]
-    marked = [frozenset(n for n, (qs, _) in enumerate(order)
-                        if c.accepting(qs[j]))
-              for j, c in enumerate(components)]
-    pairs = tuple((frozenset().union(*(marked[j] for j in co)),
-                   tuple(marked[j] for j in bu)) for co, bu in branches)
-    return trans, labels, pairs
-
-
-def test_cascade_steps_each_component_state_once():
-    # the bed records whether p has been seen, so both bed states reach
-    # state 1 on {p}; two runners remember the last letter, and a third
-    # restarts on every letter and copies the bed state it reaches
-    bed = BedAutomaton(ap=("p", "q"), letters=letters_for(("p", "q")),
-                       trans=[[0, 1, 0, 1], [1, 1, 1, 1]], state_objs="ba")
-    calls = {}
-
-    def counted(k, runner):
-        def count(kind):
-            def call(*args):
-                calls.setdefault((kind, k), []).append(args)
-                return getattr(runner, kind)(*args)
-            return call
-        kinds = ("step", "accepting", "restart")
-        return runner._replace(**{kind: count(kind) for kind in kinds
-                                  if getattr(runner, kind)})
-
-    copy = Runner(init="b", step=lambda q, s: RESTART,
-                  accepting=lambda q: q == "a", restart=str)
-    branches = [([0], [1]), ([2], [0, 1])]
-    runners = [counted(k, r) for k, r in enumerate(
-        [_last_letter("p"), _last_letter("q"), copy])]
-    plain = _plain_product(bed, runners, branches)
-    walk, calls = calls, {}
-    auto = cascade(bed, runners, branches, name=_name)
-    auto.audit()
-    assert auto.n_states() == 6
-    assert (auto.trans, auto.labels, auto.acc[1]) == plain
-    assert len(walk["step", 0]) == 6 * 4
-    # each runner is stepped once per distinct (state, letter) and tested
-    # once per distinct state, first calls in walk order; a restart follows
-    # every step that asks for one, and the runner keeps what it computed
-    assert sorted(calls) == sorted(walk)
-    for key, seq in walk.items():
-        expected = seq if key[0] == "restart" else list(dict.fromkeys(seq))
-        assert calls[key] == expected, key
-    assert [len(calls["step", k]) for k in (0, 1, 2)] == [8, 8, 8]
-    assert [len(calls["accepting", k]) for k in (0, 1, 2)] == [2, 2, 2]
-    # without a name function no state is named
-    unnamed = cascade(bed, runners, branches)
-    assert (unnamed.trans, unnamed.acc[1]) == (plain[0], plain[2])
-    assert unnamed.labels == [""] * 6
-
-
 def test_cascade_state_limit():
-    bed = _one_state_bed(("p",))
-    run = Runner(init=0, step=lambda q, s: q + 1, accepting=lambda q: False)
     with pytest.raises(StateLimitExceeded):
-        cascade(bed, [run], [], max_states=10)
+        cascade(_one_state_bed(("p",)), [_counter()], [], max_states=10)
 
 
 def test_cascade_stops_at_the_default_cap():
-    # no call runs uncapped: a runner that counts forever stops at the
+    # no call runs uncapped: the translation's product stops at the
     # library default
-    run = Runner(init=0, step=lambda q, s: q + 1, accepting=lambda q: False)
     with pytest.raises(StateLimitExceeded) as info:
-        cascade(_one_state_bed(()), [run], [])
+        cascade(_one_state_bed(()), [_counter()], [])
     assert info.value.args == (DEFAULT_MAX_STATES,)
-
-
-def test_degeneralize_state_limit():
-    bed = _one_state_bed(("p", "q"))
-    both = cascade(bed, [_last_letter("p"), _last_letter("q")],
-                   [([], [0, 1])])
-    assert degeneralize(both, max_states=8).n_states() == 8
-    with pytest.raises(StateLimitExceeded):
-        degeneralize(both, max_states=7)
 
 
 def _over_p(trans, *pairs, init=0):

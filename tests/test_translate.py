@@ -10,13 +10,14 @@ from test_acceptance import CORPUS, FUTURE_HISTORY_SPEC
 from pastdra import automata
 from pastdra import formula as F
 from pastdra import proplogic as P
-from pastdra.automata import StateLimitExceeded, accepts, degeneralize
+from pastdra.automata import (StateLimitExceeded, _explore, accepts,
+                              degeneralize, letters_for)
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import holds, parse_word
-from pastdra.translate import (TranslationContext, _product,
-                               build_wc_automaton, translate,
-                               translation_stats)
+from pastdra.translate import (BedAutomaton, Runner, TranslationContext,
+                               _product, build_wc_automaton, cascade,
+                               translate, translation_stats)
 
 parse = F.parse
 
@@ -143,6 +144,219 @@ def test_rabin_component_is_one_witness():
     assert accepts(comp, parse_word("; {p}"))
     assert accepts(comp, parse_word("; {p},{}"))
     assert not accepts(comp, parse_word("{p} ; {}"))
+
+
+def _letter_bed(ap):
+    # the bed state is the letter just read, from the empty letter on
+    letters = letters_for(ap)
+    return BedAutomaton(ap=tuple(ap), letters=letters,
+                        trans=[list(range(len(letters))) for _ in letters],
+                        state_objs=letters)
+
+
+def _last_letter(prop):
+    # state 1 iff the last letter contained the given proposition; the set
+    # is {1}, where the runner restarts from the letter the bed reached
+    return Runner(init=0, step=lambda q, s: int(prop in s),
+                  accepting=lambda q: q == 1,
+                  restart=lambda letter: int(prop in letter))
+
+
+def _name(qs, letter):
+    return "%s | %s" % ("; ".join(map(str, qs)),
+                        "".join(sorted(letter)) or "-")
+
+
+def test_rabin_union_is_language_union():
+    # one shared component: Büchi in one branch, co-Büchi in the other
+    words = [parse_word("; {p}"), parse_word("; {}"),
+             parse_word("{p} ; {}"), parse_word("; {p},{}")]
+    bed = _letter_bed(("p",))
+    last_p = _last_letter("p")
+    steps = []
+
+    def counted_step(q, sigma):
+        steps.append((q, sigma))
+        return last_p.step(q, sigma)
+
+    counted = last_p._replace(step=counted_step)
+    u = cascade(bed, [counted], [([], [0]), ([0], [])], name=_name)
+    u.audit()
+    assert len(u.acc[1]) == 2
+    assert u.labels == ["0 | -", "1 | p"]
+    # stepped once per (state, letter), not once per branch, and never
+    # from state 1, which restarts
+    assert len(steps) == len(set(steps)) == 2
+    assert {q for q, _ in steps} == {0}
+    inf_p = cascade(bed, [last_p], [([], [0])])
+    fin_p = cascade(bed, [last_p], [([0], [])])
+    # one Büchi component: the pair meets its set, so the component alone
+    assert inf_p.n_states() == 2
+    assert inf_p.acc[1] == ((frozenset(), (frozenset({1}),)),)
+    assert fin_p.acc[1] == ((frozenset({1}), ()),)
+    assert not accepts(inf_p, parse_word("{p} ; {}"))
+    assert not accepts(fin_p, parse_word("; {p},{}"))
+    for w in words:
+        assert accepts(u, w) == (accepts(inf_p, w) or accepts(fin_p, w))
+
+
+def test_rabin_conjunction_single_pair():
+    # Büchi "p infinitely often" and co-Büchi "q finitely often" conjoined
+    bed = _letter_bed(("p", "q"))
+    buchi = _last_letter("p")
+    cob = _last_letter("q")
+    a = cascade(bed, [cob, buchi], [([0], [1])], name=_name)
+    a.audit()
+    assert a.acc[0] == "generalized-rabin" and len(a.acc[1]) == 1
+    assert a.labels[0] == "0; 0 | -"
+    assert accepts(a, parse_word("; {p}"))
+    assert accepts(a, parse_word("{q} ; {p},{}"))
+    assert not accepts(a, parse_word("; {p,q}"))
+    assert not accepts(a, parse_word("; {}"))
+    # two Büchi components: one meet set each, no counter in the product
+    both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])],
+                   name=_name)
+    assert both.n_states() == 4
+    assert [len(meets) for _, meets in both.acc[1]] == [2]
+    # degeneralized, they are watched in turn: 2 x 2 component states x 2
+    # counter values
+    rabin = degeneralize(both)
+    rabin.audit()
+    assert rabin.n_states() == 8
+    assert [len(meets) for _, meets in rabin.acc[1]] == [1]
+    assert set(rabin.labels) == set(both.labels)
+    for w in ("; {p},{q}", "; {p,q}", "{q} ; {p}", "; {q},{},{p}", "; {}"):
+        w = parse_word(w)
+        recur = set().union(*w.period)
+        assert accepts(rabin, w) == accepts(both, w) == (
+            {"p", "q"} <= recur), w
+
+
+def test_cascade_runner_sees_reached_bed_state():
+    # bed flips between two states on p; the runner is always in its set,
+    # so it restarts on every letter and copies the bed state it reaches:
+    # its state always equals the bed's
+    bed = BedAutomaton(ap=("p",), letters=letters_for(("p",)),
+                       trans=[[0, 1], [1, 0]], state_objs=["a", "b"])
+    run = Runner(init="a", step=None, accepting=lambda q: True, restart=str)
+    a = cascade(bed, [run], [([], [0])], name=_name)
+    a.audit()
+    assert a.trans == bed.trans
+    assert a.labels == ["a | a", "b | b"]
+    assert a.acc[1] == ((frozenset(), (frozenset({0, 1}),)),)
+
+
+def _plain_product(bed, components, branches):
+    # the product as a plain walk: on every transition each runner is
+    # tested for its set, then restarted from the reached bed state or
+    # stepped
+    def succ(state, i):
+        qs, s = state
+        s2 = bed.trans[s][i]
+        return tuple(c.restart(bed.state_objs[s2]) if c.accepting(q)
+                     else c.step(q, bed.letters[i])
+                     for c, q in zip(components, qs)), s2
+
+    init = (tuple(c.init for c in components), 0)
+    order, trans = _explore(len(bed.letters), init, succ, 100)
+    labels = [_name(qs, bed.state_objs[s]) for qs, s in order]
+    marked = [frozenset(n for n, (qs, _) in enumerate(order)
+                        if c.accepting(qs[j]))
+              for j, c in enumerate(components)]
+    pairs = tuple((frozenset().union(*(marked[j] for j in co)),
+                   tuple(marked[j] for j in bu)) for co, bu in branches)
+    return trans, labels, pairs
+
+
+def test_cascade_steps_each_component_state_once():
+    # two runners remember the last letter; a third counts letters up to
+    # its set {2}, then restarts from 1 on a letter with q, else from 0
+    bed = _letter_bed(("p", "q"))
+    calls = {}
+
+    def counted(k, runner):
+        def count(kind):
+            def call(*args):
+                calls.setdefault((kind, k), []).append(args)
+                return getattr(runner, kind)(*args)
+            return call
+        return runner._replace(**{kind: count(kind) for kind in
+                                  ("step", "accepting", "restart")})
+
+    count = Runner(init=0, step=lambda q, s: q + 1,
+                   accepting=lambda q: q == 2,
+                   restart=lambda letter: int("q" in letter))
+    branches = [([0], [1]), ([2], [0, 1])]
+    runners = [counted(k, r) for k, r in enumerate(
+        [_last_letter("p"), _last_letter("q"), count])]
+    plain = _plain_product(bed, runners, branches)
+    walk, calls = calls, {}
+    auto = cascade(bed, runners, branches, name=_name)
+    auto.audit()
+    assert auto.n_states() == 10
+    assert (auto.trans, auto.labels, auto.acc[1]) == plain
+    # the walk steps the first runner from state 0 in five product states
+    assert len(walk["step", 0]) == 5 * 4
+    # each runner is tested for its set and then stepped once per distinct
+    # (state, letter), first calls in walk order: a new state is tested on
+    # every letter in a row.  A restart follows every transition out of
+    # the set, and the runner keeps what it computed.
+    assert sorted(calls) == sorted(walk)
+    for (kind, k), seq in walk.items():
+        expected = {"step": list(dict.fromkeys(seq)), "restart": seq,
+                    "accepting": [q for q in dict.fromkeys(seq)
+                                  for _ in bed.letters]}[kind]
+        assert calls[kind, k] == expected, (kind, k)
+    assert [len(calls["step", k]) for k in (0, 1, 2)] == [4, 4, 8]
+    assert [len(calls["accepting", k]) for k in (0, 1, 2)] == [8, 8, 12]
+    # without a name function no state is named
+    unnamed = cascade(bed, runners, branches)
+    assert (unnamed.trans, unnamed.acc[1]) == (plain[0], plain[2])
+    assert unnamed.labels == [""] * 10
+
+
+def test_a_runner_in_its_set_is_never_stepped(monkeypatch):
+    # the runner counts letters up to its set {2}, where a step raises.
+    # There it restarts on every letter instead, and its marks are exactly
+    # the product states it restarted from.
+    explore, at, restarted = automata._explore, [], []
+
+    def tracked(width, init, succ, max_states):
+        def step(state, i):
+            at[:] = [state]
+            return succ(state, i)
+        return explore(width, init, step, max_states)
+
+    def step(q, sigma):
+        if q == 2:
+            raise AssertionError("stepped in its set")
+        return q + 1
+
+    def restart(letter):
+        restarted.append(at[0])
+        return int("p" in letter)
+
+    monkeypatch.setattr(automata, "_explore", tracked)
+    bed = _letter_bed(("p",))
+    run = Runner(init=0, step=step, accepting=lambda q: q == 2,
+                 restart=restart)
+    auto = cascade(bed, [run], [([], [0])], name=_name)
+    auto.audit()
+    sources = {_name(qs, bed.state_objs[s]) for qs, s in restarted}
+    [(avoid, (marks,))] = auto.acc[1]
+    assert marks == {n for n, label in enumerate(auto.labels)
+                     if label in sources}
+    assert len(marks) == 2 and len(restarted) == 2 * len(bed.letters)
+    assert all(auto.labels[n].startswith("2 |") for n in marks)
+
+
+def test_degeneralize_state_limit():
+    bed = _letter_bed(("p", "q"))
+    both = cascade(bed, [_last_letter("p"), _last_letter("q")],
+                   [([], [0, 1])])
+    assert degeneralize(both, max_states=8).n_states() == 8
+    with pytest.raises(StateLimitExceeded):
+        degeneralize(both, max_states=7)
 
 
 def test_components_are_stepped_once(monkeypatch):
