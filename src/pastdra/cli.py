@@ -80,56 +80,44 @@ def cmd_check(args):
     return 0
 
 
-def _selftest_derivative(rng, count):
-    ok = 0
-    for _ in range(count):
-        phi = random_formula_bounded(rng, ("p", "q"))
-        w = random_lasso(rng, ("p", "q"))
-        t = rng.randint(0, 6)
-        chi = af_ext(phi, [w.letter(i) for i in range(t)])
-        ok += int(lasso.holds(chi, w.suffix(t), 0) == lasso.holds(phi, w, 0))
-    return ok
+def _derivative_case(rng):
+    phi = random_formula_bounded(rng, ("p", "q"))
+    w = random_lasso(rng, ("p", "q"))
+    t = rng.randint(0, 6)
+    chi = af_ext(phi, [w.letter(i) for i in range(t)])
+    return [lasso.holds(chi, w.suffix(t), 0) == lasso.holds(phi, w, 0)]
 
 
-def _selftest_oracle(rng, count):
-    ok = 0
-    for _ in range(count):
-        phi = random_formula_bounded(rng, ("p", "q", "r"), max_size=8,
-                                     max_past=3)
-        w = random_lasso(rng, ("p", "q", "r"))
-        t = rng.randint(0, 5)
-        ok += int(lasso.holds(phi, w, t) == lasso.naive_holds(phi, w, t))
-    return ok
+def _oracle_case(rng):
+    phi = random_formula_bounded(rng, ("p", "q", "r"), max_size=8, max_past=3)
+    w = random_lasso(rng, ("p", "q", "r"))
+    t = rng.randint(0, 5)
+    return [lasso.holds(phi, w, t) == lasso.naive_holds(phi, w, t)]
 
 
-def _selftest_master(rng, count):
-    ok = 0
-    for _ in range(count):
-        phi = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
-        w = random_lasso(rng, ("p", "q"))
-        ok += int(check_master(phi, w).consistent)
-    return ok
+def _master_case(rng):
+    phi = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
+    w = random_lasso(rng, ("p", "q"))
+    return [check_master(phi, w).consistent]
 
 
-def _selftest_endtoend(rng, count):
-    ok = 0
-    for _ in range(count):
-        phi = random_formula_bounded(rng, ("p", "q"), max_size=4, max_past=1,
-                                     depth=2)
-        auto = translate(phi, ("p", "q"))
-        rabin = degeneralize(auto)
-        for _ in range(5):
-            w = random_lasso(rng, ("p", "q"))
-            ok += int(accepts(auto, w) == lasso.holds(phi, w, 0)
-                      == accepts(rabin, w))
-    return ok
+def _endtoend_case(rng):
+    phi = random_formula_bounded(rng, ("p", "q"), max_size=4, max_past=1,
+                                 depth=2)
+    auto = translate(phi, ("p", "q"))
+    rabin = degeneralize(auto)
+    words = [random_lasso(rng, ("p", "q")) for _ in range(5)]
+    return [accepts(auto, w) == lasso.holds(phi, w, 0) == accepts(rabin, w)
+            for w in words]
 
 
+# one seeded case of each suite, returning its verdicts: ``cmd_selftest``
+# runs ``--count`` cases and tallies them
 _SUITES = {
-    "derivative": (_selftest_derivative, 1),
-    "oracle": (_selftest_oracle, 1),
-    "master": (_selftest_master, 1),
-    "endtoend": (_selftest_endtoend, 5),
+    "derivative": _derivative_case,
+    "oracle": _oracle_case,
+    "master": _master_case,
+    "endtoend": _endtoend_case,
 }
 
 
@@ -138,11 +126,10 @@ def cmd_selftest(args):
     suites = [args.suite] if args.suite != "all" else list(_SUITES)
     failed = False
     for name in suites:
-        fn, per_case = _SUITES[name]
-        ok = fn(rng, args.count)
-        total = args.count * per_case
-        print("%s: %d/%d pass (seed %d)" % (name, ok, total, args.seed))
-        failed |= ok != total
+        verdicts = [ok for _ in range(args.count) for ok in _SUITES[name](rng)]
+        print("%s: %d/%d pass (seed %d)"
+              % (name, sum(verdicts), len(verdicts), args.seed))
+        failed |= not all(verdicts)
     return 3 if failed else 0
 
 

@@ -105,7 +105,7 @@ def export_dot(auto):
 
 _HOA_STATE_RE = re.compile(
     r'State:\s*(\d+)(?:\s+"((?:[^"\\]|\\.)*)")?(?:\s*\{([\d\s]*)\})?\s*$')
-# A header line: newlines inside a quoted string do not end it.
+# A header or body line: newlines inside a quoted string do not end it.
 _HOA_LINE_RE = re.compile(r'(?:[^"\n]|"(?:[^"\\]|\\.)*")+')
 _INCOMPLETE = ("HOA transition table is incomplete: only complete automata "
                "with one successor per letter are supported")
@@ -182,7 +182,8 @@ def parse_hoa(text):
                          "of its %d sets once"
                          % (condm.group(2).strip(), nsets))
     width = 1 << len(ap)
-    lines = [line for line in map(str.strip, body.splitlines()) if line]
+    lines = [line for line in map(str.strip, _HOA_LINE_RE.findall(body))
+             if line]
     # Count the successors before the table is allocated, so a short body
     # cannot announce a huge one.
     if sum(len(line.split()) for line in lines

@@ -131,19 +131,3 @@ def is_saturated(cj, ci, f):
     ri = [rewrite_under(p, ci) for p in ps]
     return len(set(zip(rj, ri))) == len(set(rj))
 
-
-def compose_sequence(f, sets):
-    """Composition of a sequence of past sets into a single set.
-
-    A past subformula belongs to the composition iff chaining the rewrites
-    of the sequence leaves it weak-rooted, so rewriting under the result
-    equals the chained rewrite on every member of psf(f).
-    """
-    out = set()
-    for p in F.psf(f):
-        cur = p
-        for c in sets:
-            cur = rewrite_under(cur, c)
-        if is_weak(cur):
-            out.add(p)
-    return frozenset(out)

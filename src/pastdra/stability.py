@@ -6,25 +6,24 @@ rewritten under the composition of all earlier sets, and the weakening
 condition of a candidate is evaluated on the suffix starting at the previous
 instant.
 
-One walk, :func:`_walk`, computes these sets.  It carries the chained
-rewrite of each past subformula, so each instant costs one rewrite per past
-subformula.  :func:`entailed_seq` is a slice of the walk, and the master
-check reads it until its state, the pair (chain, suffix), repeats.  The
-master check computes premise one's inputs once per word: the entailed sets
-up to the stability index, their composition and the derivative of the
-prefix.  Only the final mu-limit rewrite depends on the guess M.
+One walk, :func:`_walk`, computes these sets and their composition.  It
+carries the chained rewrite of each past subformula, so each instant costs
+one rewrite per past subformula.  The master check walks each word once,
+until the walk's state, the pair (chain, suffix), repeats, and reads
+premise one's inputs off that walk: the entailed sets up to the stability
+index, their composition and the derivative of the prefix.  Only the final
+mu-limit rewrite depends on the guess M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 
 from . import formula as F
 from .lasso import holds
-from .rewrites import (compose_sequence, is_weak, rewrite_mu_limit,
-                       rewrite_nu_limit, rewrite_set, rewrite_under, subsets,
-                       wc)
+from .rewrites import (is_weak, rewrite_mu_limit, rewrite_nu_limit,
+                       rewrite_set, rewrite_under, subsets, wc)
 from .after import af_loc_ext
 
 
@@ -49,21 +48,16 @@ def _walk(f, w):
                              if holds(wc(p), tail, 0))
 
 
-def entailed_seq(f, w, t):
-    """The entailed past sets of ``f`` along ``w`` at instants 0..t."""
-    return [entailed for entailed, _, _ in islice(_walk(f, w), t + 1)]
-
-
 def _cycle(f, w):
-    """The walk's states as (composed set, suffix) pairs, up to the first
-    repeated key, and the index of the state it repeats: the states repeat
-    from there on."""
-    states, seen = [], {}
-    for _, composed, key in _walk(f, w):
+    """The walk up to its first repeated key, one (entailed set, composed
+    set, suffix) triple per instant, and the index of the instant that the
+    key repeats: the triples repeat from there on."""
+    walk, seen = [], {}
+    for entailed, composed, key in _walk(f, w):
         if key in seen:
-            return states, seen[key]
-        seen[key] = len(states)
-        states.append((composed, key[1]))
+            return walk, seen[key]
+        seen[key] = len(walk)
+        walk.append((entailed, composed, key[1]))
 
 
 @dataclass(frozen=True)
@@ -114,8 +108,9 @@ class MasterReport:
 
 def _eventually_holds(psi, S, states, weak):
     """Whether the limit rewrite of ``psi`` under ``S`` holds, always
-    (``weak``) or eventually, on the suffix of some state of ``states``."""
-    for comp, tail in states:
+    (``weak``) or eventually, on the suffix of some instant of ``states``,
+    a slice of the walk."""
+    for _, comp, tail in states:
         core = rewrite_under(psi, comp)
         rw_set = rewrite_set(S, comp)
         if weak:
@@ -138,21 +133,21 @@ def check_master(f, w):
     r = stability_index(f, w)
     mu = F.sorted_set(F.mu_subformulas(f))
     nu = F.sorted_set(F.nu_subformulas(f))
+    walk, lo = _cycle(f, w)
     # premise one: of the derivative chi of f along the prefix up to r,
-    # only the mu-limit reads M
-    seq = entailed_seq(f, w, r)
-    comp = compose_sequence(f, seq)
-    chi = af_loc_ext(f, [w.letter(i) for i in range(r)], seq)
-    tail = w.suffix(r)
-    states, lo = _cycle(f, w)
+    # only the mu-limit reads M.  r never passes lo: from lo on the walk's
+    # key repeats, and with it every subformula's truth and limit set.
+    _, comp, tail = walk[r]
+    chi = af_loc_ext(f, [w.letter(i) for i in range(r)],
+                     [entailed for entailed, _, _ in walk[:r + 1]])
     witness = None
     for M in map(frozenset, subsets(mu)):
         if not holds(rewrite_mu_limit(chi, rewrite_set(M, comp)), tail, 0):
             continue
         for N in map(frozenset, subsets(nu)):
-            if all(_eventually_holds(psi, N, states[lo:], weak=False)
+            if all(_eventually_holds(psi, N, walk[lo:], weak=False)
                    for psi in M) and \
-                    all(_eventually_holds(psi, M, states, weak=True)
+                    all(_eventually_holds(psi, M, walk, weak=True)
                         for psi in N):
                 witness = (M, N)
                 break

@@ -24,10 +24,10 @@ from pastdra.automata import accepts, degeneralize, minimize, widen
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.hoa import export_hoa, parse_hoa
 from pastdra.lasso import holds, naive_holds
-from pastdra.rewrites import (compose_sequence, enumerate_past_sets,
-                              is_saturated, rewrite_mu_limit,
-                              rewrite_nu_limit, rewrite_set, rewrite_under)
-from pastdra.stability import check_master, entailed_seq, limit_sets
+from pastdra.rewrites import (enumerate_past_sets, is_saturated,
+                              rewrite_mu_limit, rewrite_nu_limit, rewrite_set,
+                              rewrite_under)
+from pastdra.stability import _walk, check_master, limit_sets
 from pastdra.translate import (TranslationContext, _product,
                                build_wc_automaton, translate,
                                translation_stats)
@@ -79,7 +79,8 @@ def test_entailed_rewrite_transfers_truth():
     # weakening by the past sets actually justified by the prefix makes the
     # suffix self-contained
     for f, w, t in _cases(102, 500):
-        g = rewrite_under(f, compose_sequence(f, entailed_seq(f, w, t)))
+        _, composed, _ = next(itertools.islice(_walk(f, w), t, None))
+        g = rewrite_under(f, composed)
         assert holds(g, w.suffix(t), 0) == holds(f, w, t), (f, w, t)
 
 

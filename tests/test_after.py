@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -8,7 +9,7 @@ from pastdra import proplogic as P
 from pastdra.after import af_class, af_ext, af_loc, af_loc_ext, pu_loc
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.rewrites import subsets
-from pastdra.stability import entailed_seq
+from pastdra.stability import _walk
 
 parse = F.parse
 EMPTY = frozenset()
@@ -149,7 +150,7 @@ def test_af_ext_matches_local_derivative_on_true_past_sets():
         f = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
         w = random_lasso(rng, ("p", "q"))
         t = rng.randrange(4)
-        seq = entailed_seq(f, w, t)
+        seq = [c for c, _, _ in islice(_walk(f, w), t + 1)]
         word = [w.letter(i) for i in range(t)]
         loc = af_loc_ext(f, word, seq)
         assert L.holds(loc, w.suffix(t), 0) == L.holds(f, w, 0)

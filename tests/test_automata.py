@@ -3,12 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certificate import certify
-from pastdra.automata import (DEFAULT_MAX_STATES, OmegaAutomaton,
-                              StateLimitExceeded, accepts, degeneralize,
-                              letters_for, minimize, state_marks, widen)
+from pastdra.automata import (OmegaAutomaton, accepts, letters_for,
+                              minimize, state_marks, widen)
 from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import LassoWord, parse_word
-from pastdra.translate import BedAutomaton, Runner, cascade
 
 
 def test_letters_for_order():
@@ -231,30 +229,6 @@ def test_accepts_matches_step_per_position(rng):
     auto.audit()
     for w in words:
         assert accepts(auto, w) == _reference_accepts(auto, w), (auto, w)
-
-
-def _counter():
-    # counts letters forever; never in its set, so it never restarts
-    return Runner(init=0, step=lambda q, s: q + 1, accepting=lambda q: False,
-                  restart=None)
-
-
-def _one_state_bed(ap):
-    return BedAutomaton(ap=tuple(ap), letters=letters_for(ap),
-                        trans=[[0] * (1 << len(ap))], state_objs=["-"])
-
-
-def test_cascade_state_limit():
-    with pytest.raises(StateLimitExceeded):
-        cascade(_one_state_bed(("p",)), [_counter()], [], max_states=10)
-
-
-def test_cascade_stops_at_the_default_cap():
-    # no call runs uncapped: the translation's product stops at the
-    # library default
-    with pytest.raises(StateLimitExceeded) as info:
-        cascade(_one_state_bed(()), [_counter()], [])
-    assert info.value.args == (DEFAULT_MAX_STATES,)
 
 
 def _over_p(trans, *pairs, init=0):

@@ -2,12 +2,13 @@ import contextlib
 import io
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pastdra import cli, export_hoa, parse, parse_hoa
+from pastdra import cli, export_hoa, parse, parse_hoa, translate
 from pastdra.cli import main
 from pastdra.translate import _product
 
@@ -185,6 +186,20 @@ def test_check_hoa_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "rejects"
 
 
+def test_check_reads_state_names_with_newlines(capsys, tmp_path):
+    # a state name is written raw inside its quotes, newlines included
+    auto = translate(parse("F q"))
+    auto = replace(auto, labels=['x\n"%d\\' % q
+                                 for q in range(auto.n_states())])
+    hoa = export_hoa(auto)
+    assert 'State: 0 "x\n\\"0\\\\"' in hoa
+    assert parse_hoa(hoa).labels == auto.labels
+    path = tmp_path / "named.hoa"
+    path.write_text(hoa)
+    code, out, err = run(capsys, "check", str(path), "; {q}")
+    assert code == 0 and out.strip() == "accepts" and not err
+
+
 def test_check_formula_that_names_a_file(capsys, tmp_path, monkeypatch):
     # a file that happens to share the formula's name is not read unless it
     # holds HOA text
@@ -212,6 +227,18 @@ def test_selftest_all_smoke(capsys):
         assert "%s: 5/5 pass" % name in out
     # end-to-end checks count formula/word combinations
     assert "endtoend: 25/25 pass" in out
+
+
+def test_selftest_tallies_failing_cases(capsys, monkeypatch):
+    # every case that fails counts against its suite, which then exits 3
+    check_master, accepts = cli.check_master, cli.accepts
+    monkeypatch.setattr(cli, "check_master", lambda f, w: replace(
+        check_master(f, w), consistent=False))
+    code, out, _ = run(capsys, "selftest", "master", "--count", "3")
+    assert code == 3 and out == "master: 0/3 pass (seed 0)\n"
+    monkeypatch.setattr(cli, "accepts", lambda auto, w: not accepts(auto, w))
+    code, out, _ = run(capsys, "selftest", "endtoend", "--count", "2")
+    assert code == 3 and out == "endtoend: 0/10 pass (seed 0)\n"
 
 
 def test_out_of_memory_exit_code(capsys, monkeypatch):

@@ -1,11 +1,14 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
+
+from sweep import lassos
 
 from pastdra import formula as F
 from pastdra import rewrites as R
 from pastdra.gen import random_formula
+from pastdra.stability import _walk
 from pastdra.translate import TranslationContext
 
 
@@ -158,19 +161,16 @@ def _past_formulas():
     yield F.parse("wY (p wB q) & (p S q)")
 
 
-def test_compose_sequence_defining_identity_exhaustive():
-    # f|_(compose(Cs)) must equal the chained rewrite, for every sequence of
-    # subsets of psf(f) up to length 3.
+def test_walk_composition_defining_identity_exhaustive():
+    # f|_(composed set at t) must equal f rewritten in turn under the
+    # entailed sets at instants 0..t, on every lasso over {p, q} with a
+    # prefix and a period of at most two letters
     for f in _past_formulas():
-        ps = list(F.psf(f))
-        subsets = list(map(frozenset, R.subsets(ps)))
-        for length in (1, 2, 3):
-            for seq in product(subsets, repeat=length):
-                chained = f
-                for c in seq:
-                    chained = R.rewrite_under(chained, c)
-                assert R.rewrite_under(f, R.compose_sequence(f, seq)) \
-                    is chained
+        for w in lassos(("p", "q")):
+            chained = f
+            for entailed, composed, _ in islice(_walk(f, w), 5):
+                chained = R.rewrite_under(chained, entailed)
+                assert R.rewrite_under(f, composed) is chained, (f, w)
 
 
 def test_saturation_chain_identity():

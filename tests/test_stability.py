@@ -1,15 +1,17 @@
 import hashlib
 import random
 from dataclasses import replace
+from itertools import islice
 
 from test_acceptance import AP3, CORPUS, FUTURE_HISTORY_SPEC
 
 from pastdra import formula as F
+from pastdra import stability
 from pastdra.automata import accepts
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.lasso import holds, naive_holds, parse_word
-from pastdra.rewrites import compose_sequence, rewrite_under, subsets
-from pastdra.stability import (check_master, entailed_seq, limit_sets,
+from pastdra.rewrites import rewrite_under, subsets
+from pastdra.stability import (MasterReport, _walk, check_master, limit_sets,
                                stability_index)
 from pastdra.translate import _product
 
@@ -19,16 +21,16 @@ parse = F.parse
 def test_entailed_seq_frozen():
     f = parse("X(p S X q)")
     w = parse_word("{p} ; {q}")
-    seq = entailed_seq(f, w, 3)
-    assert [sorted(str(g) for g in c) for c in seq] == [
+    walk = list(islice(_walk(f, w), 4))
+    assert [sorted(str(g) for g in c) for c, _, _ in walk] == [
         [], ["p S X q"], ["p wS X q"], ["p wS X q"]]
-    assert compose_sequence(f, seq) == frozenset({parse("p S X q")})
+    assert walk[3][1] == frozenset({parse("p S X q")})
 
 
 def test_entailed_set_initial_is_all_weak():
     f = parse("(Y p) & (q wS p)")
     w = parse_word("; {}")
-    assert entailed_seq(f, w, 0) == [frozenset({parse("q wS p")})]
+    assert next(_walk(f, w))[0] == frozenset({parse("q wS p")})
 
 
 def test_entailed_rewrite_preserves_truth():
@@ -37,7 +39,8 @@ def test_entailed_rewrite_preserves_truth():
         f = random_formula_bounded(rng, ("p", "q"), max_size=5, max_past=2)
         w = random_lasso(rng, ("p", "q"))
         t = rng.randrange(5)
-        g = rewrite_under(f, compose_sequence(f, entailed_seq(f, w, t)))
+        _, composed, _ = next(islice(_walk(f, w), t, None))
+        g = rewrite_under(f, composed)
         assert holds(f, w, t) == holds(g, w.suffix(t), 0), (f, w, t)
 
 
@@ -116,7 +119,7 @@ def test_reference_layer_golden():
         rep = check_master(f, w)
         witness = "-" if rep.witness is None else \
             "%s|%s" % tuple(map(_names, rep.witness))
-        seq = ";".join(map(_names, entailed_seq(f, w, 6)))
+        seq = ";".join(_names(c) for c, _, _ in islice(_walk(f, w), 7))
         bits = "".join("01"[naive_holds(f, w, t)] for t in range(6))
         digest.update(("%d %d %s %d %s %s\n"
                        % (rep.satisfied, rep.stability, witness,
@@ -152,3 +155,37 @@ def test_master_witness_pair_accepts():
                     (text, w, witness)
                 witnessed += 1
     assert witnessed > 1000
+
+
+# (formula, word, stability index, witness M; N is empty): premise one
+# reads a prefix.  The first two need the composition of the entailed sets
+# up to the stability index, the last two the derivative under those sets.
+_PREMISE_ONE = [
+    ("(wY !q | !q wB Y (ff U !q)) U q", "{p},{q} ; {q},{q},{p,q}", 1,
+     ["(wY !q | !q wB Y (ff U !q)) U q"]),
+    ("wY q U (!q & wY (tt R !q) M !q)", "{p,q} ; {p},{}", 1,
+     ["wY (tt R !q) M !q", "wY q U (!q & wY (tt R !q) M !q)"]),
+    ("(q R wY (q S wY !q)) M !p", "{},{p},{},{p},{p,q} ; {},{q}", 3, []),
+    ("X q U (q & wY q)", "{p},{q},{p,q} ; {p},{}", 3, []),
+]
+
+
+def test_check_master_premise_one():
+    for text, word, r, M in _PREMISE_ONE:
+        witness = (frozenset(map(parse, M)), frozenset())
+        assert check_master(parse(text), parse_word(word)) == \
+            MasterReport(True, r, witness, True), (text, word)
+
+
+def test_check_master_walks_each_word_once(monkeypatch):
+    calls = []
+    walk = stability._walk
+
+    def counted(f, w):
+        calls.append(f)
+        return walk(f, w)
+    monkeypatch.setattr(stability, "_walk", counted)
+    for text, word, _, _ in _PREMISE_ONE:
+        calls.clear()
+        check_master(parse(text), parse_word(word))
+        assert len(calls) == 1, text

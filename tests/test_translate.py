@@ -10,8 +10,8 @@ from test_acceptance import CORPUS, FUTURE_HISTORY_SPEC
 from pastdra import automata
 from pastdra import formula as F
 from pastdra import proplogic as P
-from pastdra.automata import (StateLimitExceeded, _explore, accepts,
-                              degeneralize, letters_for)
+from pastdra.automata import (DEFAULT_MAX_STATES, StateLimitExceeded,
+                              _explore, accepts, degeneralize, letters_for)
 from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import holds, parse_word
@@ -357,6 +357,30 @@ def test_degeneralize_state_limit():
     assert degeneralize(both, max_states=8).n_states() == 8
     with pytest.raises(StateLimitExceeded):
         degeneralize(both, max_states=7)
+
+
+def _counter():
+    # counts letters forever; never in its set, so it never restarts
+    return Runner(init=0, step=lambda q, s: q + 1, accepting=lambda q: False,
+                  restart=None)
+
+
+def _one_state_bed(ap):
+    return BedAutomaton(ap=tuple(ap), letters=letters_for(ap),
+                        trans=[[0] * (1 << len(ap))], state_objs=["-"])
+
+
+def test_cascade_state_limit():
+    with pytest.raises(StateLimitExceeded):
+        cascade(_one_state_bed(("p",)), [_counter()], [], max_states=10)
+
+
+def test_cascade_stops_at_the_default_cap():
+    # no call runs uncapped: the translation's product stops at the
+    # library default
+    with pytest.raises(StateLimitExceeded) as info:
+        cascade(_one_state_bed(()), [_counter()], [])
+    assert info.value.args == (DEFAULT_MAX_STATES,)
 
 
 def test_components_are_stepped_once(monkeypatch):
