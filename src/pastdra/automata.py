@@ -15,7 +15,7 @@ A Büchi set S is the one pair (∅, (S,)), a co-Büchi set S the one pair
 (S, ()), and a plain Rabin pair has one meet set.  :func:`state_marks` is
 the one reader of the sets each state lies in.
 
-State labels are a debugging aid; an unnamed state's label is ``""``.
+A label is a state name that :func:`~pastdra.hoa.parse_hoa` read, or ``""``.
 :func:`minimize` merges the states that no word tells apart (a Moore
 quotient): the pairs keep their order, less the repeated ones and those
 that accept nothing, and a merged state is named after its first state.
@@ -128,8 +128,7 @@ def minimize(auto):
     then a union of classes, so a run and its image visit the same sets
     infinitely often (Hopcroft 1971).  :func:`_explore` numbers the
     classes in BFS order from the initial state's, each is named after its
-    first state in BFS order (in a product, its first product state), and
-    the kept pairs keep their order.  No two states of the result are
+    first state in BFS order, and the kept pairs keep their order.  No two states of the result are
     equivalent, but a smaller equivalent automaton with other sets may
     exist: minimal deterministic Büchi automata are NP-hard to find
     (Schewe, FSTTCS 2010).

@@ -3,7 +3,7 @@
 Exit codes: 0 success; 1 a usage error, malformed formula, word,
 proposition name or HOA input, negative position, or a formula nested too
 deeply; 2 state cap exceeded or out of memory; 3 automaton/semantics
-disagreement (``check``) or a failed suite (``selftest``).
+disagreement (``check``, ``explain``) or a failed suite (``selftest``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .automata import StateLimitExceeded, accepts, degeneralize
 from .gen import random_formula_bounded, random_lasso
 from .hoa import export_dot, export_hoa, parse_hoa
 from .stability import check_master
-from .translate import DEFAULT_MAX_STATES, translate, translation_stats
+from .translate import (DEFAULT_MAX_STATES, explain, translate,
+                        translation_stats)
 
 EXIT_PARSE = 1
 EXIT_LIMIT = 2
@@ -41,7 +42,7 @@ def _load_target(arg):
 def cmd_translate(args):
     phi = F.parse(args.formula)
     ap = [name.strip() for name in args.ap.split(",")] if args.ap else None
-    auto = translate(phi, ap, args.max_states, labels=args.labels)
+    auto = translate(phi, ap, args.max_states)
     if args.acceptance == "rabin":
         auto = degeneralize(auto, args.max_states)
     if args.format == "dot":
@@ -65,19 +66,30 @@ def cmd_eval(args):
     return 0
 
 
+def _verdict(verdict, truth):
+    """Print ``check``'s two verdict lines; the exit code."""
+    print("accepts" if verdict else "rejects")
+    print("semantics agree" if verdict == truth else "semantics DISAGREE")
+    return 0 if verdict == truth else 3
+
+
 def cmd_check(args):
     target = _load_target(args.target)
     word = lasso.parse_word(args.word)
     if isinstance(target, F.Formula):
         # ``accepts`` ignores the word's other names, which need not parse
         auto = translate(target, max_states=args.max_states)
-        verdict = accepts(auto, word)
-        truth = lasso.holds(target, word, 0)
-        print("accepts" if verdict else "rejects")
-        print("semantics agree" if verdict == truth else "semantics DISAGREE")
-        return 0 if verdict == truth else 3
+        return _verdict(accepts(auto, word), lasso.holds(target, word, 0))
     print("accepts" if accepts(target, word) else "rejects")
     return 0
+
+
+def cmd_explain(args):
+    phi = F.parse(args.formula)
+    word = lasso.parse_word(args.word)
+    lines, verdict = explain(phi, word)
+    print("\n".join(lines))
+    return _verdict(verdict, lasso.holds(phi, word, 0))
 
 
 def _derivative_case(rng):
@@ -178,10 +190,6 @@ def build_parser():
     t.add_argument("--max-states", type=_positive_int,
                    default=DEFAULT_MAX_STATES)
     t.add_argument("--ap", help="comma-separated extra proposition names")
-    t.add_argument("--labels", action="store_true",
-                   help="name every state by the formula text of its runner "
-                        "and bed states (a debugging aid; states are "
-                        "unnamed by default)")
     t.set_defaults(fn=cmd_translate)
 
     e = sub.add_parser("eval", help="formula truth value on a lasso word")
@@ -198,6 +206,12 @@ def build_parser():
     c.add_argument("--max-states", type=_positive_int,
                    default=DEFAULT_MAX_STATES)
     c.set_defaults(fn=cmd_check)
+
+    x = sub.add_parser("explain", help="a formula's run on a lasso word, "
+                                        "letter by letter")
+    x.add_argument("formula")
+    x.add_argument("word")
+    x.set_defaults(fn=cmd_explain)
 
     s = sub.add_parser("selftest", help="seeded randomized consistency suites")
     s.add_argument("suite", choices=tuple(_SUITES) + ("all",),

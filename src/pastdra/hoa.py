@@ -7,22 +7,23 @@ that the HOA spec gives for implicit labels and that
 :func:`~pastdra.automata.letters_for` uses: proposition 0 is the least
 significant bit, so over two propositions ``[!0&!1]``, ``[0&!1]``,
 ``[!0&1]``, ``[0&1]``.  A state is named only when its label is not ``""``:
-HOA makes state names optional, and the DOT writer then shows the state
-number alone.  The sets, and the marks of each state, are numbered as in
+HOA makes state names optional, a translation names none, the reader keeps
+those it reads, and the DOT writer shows an unnamed state's number alone.
+The sets, and the marks of each state, are numbered as in
 :func:`~pastdra.automata.state_marks`.  The pairs are written in the
 automaton's order: for a translation, the branch order less the pairs that
-minimization drops.  With labels on, a merged state is written with the
-label of its first product state.  An automaton whose pairs each have one
-meet set is written as ``Rabin``, any other as ``generalized-Rabin``.  The
-reader only understands that shape, with whitespace slack (a state's
-successors may span lines); an explicit edge such as ``[0] 1`` is an
-unsupported body line.  It serves round-trip checks and the membership
-checker, and also reads ``Buchi`` and ``co-Buchi``, as one pair.  The roles
-of the sets come from the ``Acceptance:`` condition, a disjunction of
-conjunctions of ``Fin(k)`` and ``Inf(k)`` (``f`` has no disjunct) that
-names every set once.  Its shape (disjuncts, and the Fin and Inf sets of
-each), its set count and every state mark must agree with ``acc-name:``,
-which allows at most one Fin per disjunct.
+minimization drops.  An automaton whose pairs each have one meet set is
+written as ``Rabin``, any other as ``generalized-Rabin``.  The reader only
+understands that shape, with whitespace slack (a state's successors may
+span lines); an explicit edge such as ``[0] 1`` is an unsupported body
+line, and a string that is never closed an error of its own.  It serves
+round-trip checks and the membership checker, and also reads ``Buchi`` and
+``co-Buchi``, as one pair.  The roles of the sets come from the
+``Acceptance:`` condition, a disjunction of conjunctions of ``Fin(k)`` and
+``Inf(k)`` (``f`` has no disjunct) that names every set once.  Its shape
+(disjuncts, and the Fin and Inf sets of each), its set count and every
+state mark must agree with ``acc-name:``, which allows at most one Fin per
+disjunct.
 """
 
 from __future__ import annotations
@@ -105,17 +106,27 @@ def export_dot(auto):
 
 _HOA_STATE_RE = re.compile(
     r'State:\s*(\d+)(?:\s+"((?:[^"\\]|\\.)*)")?(?:\s*\{([\d\s]*)\})?\s*$')
-# A header or body line: newlines inside a quoted string do not end it.
-_HOA_LINE_RE = re.compile(r'(?:[^"\n]|"(?:[^"\\]|\\.)*")+')
+# A header or body line: newlines inside a quoted string do not end it.  A
+# quote that no later quote closes matches alone.
+_HOA_LINE_RE = re.compile(r'((?:[^"\n]|"(?:[^"\\]|\\.)*")+)|"')
 _INCOMPLETE = ("HOA transition table is incomplete: only complete automata "
                "with one successor per letter are supported")
 
 
+def _lines(text):
+    """The nonblank lines of ``text``, stripped; a quote that is never
+    closed raises ValueError."""
+    for m in _HOA_LINE_RE.finditer(text):
+        if not m.group(1):
+            raise ValueError("HOA string %r has no closing quote"
+                             % text[m.start():].partition("\n")[0])
+    return [s.strip() for s in _HOA_LINE_RE.findall(text) if s.strip()]
+
+
 def _header_line(header, name, pattern):
-    """The match of ``name`` and then ``pattern`` against the one header
-    line that starts with ``name``, up to the end of that line."""
-    lines = [line.strip() for line in _HOA_LINE_RE.findall(header)
-             if line.strip().startswith(name)]
+    """The match of ``name`` and then ``pattern`` against the one line of
+    ``header``, a list of lines, that starts with ``name``."""
+    lines = [line for line in header if line.startswith(name)]
     if not lines:
         raise ValueError("HOA header has no %r line" % name)
     if len(lines) > 1:
@@ -140,7 +151,7 @@ def parse_hoa(text):
     Raises :class:`ValueError` on input outside that shape.
     """
     header, _, body = text.partition("--BODY--")
-    body = body.split("--END--")[0]
+    header, lines = _lines(header), _lines(body.split("--END--")[0])
     n = int(_header_line(header, "States:", r"\s*(\d+)").group(1))
     init = _state(_header_line(header, "Start:", r"\s*(\d+)").group(1), n)
     apm = _header_line(header, "AP:", r'\s*(\d+)((?:\s+"[^"]*")*)')
@@ -182,8 +193,6 @@ def parse_hoa(text):
                          "of its %d sets once"
                          % (condm.group(2).strip(), nsets))
     width = 1 << len(ap)
-    lines = [line for line in map(str.strip, _HOA_LINE_RE.findall(body))
-             if line]
     # Count the successors before the table is allocated, so a short body
     # cannot announce a huge one.
     if sum(len(line.split()) for line in lines

@@ -14,24 +14,24 @@ restart from the bed's initial state.  The product has one rule: a runner
 in its set is not stepped but restarts from the bed state the letter
 reaches.  Runners are shared across guesses, so each distinct one is
 built once, stepped once per distinct (runner state, letter) and restarted
-once per distinct part of the bed state it reads, and :func:`cascade`
-explores the bed, the runners and the branches in one product, so the bed
-is never duplicated.  State labels print formula text and are built only
-on request.  The branches, and so the product's pairs, come M-major: M
-and N each run over the subsets of the sorted fixpoint subformulas by
-size, then lexicographically.
+once per distinct part of the bed state it reads.  :func:`cascade`
+explores the product step, :func:`_step`, so the bed is never duplicated,
+and :func:`explain` takes it along one word.  The branches, and so the
+product's pairs, come M-major: M and N each run over the subsets of the
+sorted fixpoint subformulas by size, then lexicographically.
 :func:`translate` returns the product's Moore quotient
 (:func:`~pastdra.automata.minimize`): its pairs keep that order, less the
-ones that repeat an earlier pair or accept nothing, and a merged state is
-named after its first product state.  All three are built over the
-formula's own propositions, the only ones its states read, and
-:func:`~pastdra.automata.widen` adds the caller's others last.
+ones that repeat an earlier pair or accept nothing, and no state is named.
+All three are built over the formula's own propositions, the only ones its
+states read, and :func:`~pastdra.automata.widen` adds the caller's others
+last.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, cycle
 
 from . import automata
 from . import formula as F
@@ -127,30 +127,20 @@ state in its set when the letter takes the bed to state ``s``."""
 _RESTART = object()             # a step table entry: the runner restarts
 
 
-def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
-            name=None):
-    """Generalized Rabin automaton of the union over the branches of the
-    intersection of their components, all observing the bed.
-
-    ``components`` are runners.  Each is tested for its set, then stepped
-    or restarted, once per distinct (runner state, column), however many
-    product states and branches share it; first calls come in the order
-    of a plain product walk.  A branch ``(co-Büchi indices, Büchi
-    indices)`` gives one pair.  It avoids the states where one of its
-    co-Büchi components is in its set, and has one meet set per Büchi
-    component: the states where that component is in its set.  States are
-    ``(runner states, bed state index)`` in BFS order; the pairs come in
-    branch order.  ``name(runner states, bed state)`` labels a state once
-    the product is explored; without it every label is ``""``.  Raises
-    :class:`StateLimitExceeded` when exploration would pass ``max_states``.
-    """
-    steps = [{} for _ in components]     # (q, column) -> q', or _RESTART
+def _step(bed, components):
+    """The initial state, step ``succ(state, column)`` and runner step
+    tables of the product: a state is ``(runner states, bed state index)``,
+    and a runner in its set is not stepped but restarts from the bed state
+    the letter reaches.  Each runner is tested for its set, then stepped or
+    restarted, once per distinct (runner state, column) in walk order, and
+    ``tables[j][q, column]`` keeps the successor or ``_RESTART``."""
+    tables = [{} for _ in components]    # (q, column) -> q', or _RESTART
 
     def succ(state, i):
         qs, s = state
         s2 = bed.trans[s][i]
         out = []
-        for c, table, q in zip(components, steps, qs):
+        for c, table, q in zip(components, tables, qs):
             key = q, i
             if key not in table:
                 table[key] = (_RESTART if c.accepting(q)
@@ -160,20 +150,32 @@ def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES,
                        else q2)
         return tuple(out), s2
 
-    init = (tuple(c.init for c in components), 0)
+    return (tuple(c.init for c in components), 0), succ, tables
+
+
+def cascade(bed, components, branches, max_states=DEFAULT_MAX_STATES):
+    """Generalized Rabin automaton of the union over the branches of the
+    intersection of their components, all observing the bed.
+
+    ``components`` are runners, stepped by :func:`_step`.  A branch
+    ``(co-Büchi indices, Büchi indices)`` gives one pair.  It avoids the
+    states where one of its co-Büchi components is in its set, and has one
+    meet set per Büchi component: the states where that component is in
+    its set.  The unnamed states are in BFS order, the pairs in branch
+    order.  Raises :class:`StateLimitExceeded` when exploration would pass
+    ``max_states``."""
+    init, succ, tables = _step(bed, components)
     order, trans = automata._explore(len(bed.letters), init, succ,
                                      max_states)
-    labels = ([name(qs, bed.state_objs[s]) for qs, s in order] if name
-              else [""] * len(order))
     # every explored runner state has its column 0 entry, its set's mark
     marked = [frozenset(n for n, (qs, _) in enumerate(order)
                         if table[qs[j], 0] is _RESTART)
-              for j, table in enumerate(steps)]
+              for j, table in enumerate(tables)]
     acc = ("generalized-rabin", tuple(
         (frozenset().union(*(marked[j] for j in co)),
          tuple(marked[j] for j in bu))
         for co, bu in branches))
-    return automata.OmegaAutomaton(bed.ap, 0, trans, labels, acc)
+    return automata.OmegaAutomaton(bed.ap, 0, trans, [""] * len(order), acc)
 
 
 _limit_memo = F.memo()
@@ -226,33 +228,9 @@ def _limit_runner(ctx, tag, psi, S):
                   restart)
 
 
-def _namer(keys):
-    """``name`` for :func:`cascade`: a state is labelled
-    ``tag:zeta; ... | psi <b0, b1, ...>``, one part per runner in runner
-    order, then the bed's derivative and tracks.  Each distinct runner or
-    bed state is printed once."""
-    texts = [{} for _ in keys]      # runner state -> its text
-    beds = {}                       # bed state -> its text
-
-    def name(qs, bed_state):
-        parts = []
-        for (tag, _, _), seen, q in zip(keys, texts, qs):
-            if q not in seen:
-                seen[q] = "%s:%s" % (tag, P.to_formula(q))
-            parts.append(seen[q])
-        if bed_state not in beds:
-            psi, tracks = bed_state
-            beds[bed_state] = "%s <%s>" % (P.to_formula(psi), ", ".join(
-                str(P.to_formula(b)) for b in tracks))
-        return "%s | %s" % ("; ".join(parts), beds[bed_state])
-
-    return name
-
-
-def _product(phi, max_states=DEFAULT_MAX_STATES, labels=False):
-    """The cascade product that :func:`translate` minimizes, over the
-    formula's own propositions, one pair per (M, N) guess in branch
-    order."""
+def _parts(phi, max_states=DEFAULT_MAX_STATES):
+    """The context, the runner keys ``(tag, psi, set)`` and their runners in
+    first-appearance order, the branches in branch order, and the bed."""
     ctx = TranslationContext(phi)
     index = {}                # component key -> number, first appearance
     branches = []
@@ -264,14 +242,19 @@ def _product(phi, max_states=DEFAULT_MAX_STATES, labels=False):
                              [index.setdefault(k, len(index)) for k in bu]))
     # The runners are built before the bed and in first-appearance order:
     # both intern formulas, and the interning order fixes the BDD variable
-    # order and so the state labels.
+    # order and so the representatives :func:`explain` prints.
     components = [_limit_runner(ctx, *key) for key in index]
     bed = build_wc_automaton(ctx, max_states)
-    return cascade(bed, components, branches, max_states,
-                   _namer(index) if labels else None)
+    return ctx, list(index), components, branches, bed
 
 
-def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
+def _product(phi, max_states=DEFAULT_MAX_STATES):
+    """The cascade product that :func:`translate` minimizes."""
+    _, _, components, branches, bed = _parts(phi, max_states)
+    return cascade(bed, components, branches, max_states)
+
+
+def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES):
     """Deterministic generalized Rabin automaton for ``phi`` over its
     propositions and the names in ``ap``: the Moore quotient
     (:func:`~pastdra.automata.minimize`) of the cascade product, widened to
@@ -281,10 +264,6 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
     ``ctx.nu``); the quotient keeps that order, dropping the pairs that
     repeat an earlier one or can accept no run.
     :func:`~pastdra.automata.degeneralize` gives the plain Rabin automaton.
-    With ``labels``, each state is labelled with the formula text of the
-    runner states and bed state of its first product state (a debugging
-    aid, computed after exploration); without, no label is built and each
-    is ``""``.
 
     Raises ValueError, before any work, for a name in ``ap`` that no
     formula can mention, and :class:`StateLimitExceeded` past the cap.
@@ -292,8 +271,60 @@ def translate(phi, ap=None, max_states=DEFAULT_MAX_STATES, labels=False):
     for name in ap or ():
         if not F.is_prop_name(name):
             raise ValueError("not a proposition name: %r" % (name,))
-    auto = minimize(_product(phi, max_states, labels))
+    auto = minimize(_product(phi, max_states))
     return widen(auto, sorted(F.props(phi).union(ap or ())))
+
+
+def _braces(formulas):
+    return "{%s}" % ", ".join(map(str, formulas))
+
+
+def explain(phi, word):
+    """The product's run on the lasso ``word`` as lines of text, and whether
+    it accepts: :func:`_step` along the prefix, then cycle laps until a
+    lap-start state repeats, as :func:`~pastdra.automata.accepts` walks.
+    A line per letter gives the bed's derivative, its non-ff tracks by past
+    set and each runner's state, starred in its set, where it restarts;
+    each BDD node is ``#n``, defined once in the legend."""
+    ctx, keys, components, branches, bed = _parts(phi)
+    state, succ, tables = _step(bed, components)
+    letters, k = word.prefix + word.period, len(word.prefix)
+    legend, lap, marks = {}, {}, []   # marks: the runners in their sets
+
+    def ref(b):
+        return "#%d" % legend.setdefault(b, len(legend))
+
+    lines = ["runner %d: %s%s under %s = %s" % (
+        j, tag, "" if psi is None else "(%s)" % psi, "MN"[tag == "F"],
+        _braces(S)) for j, (tag, psi, S) in enumerate(keys)]
+    for t in chain(range(k), cycle(range(k, len(letters)))):
+        if t == k:
+            if state in lap:
+                break
+            lap[state] = len(marks)
+        i = bed.letters.index(frozenset(ctx.ap).intersection(letters[t]))
+        (qs, s), state = state, succ(state, i)
+        marks.append({j for j, q in enumerate(qs)
+                      if tables[j][q, i] is _RESTART})
+        psi, tracks = bed.state_objs[s]
+        lines.append("%d {%s}: %s [%s] | %s" % (
+            len(marks) - 1, ",".join(sorted(letters[t])), ref(psi),
+            ", ".join("%s: %s" % (_braces(F.sorted_set(c)), ref(b))
+                      for c, b in zip(ctx.past_sets, tracks)
+                      if b is not P.FALSE_B),
+            " ".join(ref(q) + "*" * (j in marks[-1])
+                     for j, q in enumerate(qs))))
+    on_loop = set().union(*marks[lap[state]:])
+    accepting = [(keys[co[0]][2], [keys[j][1] for j in co[1:]])
+                 for co, bu in branches
+                 if on_loop.isdisjoint(co) and on_loop.issuperset(bu)]
+    lines += ["#%d = %s" % (n, P.to_formula(b)) for b, n in legend.items()]
+    lines += ["loop: from %d" % lap[state], "in their sets on the loop: %s"
+              % (" ".join(map(str, sorted(on_loop))) or "none"),
+              "first accepting (M, N): %s"
+              % ("M = %s, N = %s" % tuple(map(_braces, accepting[0]))
+                 if accepting else "none")]
+    return lines, bool(accepting)
 
 
 def translation_stats(phi, auto):

@@ -12,8 +12,8 @@ import random
 import re
 import subprocess
 import sys
-import tempfile
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +29,7 @@ from pastdra.rewrites import (enumerate_past_sets, is_saturated,
                               rewrite_under)
 from pastdra.stability import _walk, check_master, limit_sets
 from pastdra.translate import (TranslationContext, _product,
-                               build_wc_automaton, translate,
+                               build_wc_automaton, explain, translate,
                                translation_stats)
 
 parse = F.parse
@@ -188,42 +188,27 @@ def test_negated_future_spec_translates():
         assert accepts(auto, w) == holds(f, w, 0), w
 
 
-# The cascade products that ``translate(..., labels=True)`` minimizes,
-# widened to {p, q, r}.
-CORPUS_HOA_SHA256 = (
-    "e538d0395dccf52bfaa297cac3f4ac31971f9e64a49f7aa2a1b8429ce0c43596")
-CORPUS_HOA_BYTES = 238381
-# The same text with every state label dropped: states, edges and
-# acceptance, as the product is built by default.  A change that only
-# edits labels leaves these two as they are.
+# The cascade products that ``translate`` minimizes, widened to {p, q, r}:
+# states, edges and acceptance.
 CORPUS_STRUCTURE_SHA256 = (
     "f2a94d6b7b2b90784c88549c0b4afa8e3a58e14a8dc1083f4fd1e971c6d55982")
 CORPUS_STRUCTURE_BYTES = 92221
 # Their plain Rabin form, ``degeneralize`` of the product.
-CORPUS_RABIN_HOA_SHA256 = (
-    "641af1b66e26fb87ab032a7a07d636e7aedcd6a415a1a7622c5a1f5d65538813")
-CORPUS_RABIN_HOA_BYTES = 324016
 CORPUS_RABIN_STRUCTURE_SHA256 = (
     "c06c16652ff91640102370fc61792d12b8e4085a55fad018dcffb88b4b8e059a")
 CORPUS_RABIN_STRUCTURE_BYTES = 160671
 # The Moore quotients that ``translate`` returns (298 states and 129 pairs,
 # against the products' 847 and 186), then their plain Rabin form (335
 # states, against 920).
-CORPUS_REDUCED_HOA_SHA256 = (
-    "272839fbc70aa1d928f75477b46d73c6c9fc8f4a678062c930108b511e4e7dc5")
-CORPUS_REDUCED_HOA_BYTES = 62776
 CORPUS_REDUCED_STRUCTURE_SHA256 = (
     "f09183894f0f84b8a46034adfd66a590ea25dfcc4b99b32bd10e1317d0d65d0e")
 CORPUS_REDUCED_STRUCTURE_BYTES = 22780
-CORPUS_REDUCED_RABIN_HOA_SHA256 = (
-    "901d5977b337a84da41a75eef0c81c1753f38d4d57aab45c6ef99a56b05ebb10")
-CORPUS_REDUCED_RABIN_HOA_BYTES = 76373
 CORPUS_REDUCED_RABIN_STRUCTURE_SHA256 = (
     "9d85defcb118d1849cf7f0dd07c633356eac738ed68e9dbf0bdb012d68a14fd2")
 CORPUS_REDUCED_RABIN_STRUCTURE_BYTES = 28033
 
-# Each script prints a JSON list of four texts, labelled when its argument
-# is ``labels``: the HOA of every cascade product, of its degeneralization,
+# Each script prints a JSON list of four texts: the HOA of every cascade
+# product, of its degeneralization,
 # of its Moore quotient (what ``translate`` returns) and of the quotient's
 # degeneralization, each widened to the script's alphabet.  ``minimize``,
 # ``widen`` and ``degeneralize`` intern nothing, so the first text is what
@@ -235,11 +220,10 @@ from pastdra.automata import minimize, widen
 from pastdra.formula import props
 from pastdra.gen import random_formula_bounded
 from pastdra.translate import _product
-labels = sys.argv[1:] == ["labels"]
 out = []
 for phi in %s:
     ap = sorted(props(phi).union(%r))
-    narrow = _product(phi, max_states=200000, labels=labels)
+    narrow = _product(phi, max_states=200000)
     raw, reduced = widen(narrow, ap), widen(minimize(narrow), ap)
     out.append([export_hoa(auto, name=str(phi)) for auto in
                 (raw, degeneralize(raw), reduced, degeneralize(reduced))])
@@ -250,51 +234,30 @@ _CORPUS_HOA_SCRIPT = _HOA_SCRIPT % ("map(parse, json.load(sys.stdin))",
 
 
 def _hoa_in_fresh_interpreter(script, stdin=b""):
-    """The texts written by ``script``, each as (default text, labelled
-    text); the two modes run side by side, each in a new interpreter."""
+    """The texts written by ``script``, run in a new interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
-    runs = []
-    for mode in ([], ["labels"]):
-        out, err = tempfile.TemporaryFile(), tempfile.TemporaryFile()
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script] + mode, stdin=subprocess.PIPE,
-            stdout=out, stderr=err, env=dict(os.environ, PYTHONPATH=src))
-        proc.stdin.write(stdin)
-        proc.stdin.close()
-        runs.append((proc, out, err))
-    texts = []
-    for proc, out, err in runs:
-        with out, err:
-            code = proc.wait(timeout=600)
-            err.seek(0)
-            assert code == 0, err.read().decode()
-            out.seek(0)
-            texts.append(json.loads(out.read()))
-    return [(plain.encode(), labelled.encode())
-            for plain, labelled in zip(*texts)]
+    out = subprocess.run([sys.executable, "-c", script], input=stdin,
+                         capture_output=True, timeout=600,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr.decode()
+    return [text.encode() for text in json.loads(out.stdout)]
 
 
 def _state_counts(text):
     return [int(n) for n in re.findall(rb"^States: (\d+)", text, re.M)]
 
 
-def _assert_golden(pair, structure_bytes, structure_sha, text_bytes,
-                   text_sha):
-    plain, labelled = pair
-    assert len(plain) == structure_bytes
-    assert hashlib.sha256(plain).hexdigest() == structure_sha
-    assert len(labelled) == text_bytes
-    assert hashlib.sha256(labelled).hexdigest() == text_sha
-    # labels only name the states: dropping them gives the default text
-    assert re.sub(rb'^(State: \d+) "[^"\n]*"', rb"\1", labelled,
-                  flags=re.M) == plain
+def _assert_golden(text, structure_bytes, structure_sha):
+    assert len(text) == structure_bytes
+    assert hashlib.sha256(text).hexdigest() == structure_sha
 
 
 @pytest.fixture(scope="module")
 def corpus_hoa():
     # The corpus is translated in a fresh interpreter: interning order
-    # steers the BDD variable order and with it the state labels, and the
-    # tests that run before this one intern formulas of their own.
+    # steers the BDD variable order and with it the order of pairs and meet
+    # sets, and the tests that run before this one intern formulas of their
+    # own.
     return _hoa_in_fresh_interpreter(_CORPUS_HOA_SCRIPT,
                                      json.dumps(CORPUS).encode())
 
@@ -303,52 +266,35 @@ def test_corpus_hoa_is_golden(corpus_hoa):
     # Refactors must leave the automata byte-identical; a change that alters
     # them on purpose updates the constants above and says why.
     _assert_golden(corpus_hoa[0], CORPUS_STRUCTURE_BYTES,
-                   CORPUS_STRUCTURE_SHA256, CORPUS_HOA_BYTES,
-                   CORPUS_HOA_SHA256)
+                   CORPUS_STRUCTURE_SHA256)
 
 
 def test_corpus_rabin_hoa_is_golden(corpus_hoa):
     _assert_golden(corpus_hoa[1], CORPUS_RABIN_STRUCTURE_BYTES,
-                   CORPUS_RABIN_STRUCTURE_SHA256, CORPUS_RABIN_HOA_BYTES,
-                   CORPUS_RABIN_HOA_SHA256)
+                   CORPUS_RABIN_STRUCTURE_SHA256)
 
 
 def test_corpus_reduced_hoa_is_golden(corpus_hoa):
     _assert_golden(corpus_hoa[2], CORPUS_REDUCED_STRUCTURE_BYTES,
-                   CORPUS_REDUCED_STRUCTURE_SHA256, CORPUS_REDUCED_HOA_BYTES,
-                   CORPUS_REDUCED_HOA_SHA256)
+                   CORPUS_REDUCED_STRUCTURE_SHA256)
 
 
 def test_corpus_reduced_rabin_hoa_is_golden(corpus_hoa):
     _assert_golden(corpus_hoa[3], CORPUS_REDUCED_RABIN_STRUCTURE_BYTES,
-                   CORPUS_REDUCED_RABIN_STRUCTURE_SHA256,
-                   CORPUS_REDUCED_RABIN_HOA_BYTES,
-                   CORPUS_REDUCED_RABIN_HOA_SHA256)
+                   CORPUS_REDUCED_RABIN_STRUCTURE_SHA256)
 
 
-RANDOM_HOA_SHA256 = (
-    "d085d0e2c658830c745a1e4e4e4bc28c6221f2015389407e77b3ec82be110b2e")
-RANDOM_HOA_BYTES = 388070
 RANDOM_STRUCTURE_SHA256 = (
     "a957eb678dd75feae04d2617adf71aea228adbb5298a846ae8f2c28e3d83386f")
 RANDOM_STRUCTURE_BYTES = 215226
-RANDOM_RABIN_HOA_SHA256 = (
-    "73f37d3466a3f8d31b99559179f4d611a8ecc7bf9555010cc0c27c81528f93f0")
-RANDOM_RABIN_HOA_BYTES = 409368
 RANDOM_RABIN_STRUCTURE_SHA256 = (
     "6d478de525894c11ee03bf272e9bdbca39e426fa619afd6e036ca8e554d3a958")
 RANDOM_RABIN_STRUCTURE_BYTES = 227069
 # Their Moore quotients (2,011 states, against the products' 3,261), then
 # the quotients' plain Rabin form (2,059 states, against 3,359).
-RANDOM_REDUCED_HOA_SHA256 = (
-    "07edf369bc44aa4190e639df1953617b04fcfc4493221c73420db7ae91540c0c")
-RANDOM_REDUCED_HOA_BYTES = 262983
 RANDOM_REDUCED_STRUCTURE_SHA256 = (
     "db6b6a863fb4d5db22c098707ab79631293ee3429ca9825866adb535d5486eec")
 RANDOM_REDUCED_STRUCTURE_BYTES = 174750
-RANDOM_REDUCED_RABIN_HOA_SHA256 = (
-    "0a007e5403962a795b56bcd7cf2ced25be109151d1b6d2ba8ec4b6037ded6961")
-RANDOM_REDUCED_RABIN_HOA_BYTES = 271668
 RANDOM_REDUCED_RABIN_STRUCTURE_SHA256 = (
     "8ee119e1688fa0a0ba86fb58396f7e5af8d0a126d893b4f8576560195be6f899")
 RANDOM_REDUCED_RABIN_STRUCTURE_BYTES = 179523
@@ -370,76 +316,54 @@ def random_hoa():
 
 def test_random_hoa_is_golden(random_hoa):
     _assert_golden(random_hoa[0], RANDOM_STRUCTURE_BYTES,
-                   RANDOM_STRUCTURE_SHA256, RANDOM_HOA_BYTES,
-                   RANDOM_HOA_SHA256)
+                   RANDOM_STRUCTURE_SHA256)
 
 
 def test_random_rabin_hoa_is_golden(random_hoa):
     _assert_golden(random_hoa[1], RANDOM_RABIN_STRUCTURE_BYTES,
-                   RANDOM_RABIN_STRUCTURE_SHA256, RANDOM_RABIN_HOA_BYTES,
-                   RANDOM_RABIN_HOA_SHA256)
+                   RANDOM_RABIN_STRUCTURE_SHA256)
 
 
 def test_random_reduced_hoa_is_golden(random_hoa):
     _assert_golden(random_hoa[2], RANDOM_REDUCED_STRUCTURE_BYTES,
-                   RANDOM_REDUCED_STRUCTURE_SHA256, RANDOM_REDUCED_HOA_BYTES,
-                   RANDOM_REDUCED_HOA_SHA256)
+                   RANDOM_REDUCED_STRUCTURE_SHA256)
 
 
 def test_random_reduced_rabin_hoa_is_golden(random_hoa):
     _assert_golden(random_hoa[3], RANDOM_REDUCED_RABIN_STRUCTURE_BYTES,
-                   RANDOM_REDUCED_RABIN_STRUCTURE_SHA256,
-                   RANDOM_REDUCED_RABIN_HOA_BYTES,
-                   RANDOM_REDUCED_RABIN_HOA_SHA256)
+                   RANDOM_REDUCED_RABIN_STRUCTURE_SHA256)
 
 
 # The deciding cases of the benchmark's ``past_width`` workload: per case
-# the states of its Moore quotient, then the bytes and sha256 of the
-# labelled HOA text of its cascade product and of the product's structure,
-# the default text.
+# the states of its Moore quotient, then the bytes and sha256 of the HOA
+# text of its cascade product.
 PAST_WIDTH_GOLDEN = {
     "G(p <-> O q1)": (
-        3, 2130,
-        "8364b2fcdaf0357e90457a432e5fdb8b1f9b399d5860b97731625d756e86ecd1",
-        419,
+        3, 419,
         "71b7f09e8edd280b13c3c929caf20824b7ddd10592a221b42490a00dd5fd81c4"),
     "G(p <-> O q1 & O q2)": (
-        5, 19460,
-        "da0cc82637a188715992f85164e4f496dc2d62557da4186fc6fb8783d787f086",
-        823,
+        5, 823,
         "044158a2752b54a09ddaf71a54862a65e472e71831ad88aa0c65c9e65298e2c8"),
     "G(p <-> Y q)": (
-        3, 1896,
-        "9f66d1c9187756e2f33aaa8202a05c94af657fc14247a317542e70220cf1812c",
-        413,
+        3, 413,
         "258ee21150f7fb41902c02e80d43fde700c59779d0a95b425f0b7c6b4e819c87"),
     "G(p <-> Y Y q)": (
-        5, 12578,
-        "c4bab63a792c30a4f922436bc29a5460eafe9fe67087f815f0a92727b6e01ef7",
-        628,
+        5, 628,
         "8047bda6ffd7f1bbbc627ccfaae99c00081c3b3ac7ca1877234f02c5991643cd"),
 }
-# The same for the quotient, what ``translate`` returns: bytes and sha256
-# of its labelled text and of its structure (products of 9 and 17 states).
+# The same for the quotient, what ``translate`` returns (products of 9 and
+# 17 states).
 PAST_WIDTH_REDUCED_GOLDEN = {
     "G(p <-> O q1)": (
-        839,
-        "5db9491aaa95a3862f1bc3a30707dc43726f885ac6835540f034e6019994016d",
         272,
         "40cf29adee04bf8dbcf15e3810d4c0cadf8b26e28204a1d1bd1234f3b7836998"),
     "G(p <-> O q1 & O q2)": (
-        7758,
-        "5bc5ac0e61005b4d05aac93df7ebb174e3d730c73bff225b3ed4472b31ac8dfb",
         372,
         "82074f0c55fc7c786cf6cdb0d06a5c2ca4c0736d494235e987e0a2bd72c5a1c2"),
     "G(p <-> Y q)": (
-        750,
-        "4454ca2ab261b66054e38ca6aaa5d2d17259252541c74cdcbc8ee3ce9c8ad3dd",
         266,
         "b1371957e6cdf59be40070d727de9eeb39935fac713ba017c0d4c8565565fd19"),
     "G(p <-> Y Y q)": (
-        4934,
-        "9ce479339065e02d1f6203967fd8df1a066604c9cb14ced27411a1f412dee9d9",
         305,
         "91a52afe36b5bc035163de8ef3788e76e6fae12286c70693bb9e20254e0cbfed"),
 }
@@ -449,7 +373,7 @@ from pastdra import export_hoa, parse
 from pastdra.automata import minimize, widen
 from pastdra.translate import _product
 phi = parse(%r)
-raw = _product(phi, labels=sys.argv[1:] == ["labels"])
+raw = _product(phi)
 sys.stdout.write(json.dumps([export_hoa(widen(auto, sorted(%r)),
                                         name=str(phi))
                              for auto in (raw, minimize(raw))]))
@@ -459,16 +383,12 @@ sys.stdout.write(json.dumps([export_hoa(widen(auto, sorted(%r)),
 @pytest.mark.parametrize("text", sorted(PAST_WIDTH_GOLDEN))
 def test_past_width_hoa_is_golden(text):
     # Each case in a fresh interpreter, as the benchmark translates it.
-    states, text_bytes, text_sha, structure_bytes, structure_sha = \
-        PAST_WIDTH_GOLDEN[text]
+    states, structure_bytes, structure_sha = PAST_WIDTH_GOLDEN[text]
     ap = ["p"] + sorted(F.props(F.parse(text)) - {"p"})
     raw, reduced = _hoa_in_fresh_interpreter(_PAST_WIDTH_SCRIPT % (text, ap))
-    assert _state_counts(reduced[0]) == [states]
-    _assert_golden(raw, structure_bytes, structure_sha, text_bytes, text_sha)
-    text_bytes, text_sha, structure_bytes, structure_sha = \
-        PAST_WIDTH_REDUCED_GOLDEN[text]
-    _assert_golden(reduced, structure_bytes, structure_sha, text_bytes,
-                   text_sha)
+    assert _state_counts(reduced) == [states]
+    _assert_golden(raw, structure_bytes, structure_sha)
+    _assert_golden(reduced, *PAST_WIDTH_REDUCED_GOLDEN[text])
 
 
 def test_golden_automata_are_no_larger_than_degeneralized(corpus_hoa,
@@ -476,7 +396,7 @@ def test_golden_automata_are_no_larger_than_degeneralized(corpus_hoa,
     # each form no larger than its degeneralization, and each quotient no
     # larger than its product
     for forms in (corpus_hoa, random_hoa):
-        sizes = [_state_counts(plain) for plain, _ in forms]
+        sizes = [_state_counts(text) for text in forms]
         assert len(set(map(len, sizes))) == 1
         for small, large in ((0, 1), (2, 3), (2, 0), (3, 1)):
             assert all(a <= b for a, b in zip(sizes[small], sizes[large])), (
@@ -510,17 +430,37 @@ _ROUND_TRIP_CASES = {
 }
 
 
-@pytest.mark.parametrize("labels", [False, True])
+@pytest.mark.parametrize("named", [False, True])
 @pytest.mark.parametrize("family", sorted(_ROUND_TRIP_CASES))
-def test_hoa_reads_back_what_it_writes(family, labels):
-    # every translation and its plain Rabin form read back exactly
+def test_hoa_reads_back_what_it_writes(family, named):
+    # every translation and its plain Rabin form read back exactly, also
+    # with a state name, as parse_hoa keeps one, that holds a newline, a
+    # quote and a backslash
     for phi, ap in _ROUND_TRIP_CASES[family]():
-        auto = translate(phi, ap, max_states=200000, labels=labels)
+        auto = translate(phi, ap, max_states=200000)
         for a in (auto, degeneralize(auto)):
+            if named:
+                a = replace(a, labels=['x\n"%d\\' % q
+                                       for q in range(a.n_states())])
             back = parse_hoa(export_hoa(a, name=str(phi)))
             assert (back.ap, back.init, back.trans, back.labels,
                     back.acc) == (a.ap, a.init, a.trans, a.labels,
                                   a.acc), phi
+
+
+def test_explain_verdict_is_the_automaton_verdict(corpus_automata):
+    # explain walks the product's step along the word: its verdict is what
+    # the minimized automaton and the evaluator say, on seeded words over
+    # the corpus and on the deciding past_width cases
+    cases = list(corpus_automata.items())
+    cases += [(text, translate(parse(text))) for text in PAST_WIDTH_GOLDEN]
+    rng = random.Random(107)
+    for text, auto in cases:
+        phi = parse(text)
+        for _ in range(5):
+            w = random_lasso(rng, auto.ap, max_prefix=3, max_cycle=3)
+            verdict = explain(phi, w)[1]
+            assert verdict == accepts(auto, w) == holds(phi, w, 0), (text, w)
 
 
 def test_past_and_pure_future_phrasings_agree(corpus_automata):

@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -98,20 +101,20 @@ def test_translate_names_the_formula_as_given(capsys):
 
 
 @pytest.mark.parametrize("acceptance", ["generalized", "rabin"])
-def test_translate_names_states_only_with_labels(capsys, acceptance):
-    # states are unnamed by default; --labels names every state, in HOA
-    # after its number and in DOT on a line of its own
-    for flags, named in (([], False), (["--labels"], True)):
-        argv = ["translate", "G(p -> O q)", "--acceptance", acceptance]
-        code, hoa, _ = run(capsys, *argv, *flags)
-        lines = re.findall(r"^State: .*$", hoa, re.M)
-        assert code == 0 and len(lines) >= 3
-        assert [bool(re.match(r'State: \d+ "[^"]', line))
-                for line in lines] == [named] * len(lines), lines
-        code, dot, _ = run(capsys, *argv, "--format", "dot", *flags)
-        nodes = re.findall(r"^  q\d+ \[.*$", dot, re.M)
-        assert code == 0 and len(nodes) == len(lines)
-        assert [("\\n" in node) for node in nodes] == [named] * len(nodes)
+def test_translate_names_no_state(capsys, acceptance):
+    # no state is named, in HOA after its number or in DOT on a line of its
+    # own, and --labels, which once named them, is an unknown option
+    argv = ["translate", "G(p -> O q)", "--acceptance", acceptance]
+    code, hoa, _ = run(capsys, *argv)
+    lines = re.findall(r"^State: .*$", hoa, re.M)
+    assert code == 0 and len(lines) >= 3
+    assert not any(re.match(r'State: \d+ "', line) for line in lines), lines
+    code, dot, _ = run(capsys, *argv, "--format", "dot")
+    nodes = re.findall(r"^  q\d+ \[.*$", dot, re.M)
+    assert code == 0 and len(nodes) == len(lines)
+    assert not any("\\n" in node for node in nodes), nodes
+    code, out, err = run(capsys, *argv, "--labels")
+    assert code == 1 and not out and "unrecognized arguments: --labels" in err
 
 
 def test_translate_state_cap(capsys):
@@ -213,6 +216,61 @@ def test_check_formula_that_names_a_file(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.splitlines()[0] == "accepts"
 
 
+# ``pastdra explain`` of a past formula on a word whose r no state reads: a
+# track for the past set {Y p}, restarts, and a loop that the first guess
+# accepts.  The nodes are printed by their BDD representatives, which
+# follow the interning order, so it runs in a fresh interpreter.
+EXPLAIN_GOLDEN = """\
+runner 0: S under M = {}
+runner 1: S under M = {p U (q & Y p)}
+runner 2: F(p U (q & Y p)) under N = {}
+0 {p}: #0 [{}: #1] | #2* #3 #4
+1 {q,r}: #5 [{}: #1, {Y p}: #1] | #2* #6 #7
+2 {p}: #1 [{}: #1] | #1 #1 #1*
+3 {q}: #1 [{}: #1, {Y p}: #1] | #1 #1 #8
+#0 = p U (q & Y p)
+#1 = tt
+#2 = ff
+#3 = p W (q & Y p)
+#4 = F (p U (q & Y p))
+#5 = p U (q & Y p) | p U (q & wY p)
+#6 = p W (q & Y p) | p W (q & wY p)
+#7 = p U (q & Y p) | p U (q & wY p) | F (p U (q & Y p)) | F (p U (q & wY p))
+#8 = F (p U (q & Y p)) | F (p U (q & wY p))
+loop: from 2
+in their sets on the loop: 2
+first accepting (M, N): M = {}, N = {}
+accepts
+semantics agree
+"""
+
+
+def test_explain_is_golden():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "pastdra.cli", "explain", "p U (q & Y p)",
+         "{p},{q,r} ; {p},{q}"], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == EXPLAIN_GOLDEN
+
+
+def test_explain_exits_3_when_the_evaluator_disagrees(capsys, monkeypatch):
+    holds = cli.lasso.holds
+    monkeypatch.setattr(cli.lasso, "holds", lambda *args: not holds(*args))
+    code, out, err = run(capsys, "explain", "F p", "; {p}")
+    assert code == 3 and not err
+    assert out.splitlines()[-2:] == ["accepts", "semantics DISAGREE"]
+
+
+@pytest.mark.parametrize("argv", [["p U", "; {p}"], ["p", "{p} ;"],
+                                  ["p", "; {p q}"]])
+def test_explain_malformed_input_exits_1(capsys, argv):
+    code, out, err = run(capsys, "explain", *argv)
+    assert code == 1 and not out and err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "derivative",
                        "--count", "20", "--seed", "5")
@@ -260,11 +318,10 @@ def _check_hoa(capsys, text, start="error: HOA"):
 _BODY_LINE = "error: unsupported HOA body line: "
 
 
-def _fq_hoa(labels=False):
+def _fq_hoa():
     # the HOA of the five-state cascade product of F q, whose text the
     # reader's tests edit
-    raw = _product(parse("F q"), labels=labels)
-    return export_hoa(raw, name="F q")
+    return export_hoa(_product(parse("F q")), name="F q")
 
 
 @pytest.mark.parametrize("line", ["States:", "Start:", "AP:", "acc-name:",
@@ -449,9 +506,18 @@ def test_check_reads_implicit_labels_in_the_spec_order(capsys):
     ("State: 4 ", "State: 5 "),
 ])
 def test_check_hoa_out_of_range(capsys, old, new):
-    # labelled, so that a state line goes on after its number
-    text = _fq_hoa(labels=True).replace(old, new, 1)
+    # state 4 is named, so that its line goes on after its number
+    text = _fq_hoa().replace("State: 4\n", 'State: 4 "F q"\n', 1)
+    text = text.replace(old, new, 1)
     assert "out of range" in _check_hoa(capsys, text)
+
+
+def test_check_hoa_unclosed_state_name(capsys):
+    # the quote opens a name that no later quote closes: the error names it,
+    # not the line the reader would see after skipping the quote
+    text = _fq_hoa().replace("State: 0 {0}\n", 'State: 0 "x {0}\n', 1)
+    err = _check_hoa(capsys, text)
+    assert err == "error: HOA string '\"x {0}' has no closing quote\n"
 
 
 def test_check_hoa_short_body_is_rejected_before_allocating(capsys):
@@ -473,6 +539,7 @@ def test_check_hoa_short_body_is_rejected_before_allocating(capsys):
 def test_usage_errors_exit_1(capsys):
     # argparse's own code, 2, is the state cap's
     for argv in (["eval", "p"], ["translate", "->p"], ["selftest", "nosuch"],
+                 ["explain", "p"], ["explain", "p", "; {p}", "--labels"],
                  ["translate", "p", "--max-states", "-3"],
                  ["translate", "p", "--max-states", "0"],
                  ["check", "p", "; {p}", "--max-states", "0"],
@@ -527,7 +594,7 @@ def test_cli_exits_0_or_1_on_any_input(formula, word):
     # malformed input exits 1 and well-formed input 0: never a traceback,
     # the state cap's 2 or a disagreement's 3
     for argv in (["translate", formula], ["eval", formula, word],
-                 ["check", formula, word]):
+                 ["check", formula, word], ["explain", formula, word]):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)

@@ -1,4 +1,3 @@
-import itertools
 import random
 import re
 import sys
@@ -16,8 +15,8 @@ from pastdra.gen import random_formula_bounded, random_lasso
 from pastdra.hoa import export_dot, export_hoa, parse_hoa
 from pastdra.lasso import holds, parse_word
 from pastdra.translate import (BedAutomaton, Runner, TranslationContext,
-                               _product, build_wc_automaton, cascade,
-                               translate, translation_stats)
+                               _product, _step, build_wc_automaton, cascade,
+                               explain, translate, translation_stats)
 
 parse = F.parse
 
@@ -162,9 +161,10 @@ def _last_letter(prop):
                   restart=lambda letter: int(prop in letter))
 
 
-def _name(qs, letter):
-    return "%s | %s" % ("; ".join(map(str, qs)),
-                        "".join(sorted(letter)) or "-")
+def _states(bed, components):
+    # the product states in cascade's order, explored from the shared step
+    init, succ, _ = _step(bed, components)
+    return _explore(len(bed.letters), init, succ, 100)[0]
 
 
 def test_rabin_union_is_language_union():
@@ -180,10 +180,10 @@ def test_rabin_union_is_language_union():
         return last_p.step(q, sigma)
 
     counted = last_p._replace(step=counted_step)
-    u = cascade(bed, [counted], [([], [0]), ([0], [])], name=_name)
+    u = cascade(bed, [counted], [([], [0]), ([0], [])])
     u.audit()
     assert len(u.acc[1]) == 2
-    assert u.labels == ["0 | -", "1 | p"]
+    assert _states(bed, [last_p]) == [((0,), 0), ((1,), 1)]
     # stepped once per (state, letter), not once per branch, and never
     # from state 1, which restarts
     assert len(steps) == len(set(steps)) == 2
@@ -205,21 +205,21 @@ def test_rabin_conjunction_single_pair():
     bed = _letter_bed(("p", "q"))
     buchi = _last_letter("p")
     cob = _last_letter("q")
-    a = cascade(bed, [cob, buchi], [([0], [1])], name=_name)
+    a = cascade(bed, [cob, buchi], [([0], [1])])
     a.audit()
     assert a.acc[0] == "generalized-rabin" and len(a.acc[1]) == 1
-    assert a.labels[0] == "0; 0 | -"
+    assert _states(bed, [cob, buchi])[0] == ((0, 0), 0)
     assert accepts(a, parse_word("; {p}"))
     assert accepts(a, parse_word("{q} ; {p},{}"))
     assert not accepts(a, parse_word("; {p,q}"))
     assert not accepts(a, parse_word("; {}"))
     # two Büchi components: one meet set each, no counter in the product
-    both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])],
-                   name=_name)
+    both = cascade(bed, [buchi, _last_letter("q")], [([], [0, 1])])
     assert both.n_states() == 4
     assert [len(meets) for _, meets in both.acc[1]] == [2]
     # degeneralized, they are watched in turn: 2 x 2 component states x 2
-    # counter values
+    # counter values, each named after its product state
+    both.labels = ["0", "1", "2", "3"]
     rabin = degeneralize(both)
     rabin.audit()
     assert rabin.n_states() == 8
@@ -239,10 +239,10 @@ def test_cascade_runner_sees_reached_bed_state():
     bed = BedAutomaton(ap=("p",), letters=letters_for(("p",)),
                        trans=[[0, 1], [1, 0]], state_objs=["a", "b"])
     run = Runner(init="a", step=None, accepting=lambda q: True, restart=str)
-    a = cascade(bed, [run], [([], [0])], name=_name)
+    a = cascade(bed, [run], [([], [0])])
     a.audit()
     assert a.trans == bed.trans
-    assert a.labels == ["a | a", "b | b"]
+    assert _states(bed, [run]) == [(("a",), 0), (("b",), 1)]
     assert a.acc[1] == ((frozenset(), (frozenset({0, 1}),)),)
 
 
@@ -259,13 +259,12 @@ def _plain_product(bed, components, branches):
 
     init = (tuple(c.init for c in components), 0)
     order, trans = _explore(len(bed.letters), init, succ, 100)
-    labels = [_name(qs, bed.state_objs[s]) for qs, s in order]
     marked = [frozenset(n for n, (qs, _) in enumerate(order)
                         if c.accepting(qs[j]))
               for j, c in enumerate(components)]
     pairs = tuple((frozenset().union(*(marked[j] for j in co)),
                    tuple(marked[j] for j in bu)) for co, bu in branches)
-    return trans, labels, pairs
+    return trans, order, pairs
 
 
 def test_cascade_steps_each_component_state_once():
@@ -291,10 +290,10 @@ def test_cascade_steps_each_component_state_once():
         [_last_letter("p"), _last_letter("q"), count])]
     plain = _plain_product(bed, runners, branches)
     walk, calls = calls, {}
-    auto = cascade(bed, runners, branches, name=_name)
+    auto = cascade(bed, runners, branches)
     auto.audit()
     assert auto.n_states() == 10
-    assert (auto.trans, auto.labels, auto.acc[1]) == plain
+    assert (auto.trans, auto.acc[1]) == (plain[0], plain[2])
     # the walk steps the first runner from state 0 in five product states
     assert len(walk["step", 0]) == 5 * 4
     # each runner is tested for its set and then stepped once per distinct
@@ -309,23 +308,23 @@ def test_cascade_steps_each_component_state_once():
         assert calls[kind, k] == expected, (kind, k)
     assert [len(calls["step", k]) for k in (0, 1, 2)] == [4, 4, 8]
     assert [len(calls["accepting", k]) for k in (0, 1, 2)] == [8, 8, 12]
-    # without a name function no state is named
-    unnamed = cascade(bed, runners, branches)
-    assert (unnamed.trans, unnamed.acc[1]) == (plain[0], plain[2])
-    assert unnamed.labels == [""] * 10
+    # the shared step explores the plain walk's states; none is named
+    assert _states(bed, runners) == plain[1]
+    assert auto.labels == [""] * 10
 
 
 def test_a_runner_in_its_set_is_never_stepped(monkeypatch):
     # the runner counts letters up to its set {2}, where a step raises.
     # There it restarts on every letter instead, and its marks are exactly
     # the product states it restarted from.
-    explore, at, restarted = automata._explore, [], []
+    explore, at, restarted, orders = automata._explore, [], [], []
 
     def tracked(width, init, succ, max_states):
         def step(state, i):
             at[:] = [state]
             return succ(state, i)
-        return explore(width, init, step, max_states)
+        orders.append(explore(width, init, step, max_states))
+        return orders[-1]
 
     def step(q, sigma):
         if q == 2:
@@ -340,14 +339,14 @@ def test_a_runner_in_its_set_is_never_stepped(monkeypatch):
     bed = _letter_bed(("p",))
     run = Runner(init=0, step=step, accepting=lambda q: q == 2,
                  restart=restart)
-    auto = cascade(bed, [run], [([], [0])], name=_name)
+    auto = cascade(bed, [run], [([], [0])])
     auto.audit()
-    sources = {_name(qs, bed.state_objs[s]) for qs, s in restarted}
+    [(order, trans)] = orders
+    assert trans == auto.trans
     [(avoid, (marks,))] = auto.acc[1]
-    assert marks == {n for n, label in enumerate(auto.labels)
-                     if label in sources}
+    assert marks == {n for n, state in enumerate(order) if state in restarted}
     assert len(marks) == 2 and len(restarted) == 2 * len(bed.letters)
-    assert all(auto.labels[n].startswith("2 |") for n in marks)
+    assert all(order[n][0] == (2,) for n in marks)
 
 
 def test_degeneralize_state_limit():
@@ -408,7 +407,7 @@ def test_components_are_stepped_once(monkeypatch):
         tags.append(tag)
         return limit_runner(ctx, tag, psi, S)
 
-    def counted_cascade(bed, components, branches, max_states, name):
+    def counted_cascade(bed, components, branches, max_states):
         def counting(k, runner):
             def step(q, sigma):
                 before = len(calls)
@@ -423,7 +422,7 @@ def test_components_are_stepped_once(monkeypatch):
             return runner._replace(step=step, restart=restart)
         beds.append(bed)
         return cascade(bed, [counting(k, c) for k, c in enumerate(components)],
-                       branches, max_states, name)
+                       branches, max_states)
 
     monkeypatch.setattr(module, "af_class", counted)
     monkeypatch.setattr(P, "disj_all", counted_disj_all)
@@ -476,39 +475,52 @@ def test_one_letter_table_per_automaton(monkeypatch):
     assert calls == [("p", "q", "r")]
 
 
-def test_labels_name_each_component_once():
-    # 64 guesses share 7 components; a label names each component once, so
-    # it has 7 parts.  Count "; ", not " | ": formula text contains " | ".
-    auto = _product(parse(FUTURE_HISTORY_SPEC), labels=True)
-    assert len(auto.acc[1]) == 64
-    assert auto.labels[0].count("; ") == 6
+def _explained(text, word):
+    # explain's header, walk and legend lines, and its verdict
+    lines, verdict = explain(parse(text), parse_word(word))
+    walk = [line for line in lines if re.match(r"\d+ \{", line)]
+    legend = dict(re.findall(r"^#(\d+) = (.*)$", "\n".join(lines), re.M))
+    return lines, walk, legend, verdict
 
 
-def test_labels_print_the_derivative_once():
-    # The bed carries the formula's derivative, so a state label prints it
-    # once, in the bed part after the runners; each runner part is a tag
-    # and one formula.  G(F p & F q) has 4 safety runners among its 12,
-    # and 55 product states in 22 classes.
+def test_explain_names_each_runner_once():
+    # 64 guesses share 7 runners: the header names each once, and each
+    # letter's line gives each runner's state once, after the bed part
+    lines, walk, _, verdict = _explained(FUTURE_HISTORY_SPEC,
+                                         "{r} ; {p,q},{}")
+    assert sum(line.startswith("runner ") for line in lines) == 7
+    assert walk and all(len(line.rsplit(" | ", 1)[1].split()) == 7
+                        for line in walk)
+    assert verdict == holds(parse(FUTURE_HISTORY_SPEC),
+                            parse_word("{r} ; {p,q},{}"), 0)
+
+
+def test_explain_prints_the_derivative_once():
+    # The bed carries the formula's derivative, so a letter's line prints
+    # it once, as the bed part before the runners, and each of the 12
+    # runners, 4 of them safety runners, as one node.  Every node is
+    # numbered by its first use and defined once in the legend, as the
+    # representative of its BDD.
     phi = parse("G(F p & F q)")
-    auto = translate(phi, labels=True)
+    lines, walk, legend, _ = _explained("G(F p & F q)", "{q} ; {p},{q}")
+    assert sum(re.match(r"runner \d+: S ", line) is not None
+               for line in lines) == 4
     bed = build_wc_automaton(TranslationContext(phi))
-    texts = ["%s <%s>" % (P.to_formula(psi), ", ".join(
-        str(P.to_formula(b)) for b in tracks))
-             for psi, tracks in bed.state_objs]
-    assert auto.n_states() == 22
-    for label in auto.labels:
-        [j] = [j for j, text in enumerate(texts)
-               if label.endswith(" | " + text)]
-        runners = label[:-len(" | " + texts[j])].split("; ")
-        assert len(runners) == 12, label
-        assert sum(part.startswith("S:") for part in runners) == 4, label
-        assert all(part[:2] in ("S:", "G:", "F:") for part in runners), label
-        psi = str(P.to_formula(bed.state_objs[j][0]))
-        assert psi not in "; ".join(runners), label
+    derivatives = {str(P.to_formula(psi)) for psi, _ in bed.state_objs}
+    used = []
+    for line in walk:
+        bed_part, runners = line.split(": ", 1)[1].rsplit(" | ", 1)
+        refs = re.findall(r"#(\d+)", bed_part + " " + runners)
+        assert legend[refs[0]] in derivatives, line
+        assert len(re.findall(r"#\d+", runners)) == 12, line
+        used += refs
+    assert list(dict.fromkeys(used)) == [str(n) for n in range(len(legend))]
+    assert len(set(legend.values())) == len(legend)
 
 
 def test_default_translation_formats_no_formula(monkeypatch):
-    # without labels, translating and exporting the corpus prints no formula
+    # translating and exporting the corpus names no state and prints no
+    # formula
     def refuse(f, prec):
         raise AssertionError("a formula was printed")
 
@@ -524,11 +536,10 @@ def test_default_translation_formats_no_formula(monkeypatch):
 
 
 def test_hoa_round_trip():
-    # both forms read back as they were written, acceptance sets and state
-    # names included; the second formula has pairs with two meet sets
-    for f, labels in itertools.product(("G(p -> O q)", "G(F p & F q)"),
-                                       (False, True)):
-        auto = translate(parse(f), labels=labels)
+    # both forms read back as they were written, acceptance sets included;
+    # the second formula has pairs with two meet sets
+    for f in ("G(p -> O q)", "G(F p & F q)"):
+        auto = translate(parse(f))
         for a in (auto, degeneralize(auto)):
             back = parse_hoa(export_hoa(a, name="x"))
             assert (back.ap, back.init, back.trans, back.labels,
